@@ -6,8 +6,9 @@ text file with one polynomial expression per line, e.g.
     x0^2 + 2*x0*x1 - x1^2
 
 Subcommands: count, certify, mu, kappa, mesh, tables, mc-kappa.
-Exit codes: 0 success, 2 counting budget exhausted, 3 malformed input or
-usage error.
+Exit codes: 0 success, 2 counting budget exhausted (including a --max-t
+clamped to the grid-size cap), 3 malformed input, usage error or a
+requested grid over the cap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .condition import (kappa_grid, mu, monte_carlo_ln_kappa,
 from .convergence import (ALPHA_TABLE_LABELS, GAMMA_TABLE_LABELS,
                           alpha_error_table, gamma_contraction_table)
 from .counting import count_affine, root_count
-from .mesh import build_mesh, covering_check
+from .mesh import (MESH_POINT_CAP, MeshSizeError, build_mesh, covering_check,
+                   mesh_count_bound)
 
 __all__ = ["ParseError", "parse_polynomial", "parse_affine", "format_polynomial",
            "dispatch", "main"]
@@ -227,6 +229,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _clamp_max_t(n, max_t):
+    """The deepest level up to ``max_t`` whose grid on S^n fits under the cap.
+
+    Budget exhaustion then ends the run with its last result (exit 2)
+    instead of a grid-size error; a clamp is noted on stderr.
+    """
+    t = max_t
+    while t > 0 and mesh_count_bound(n, t) > MESH_POINT_CAP:
+        t -= 1
+    if t < max_t:
+        sys.stderr.write(f"note: --max-t {max_t} clamped to {t}: deeper grids on "
+                         f"S^{n} exceed the {MESH_POINT_CAP}-point cap\n")
+    return t
+
+
 def _build_parser():
     p = _Parser(prog="spherecount",
                 description="Certified real-zero counting on the unit sphere.")
@@ -282,7 +299,7 @@ def dispatch(argv):
         return 3
     try:
         return _run(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MeshSizeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 
@@ -338,8 +355,10 @@ def _run(args):
 
     if cmd == "count" and args.affine:
         polys = _load_system(args.input, affine=True)
-        result, affine_count = count_affine(polys, max_t=args.max_t,
-                                            threads=args.threads)
+        # the lift puts n affine equations on S^(n+1)
+        max_t = _clamp_max_t(len(polys) + 1, args.max_t)
+        result, affine_count = count_affine(polys, max_t=max_t, threads=args.threads,
+                                            max_mesh_points=MESH_POINT_CAP)
         doc = result.to_json()
         doc["affine_count"] = affine_count
         if args.stats:
@@ -351,7 +370,8 @@ def _run(args):
     if cmd == "count":
         if args.normalize:
             F = F.normalized()
-        result = root_count(F, max_t=args.max_t, threads=args.threads)
+        result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t),
+                            threads=args.threads, max_mesh_points=MESH_POINT_CAP)
         doc = result.to_json()
         if args.stats:
             doc["kappa_grid_estimate"] = result.kappa_grid_estimate

@@ -45,9 +45,10 @@ import numpy as np
 
 from . import polynomials as pl
 from .certification import RefinedZero, certificate_from_values, chart_beta, refine_zero
-from .condition import mu_many
+from .condition import bounded_max, mu_many
 from .convergence import ALPHA, r0
-from .mesh import angular_distance_many, build_mesh, pairwise_angular
+from .mesh import (MESH_POINT_CAP, angular_distance_many, build_mesh,
+                   pairwise_angular)
 
 __all__ = [
     "UnionFind",
@@ -100,6 +101,10 @@ class CertGraph:
 
     ``admissible`` covers the whole grid; the vertex set excludes points
     masked out by ``active`` (used by the lifted loop for pole certifiers).
+    ``mus`` holds mu only where it was computed (see ``_point_data``):
+    at every point that could pass the inclusion test, and at the points
+    the kappa maximum had to look at.  Elsewhere it is NaN, "not
+    computed", which is distinct from inf, "singular".
     """
 
     eta: float
@@ -108,30 +113,84 @@ class CertGraph:
     edges: tuple                 # pairs of vertex positions
     components: tuple            # tuple of tuples of vertex positions
     f_norms: np.ndarray          # residual norm at every mesh point
-    mus: np.ndarray              # mu at every mesh point (inf where singular)
+    mus: np.ndarray              # mu where computed: inf if singular, NaN if skipped
     admissible: np.ndarray       # inclusion-test mask over the whole mesh
     active: np.ndarray           # vertex-eligibility mask
 
 
-def _point_data(F, points, threads=1, chunk=_CHUNK):
-    """Residual norms and mu at every point, chunked and optionally threaded."""
-    spans = [(lo, min(lo + chunk, points.shape[0]))
-             for lo in range(0, points.shape[0], chunk)]
+# For a unit-norm system mu >= sqrt(n) at every point (the degree-scaled
+# restricted Jacobian has Frobenius norm at most 1, so its least singular
+# value is at most 1/sqrt(n)).  The inclusion test D^1.5 mu^2 |f| < alpha*
+# can therefore pass only where |f| < alpha*/(n D^1.5).  C_SLACK widens
+# that ceiling so rounding in the computed mu and in the test's product
+# can never drop a point that would pass: 2 is far above their relative
+# error, which is of order 1e-15.  It decides where mu is computed, never
+# an answer.
+C_SLACK = 2.0
+
+
+def _candidate_ceiling(F):
+    """Residual below which a point may pass the inclusion test."""
+    return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
+
+
+def _map_chunks(fn, rows, threads=1, chunk=_CHUNK):
+    """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
+    spans = [(lo, min(lo + chunk, rows.shape[0]))
+             for lo in range(0, rows.shape[0], chunk)] or [(0, 0)]
 
     def work(span):
-        lo, hi = span
-        block = points[lo:hi]
-        fv = np.linalg.norm(pl.evaluate_many(F, block), axis=1)
-        return fv, mu_many(F, block, f_norm=1.0)
+        return fn(rows[span[0]:span[1]])
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, spans))
     else:
         parts = [work(s) for s in spans]
-    f_norms = np.concatenate([p[0] for p in parts])
-    mus = np.concatenate([p[1] for p in parts])
-    return f_norms, mus
+    return np.concatenate(parts)
+
+
+def _mu_at(F, points, idx, threads=1):
+    return _map_chunks(lambda rows: mu_many(F, points[rows], f_norm=1.0),
+                       idx, threads=threads)
+
+
+def _point_data(F, points, threads=1, kappa_sample=None):
+    """Residual norms everywhere; mu only where it can change an answer.
+
+    Returns (f_norms, mus, admissible, kappa).  mu is computed at the
+    admissibility candidates (|f| below ``_candidate_ceiling``) and, when
+    a boolean mask ``kappa_sample`` is given, at the points of the sample
+    that the kappa maximum has to visit: kappa <= 1/|f|, so points are
+    taken in increasing |f| until the bound 1/sqrt(f*f) no longer beats
+    the running maximum.  Elsewhere ``mus`` is NaN.  ``kappa`` is the maximum of the finite kappa values over the
+    sample, inf if there is none, and None without a sample.  mu of a row
+    does not depend on the other rows of its batch, so every value equals
+    what an exhaustive pass over all points would give.
+    """
+    f_norms = _map_chunks(
+        lambda block: np.linalg.norm(pl.evaluate_many(F, block), axis=1),
+        points, threads=threads)
+    mus = np.full(points.shape[0], np.nan)
+    cand = np.nonzero(f_norms < _candidate_ceiling(F))[0]
+    mus[cand] = _mu_at(F, points, cand, threads)
+    admissible = np.zeros(points.shape[0], dtype=bool)
+    admissible[cand] = _admissible_mask(F, f_norms[cand], mus[cand])
+    if kappa_sample is None:
+        return f_norms, mus, admissible, None
+    seen = cand[kappa_sample[cand]]
+    best = _kappa_max(f_norms[seen], mus[seen])
+    with np.errstate(divide="ignore"):
+        bounds = 1.0 / np.sqrt(f_norms * f_norms)
+    rows = np.nonzero(kappa_sample & (bounds > best) & np.isnan(mus))[0]
+
+    def visit(pos):
+        idx = rows[pos]
+        mus[idx] = _mu_at(F, points, idx, threads)
+        return _kappa_max(f_norms[idx], mus[idx])
+
+    best = bounded_max(bounds[rows], visit, best=best, max_block=_CHUNK)
+    return f_norms, mus, admissible, (best if best > -math.inf else math.inf)
 
 
 def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
@@ -180,8 +239,7 @@ def build_graph(F, mesh, threads=1, active=None):
     Fn = F.normalized()
     if active is None:
         active = np.ones(mesh.count, dtype=bool)
-    f_norms, mus = _point_data(Fn, mesh.points, threads=threads)
-    admissible = _admissible_mask(Fn, f_norms, mus)
+    f_norms, mus, admissible, _ = _point_data(Fn, mesh.points, threads=threads)
     return _assemble_graph(Fn, mesh, f_norms, mus, admissible, active)
 
 
@@ -263,12 +321,17 @@ def predicted_complexity(F, kappa_estimate):
     }
 
 
-def _kappa_estimate(f_norms, mus):
+def _kappa_max(f_norms, mus):
+    """Largest finite kappa = 1/sqrt(mu^-2 + |f|^2); -inf if there is none.
+
+    Never above 1/sqrt(f*f): inv_mu2 >= 0 and correctly rounded operations
+    are monotone.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_mu2 = np.where(np.isfinite(mus), 1.0 / (mus * mus), 0.0)
         k = 1.0 / np.sqrt(inv_mu2 + f_norms * f_norms)
     k = k[np.isfinite(k)]
-    return float(k.max()) if k.size else math.inf
+    return float(k.max()) if k.size else -math.inf
 
 
 def _component_representatives(graph):
@@ -338,7 +401,7 @@ def _lifted_stop_ok(graph, mesh, F, poles, pole_dist):
     return True, shadow_extent
 
 
-def _run_loop(F, max_t, threads, poles=None, max_mesh_points=20_000_000):
+def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
     Fn = F.normalized()
     n = Fn.n
     _, t0 = initial_eta(n)
@@ -353,28 +416,28 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=20_000_000):
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t, max_points=max_mesh_points)
         iterations += 1
-        f_norms, mus = _point_data(Fn, mesh.points, threads=threads)
-        admissible = _admissible_mask(Fn, f_norms, mus)
-        pole_dist = None
         if poles is None:
-            active = np.ones(mesh.count, dtype=bool)
+            pole_dist = None
+            sample = np.ones(mesh.count, dtype=bool)
         else:
             pole_dist = poles.distances(mesh.points)
-            with np.errstate(invalid="ignore"):
-                reach = r0(ALPHA.alpha_star) * mus * f_norms
+            # kappa diagnostic away from the degenerate pole shadows
+            sample = pole_dist > 0.2
+        f_norms, mus, admissible, kappa_est = _point_data(
+            Fn, mesh.points, threads=threads, kappa_sample=sample)
+        active = np.ones(mesh.count, dtype=bool)
+        if poles is not None:
             # points whose certified ball contains a pole belong to the
             # pole component, not to a new one
-            active = ~(admissible & (pole_dist <= reach + 1e-15))
+            adm = np.nonzero(admissible)[0]
+            reach = r0(ALPHA.alpha_star) * mus[adm] * f_norms[adm]
+            active[adm] = ~(pole_dist[adm] <= reach + 1e-15)
         graph = _assemble_graph(Fn, mesh, f_norms, mus, admissible, active)
         evaluations += 2 * mesh.count + 2 * len(graph.vertex_indices)
         if poles is None:
-            kappa_est = _kappa_estimate(f_norms, mus)
             stop = check_stop(Fn, mesh, graph)
             ok = stop["separation_ok"] and stop["exclusion_ok"]
         else:
-            # kappa diagnostic away from the degenerate pole shadows
-            sample = pole_dist > 0.2
-            kappa_est = _kappa_estimate(f_norms[sample], mus[sample])
             ok, _ = _lifted_stop_ok(graph, mesh, Fn, poles, pole_dist)
             ok = ok and check_stop(Fn, mesh, graph)["separation_ok"]
         if ok:
@@ -408,7 +471,7 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=20_000_000):
     )
 
 
-def root_count(F, max_t=10, threads=1, max_mesh_points=20_000_000):
+def root_count(F, max_t=10, threads=1, max_mesh_points=MESH_POINT_CAP):
     """Count (and locate) the zeros of a nondegenerate system on S^n.
 
     Halves the spacing until both stop conditions hold or t exceeds
@@ -472,7 +535,7 @@ def _probe_zero_conditioning(F, poles, probe):
 
 
 def count_affine(affine_polys, max_t=10, threads=1, aux_scale=None,
-                 max_mesh_points=20_000_000):
+                 max_mesh_points=MESH_POINT_CAP):
     """Count real affine roots through the sphere lift.
 
     Returns (sphere_result, affine_count) with

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = [
     "SphereMesh",
@@ -24,7 +23,11 @@ __all__ = [
     "sch_membership",
     "convexity_cover_check",
     "mesh_count_bound",
+    "MESH_POINT_CAP",
 ]
+
+# default size cap on a grid: a (20M, n+1) float array is ~0.5 GB for n=2
+MESH_POINT_CAP = 20_000_000
 
 
 class MeshSizeError(RuntimeError):
@@ -80,7 +83,7 @@ class SphereMesh:
         return self.eta * math.sqrt(self.n) / 2.0
 
 
-def build_mesh(n, t, max_points=20_000_000):
+def build_mesh(n, t, max_points=MESH_POINT_CAP):
     """Enumerate C(2^-t) on S^n.
 
     Each cube-surface lattice point is generated exactly once: it is owned
@@ -144,6 +147,9 @@ def sch_membership(x, Y, residual_tol=1e-10):
     Membership is decided by nonnegative least squares on the cone
     condition sum lambda_i y_i = x.
     """
+    # imported here: scipy.optimize takes most of the package's import time
+    from scipy.optimize import nnls
+
     x = np.asarray(x, float)
     Y = np.atleast_2d(np.asarray(Y, float))
     _hemisphere_witness(Y)

@@ -126,6 +126,37 @@ class TestDispatch:
         assert code == 2
         assert doc["stopped"] is False
 
+    def test_count_max_t_clamped_to_grid_cap(self, sys_json, capsys):
+        # t=10 on S^2 may exceed 20M points; the run is clamped to t=9
+        code = dispatch(["--input", sys_json, "count", "--max-t", "11"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["stopped"] is True
+        assert "--max-t 11 clamped to 9" in captured.err
+
+    def test_clamped_budget_exhaustion_exits_2(self, tmp_path, capsys, monkeypatch):
+        # with a 1000-point cap grids on S^1 fit up to t=6, on S^2 up to t=2
+        monkeypatch.setattr("spherecount.cli.MESH_POINT_CAP", 1000)
+        path = tmp_path / "hard.txt"
+        path.write_text("x1^2\n")
+        code = dispatch(["--input", str(path), "count", "--max-t", "11"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 2
+        assert doc["stopped"] is False and doc["final_eta"] == 2.0**-6
+        assert "clamped to 6" in captured.err
+        path.write_text("x0^2 - 2\n")
+        code = dispatch(["--input", str(path), "count", "--affine", "--max-t", "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["affine_count"] is None
+        assert "clamped to 2" in captured.err
+
+    def test_oversized_grid_exits_3(self, sys_json, capsys):
+        assert dispatch(["mesh", "--n", "3", "--t", "12"]) == 3
+        assert dispatch(["--input", sys_json, "kappa", "--t", "12"]) == 3
+        assert "cap 20000000" in capsys.readouterr().err
+
     def test_count_threads_identical_bytes(self, sys_json, capsys):
         outputs = []
         for threads in ("1", "4"):
