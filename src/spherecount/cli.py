@@ -27,8 +27,8 @@ from .condition import (kappa_grid, mu, monte_carlo_ln_kappa,
 from .convergence import (ALPHA_TABLE_LABELS, GAMMA_TABLE_LABELS,
                           alpha_error_table, gamma_contraction_table)
 from .counting import count_affine, root_count
-from .mesh import (MESH_POINT_CAP, MeshSizeError, build_mesh, covering_check,
-                   mesh_count_bound)
+from . import mesh as _mesh
+from .mesh import MeshSizeError, build_mesh, covering_check, mesh_count_bound
 
 __all__ = ["ParseError", "parse_polynomial", "parse_affine", "format_polynomial",
            "dispatch", "main"]
@@ -232,15 +232,17 @@ class _Parser(argparse.ArgumentParser):
 def _clamp_max_t(n, max_t):
     """The deepest level up to ``max_t`` whose grid on S^n fits under the cap.
 
-    Budget exhaustion then ends the run with its last result (exit 2)
-    instead of a grid-size error; a clamp is noted on stderr.
+    The cap is the library's default, ``mesh.MESH_POINT_CAP``.  Budget
+    exhaustion then ends the run with its last result (exit 2) instead of
+    a grid-size error; a clamp is noted on stderr.
     """
+    cap = _mesh.MESH_POINT_CAP
     t = max_t
-    while t > 0 and mesh_count_bound(n, t) > MESH_POINT_CAP:
+    while t > 0 and mesh_count_bound(n, t) > cap:
         t -= 1
     if t < max_t:
         sys.stderr.write(f"note: --max-t {max_t} clamped to {t}: deeper grids on "
-                         f"S^{n} exceed the {MESH_POINT_CAP}-point cap\n")
+                         f"S^{n} exceed the {cap}-point cap\n")
     return t
 
 
@@ -357,8 +359,7 @@ def _run(args):
         polys = _load_system(args.input, affine=True)
         # the lift puts n affine equations on S^(n+1)
         max_t = _clamp_max_t(len(polys) + 1, args.max_t)
-        result, affine_count = count_affine(polys, max_t=max_t, threads=args.threads,
-                                            max_mesh_points=MESH_POINT_CAP)
+        result, affine_count = count_affine(polys, max_t=max_t, threads=args.threads)
         doc = result.to_json()
         doc["affine_count"] = affine_count
         if args.stats:
@@ -371,7 +372,7 @@ def _run(args):
         if args.normalize:
             F = F.normalized()
         result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t),
-                            threads=args.threads, max_mesh_points=MESH_POINT_CAP)
+                            threads=args.threads)
         doc = result.to_json()
         if args.stats:
             doc["kappa_grid_estimate"] = result.kappa_grid_estimate

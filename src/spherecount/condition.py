@@ -232,16 +232,22 @@ def kappa_many(F, X):
         return np.where(denom > 0.0, 1.0 / denom, np.inf)
 
 
-def bounded_max(bounds, values, best=-math.inf, block=1 << 10, max_block=1 << 18):
+# positions in the first block bounded_max visits; the block then doubles
+_FIRST_BLOCK = 1 << 10
+
+
+def bounded_max(bounds, values, best, max_block):
     """max(best, values over all positions of ``bounds``), visiting few of them.
 
     ``values(idx)`` returns the maximum of a quantity over the positions
     ``idx`` (sorted), and that quantity is at most ``bounds`` at each
     position.  Positions are visited in blocks of largest bound first, the
-    block doubling each round up to ``max_block``; a position whose bound
-    does not exceed the running maximum cannot raise it and is never
-    visited, so the result is the maximum over all positions, exactly.
+    block doubling each round from ``_FIRST_BLOCK`` up to ``max_block``; a
+    position whose bound does not exceed the running maximum cannot raise
+    it and is never visited, so the result is the maximum over all
+    positions, exactly.
     """
+    block = min(_FIRST_BLOCK, max_block)
     pending = np.nonzero(bounds > best)[0]
     while pending.size:
         if pending.size > block:

@@ -163,10 +163,11 @@ def _point_data(F, points, threads=1, kappa_sample=None):
     a boolean mask ``kappa_sample`` is given, at the points of the sample
     that the kappa maximum has to visit: kappa <= 1/|f|, so points are
     taken in increasing |f| until the bound 1/sqrt(f*f) no longer beats
-    the running maximum.  Elsewhere ``mus`` is NaN.  ``kappa`` is the maximum of the finite kappa values over the
-    sample, inf if there is none, and None without a sample.  mu of a row
-    does not depend on the other rows of its batch, so every value equals
-    what an exhaustive pass over all points would give.
+    the running maximum.  Elsewhere ``mus`` is NaN.  ``kappa`` is the
+    maximum of the finite kappa values over the sample, inf if there is
+    none, and None without a sample.  mu of a row does not depend on the
+    other rows of its batch, so every value equals what an exhaustive pass
+    over all points would give.
     """
     f_norms = _map_chunks(
         lambda block: np.linalg.norm(pl.evaluate_many(F, block), axis=1),

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
 
 __all__ = [
     "SphereMesh",
@@ -147,9 +148,6 @@ def sch_membership(x, Y, residual_tol=1e-10):
     Membership is decided by nonnegative least squares on the cone
     condition sum lambda_i y_i = x.
     """
-    # imported here: scipy.optimize takes most of the package's import time
-    from scipy.optimize import nnls
-
     x = np.asarray(x, float)
     Y = np.atleast_2d(np.asarray(Y, float))
     _hemisphere_witness(Y)

@@ -136,7 +136,7 @@ class TestDispatch:
 
     def test_clamped_budget_exhaustion_exits_2(self, tmp_path, capsys, monkeypatch):
         # with a 1000-point cap grids on S^1 fit up to t=6, on S^2 up to t=2
-        monkeypatch.setattr("spherecount.cli.MESH_POINT_CAP", 1000)
+        monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 1000)
         path = tmp_path / "hard.txt"
         path.write_text("x1^2\n")
         code = dispatch(["--input", str(path), "count", "--max-t", "11"])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherecount import condition
 from spherecount.condition import (_sigma_min_batch, bounded_max, kappa_grid,
                                    kappa_many, mu, mu_many,
                                    sample_gaussian_system)
@@ -175,7 +176,9 @@ def test_bounded_max_is_exact(data, block):
         visited.extend(idx.tolist())
         return float(values[idx].max())
 
-    best = bounded_max(bounds, visit, block=block, max_block=4 * block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condition, "_FIRST_BLOCK", block)
+        best = bounded_max(bounds, visit, best=-math.inf, max_block=4 * block)
     assert best == max(values.tolist(), default=-math.inf)
     assert len(visited) == len(set(visited))
     # a position whose bound beats the answer must have been looked at
