@@ -26,7 +26,6 @@ __all__ = [
     "eckart_young_correction",
     "distance_to_rank_deficient",
     "tangent_basis",
-    "restricted_jacobian",
     "mu",
     "mu_many",
     "kappa_point",
@@ -120,13 +119,6 @@ def tangent_basis(x):
         if nz.size and col[nz[0]] < 0.0:
             U[:, j] = -col
     return U
-
-
-def restricted_jacobian(F, x, basis=None):
-    """Df(x) restricted to x-perp, in tangent-frame coordinates (n x n)."""
-    if basis is None:
-        basis = tangent_basis(pl.normalize(x))
-    return pl.jacobian(F, x) @ basis
 
 
 def _degree_scaling(degrees, x_norm=1.0):

@@ -220,6 +220,14 @@ class TestDispatch:
         path.write_text('{"n": 1, "degrees": [2]}')
         assert dispatch(["--input", str(path), "count"]) == 3
 
+    def test_zero_system_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": 2, "degrees": [1, 1], "polynomials": [
+            {"terms": [{"exponents": [0, 1, 0], "coeff": 0.0}]},
+            {"terms": [{"exponents": [0, 0, 1], "coeff": 0.0}]}]}))
+        assert dispatch(["--input", str(path), "count"]) == 3
+        assert "polynomial is identically zero" in capsys.readouterr().err
+
     def test_expression_input(self, tmp_path, capsys):
         path = tmp_path / "sys.txt"
         path.write_text("x1\nx2\n")

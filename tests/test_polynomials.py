@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spherecount.condition import sample_gaussian_system
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, apply_tensor,
                                      derivative_tensor, evaluate,
@@ -60,6 +63,8 @@ class TestEvaluate:
         f = poly(2, 2, {(2, 0): 1.0})
         with pytest.raises(ValueError):
             evaluate(f, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            evaluate_many(f, np.ones((4, 3)))
 
     def test_system_evaluation(self):
         F = PolynomialSystem((poly(2, 1, {(0, 1): 1.0}),))
@@ -111,6 +116,62 @@ class TestJacobian:
         JJ = jacobian_many(F, X)
         for i in range(25):
             assert np.allclose(JJ[i], jacobian(F, X[i]), atol=1e-13)
+
+
+def _abs_sum(coefficients, x):
+    """sum_t |c_t| |x^a_t|, the scale of the rounding error of one value."""
+    return sum(abs(c) * math.prod(abs(float(v)) ** e for v, e in zip(x, expo))
+               for expo, c in coefficients.items())
+
+
+class TestEvaluationKernel:
+    """Scalar and batched evaluation run one kernel; they differ only in how
+    numpy and libm round powers, so they agree to a few ulps of the terms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**16), size=st.integers(0, 4),
+           data=st.data())
+    def test_scalar_matches_batch_row(self, n, seed, size, data):
+        degrees = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        F = sample_gaussian_system(n, degrees, seed)
+        X = np.random.default_rng(seed).standard_normal((size, n + 1))
+        values, jacobians = evaluate_many(F, X), jacobian_many(F, X)
+        assert values.shape == (size, n) and jacobians.shape == (size, n, n + 1)
+        assert evaluate_many(F.polynomials[0], X).shape == (size,)
+        eps8 = 8 * np.finfo(float).eps
+        for i, x in enumerate(X):
+            fx, J = evaluate(F, x), jacobian(F, x)
+            assert np.array_equal(evaluate_many(F, X[i:i + 1])[0], values[i])
+            assert np.array_equal(jacobian_many(F, X[i:i + 1])[0], jacobians[i])
+            for k, p in enumerate(F.polynomials):
+                assert abs(fx[k] - values[i, k]) <= eps8 * _abs_sum(p.coefficients, x)
+                for j, g in enumerate(p.gradient_polys()):
+                    assert abs(J[k, j] - jacobians[i, k, j]) <= eps8 * _abs_sum(g, x)
+
+    def test_gradients_derived_once(self, monkeypatch):
+        calls = []
+        derive = HomogeneousPolynomial.gradient_polys
+        monkeypatch.setattr(HomogeneousPolynomial, "gradient_polys",
+                            lambda self: calls.append(self) or derive(self))
+        F = sample_gaussian_system(2, (2, 3), 11)
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        for x in X:
+            jacobian(F, x)
+            jacobian_many(F, X)
+        assert len(calls) == F.n
+
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_zero_polynomial(self, size):
+        zero = poly(3, 2, {})
+        F = PolynomialSystem((zero, poly(3, 1, {(0, 1, 0): 1.0})))
+        X = np.random.default_rng(size).standard_normal((size, 3))
+        assert evaluate(zero, np.ones(3)) == 0.0
+        assert np.array_equal(evaluate_many(zero, X), np.zeros(size))
+        values, jacobians = evaluate_many(F, X), jacobian_many(F, X)
+        assert np.array_equal(values[:, 0], np.zeros(size))
+        assert np.array_equal(values[:, 1], X[:, 1])
+        assert np.array_equal(jacobians[:, 0], np.zeros((size, 3)))
+        assert np.array_equal(jacobians[:, 1], np.tile([0.0, 1.0, 0.0], (size, 1)))
 
 
 class TestDerivativeTensor:
@@ -248,6 +309,13 @@ class TestLiftAffine:
         with pytest.raises(ValueError):
             AffinePolynomial(1, {(1,): 0.0})
 
+    def test_call_checks_point_length(self):
+        g = AffinePolynomial(2, {(2, 0): 1.0, (0, 1): 3.0, (0, 0): -1.0})
+        assert g([2.0, 1.0]) == 6.0
+        for x in ([2.0], [2.0, 1.0, 5.0]):
+            with pytest.raises(ValueError):
+                g(x)
+
     @pytest.mark.parametrize("coeffs,expected", [
         ({(1,): 1.0, (0,): -2.0}, 4),   # x - 2: one root
         ({(2,): 1.0, (0,): -2.0}, 6),   # x^2 - 2: two roots
@@ -286,6 +354,12 @@ class TestJsonFormat:
         doc = {"n": 1, "degrees": [2],
                "polynomials": [{"terms": [{"exponents": [1, 0], "coeff": 1.0}]}]}
         with pytest.raises(ValueError):
+            system_from_json(doc)
+
+    def test_zero_polynomial_rejected(self):
+        doc = {"n": 1, "degrees": [1],
+               "polynomials": [{"terms": [{"exponents": [1, 0], "coeff": 0.0}]}]}
+        with pytest.raises(ValueError, match="identically zero"):
             system_from_json(doc)
 
     def test_nonfinite_rejected(self):
