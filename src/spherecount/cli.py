@@ -88,7 +88,7 @@ def _parse_terms(text, n_vars):
                 saw_factor = True
                 expect_factor = False
                 pos += 1
-            elif kind == "var" and (expect_factor or True):
+            elif kind == "var":
                 idx = int(val[1:])
                 if idx >= n_vars:
                     raise ParseError(f"variable {val} out of range (n_vars = {n_vars})", at)

@@ -51,7 +51,6 @@ from .mesh import (MESH_POINT_CAP, angular_distance_many, build_mesh,
                    pairwise_angular)
 
 __all__ = [
-    "UnionFind",
     "CertGraph",
     "CountResult",
     "build_graph",
@@ -66,35 +65,6 @@ __all__ = [
 _CHUNK = 1 << 18
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1 with path compression."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # smaller root wins, keeping labels deterministic
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def components(self, size):
-        groups = {}
-        for i in range(size):
-            groups.setdefault(self.find(i), []).append(i)
-        return [sorted(groups[r]) for r in sorted(groups)]
-
-
 @dataclass(frozen=True)
 class CertGraph:
     """Admissible grid points, their certificates, and the proximity graph.
@@ -104,7 +74,8 @@ class CertGraph:
     ``mus`` holds mu only where it was computed (see ``_point_data``):
     at every point that could pass the inclusion test, and at the points
     the kappa maximum had to look at.  Elsewhere it is NaN, "not
-    computed", which is distinct from inf, "singular".
+    computed", which is distinct from inf, "singular".  ``components``
+    holds tuples of ascending vertex positions, ordered by least member.
     """
 
     eta: float
@@ -194,6 +165,29 @@ def _point_data(F, points, threads=1, kappa_sample=None):
     return f_norms, mus, admissible, (best if best > -math.inf else math.inf)
 
 
+def _clusters(points, reach):
+    """Link the points within angular distance ``reach`` of each other.
+
+    ``reach`` is a scalar or a matrix over the pairs.  Returns (pairs,
+    components): the linked pairs i < j in row-major order, and the
+    connected components as tuples of ascending positions ordered by
+    least member.
+    """
+    # imported here so that importing the package does not load csgraph
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = np.nonzero(np.triu(pairwise_angular(points) <= reach, 1))
+    m = len(points)
+    _, labels = connected_components(
+        coo_matrix((np.ones(i.size), (i, j)), shape=(m, m)), directed=False)
+    groups = {}
+    for v, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(v)
+    return (tuple(zip(i.tolist(), j.tolist())),
+            tuple(tuple(g) for g in groups.values()))
+
+
 def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
     vertex_indices = np.nonzero(admissible & active)[0]
     certs = []
@@ -202,25 +196,14 @@ def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
         beta = chart_beta(F, x)
         certs.append(certificate_from_values(
             x, beta, float(mus[idx]), float(f_norms[idx]), F.max_degree))
-    edges = []
-    nv = len(vertex_indices)
-    uf = UnionFind(nv)
-    if nv:
-        pts = mesh.points[vertex_indices]
-        radii = np.array([c.inclusion_radius for c in certs])
-        dist = pairwise_angular(pts)
-        reach = radii[:, None] + radii[None, :]
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                if dist[i, j] <= reach[i, j]:
-                    edges.append((i, j))
-                    uf.union(i, j)
-    components = tuple(tuple(c) for c in uf.components(nv))
+    radii = np.array([c.inclusion_radius for c in certs])
+    edges, components = _clusters(mesh.points[vertex_indices],
+                                  radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertex_indices,
         certificates=tuple(certs),
-        edges=tuple(edges),
+        edges=edges,
         components=components,
         f_norms=f_norms,
         mus=mus,
@@ -358,19 +341,13 @@ class _PoleData:
         return d
 
 
-def _cluster_failures(points, link_radius):
-    """Union-find clusters of the failing points at grid scale."""
-    m = points.shape[0]
-    uf = UnionFind(m)
-    dist = pairwise_angular(points)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist[i, j] <= link_radius:
-                uf.union(i, j)
-    return uf.components(m)
+# Largest exclusion-failure set the lifted gate clusters; a level with
+# more failures does not stop.  The cap bounds the dense pair matrix of
+# the clustering at 4000^2 doubles (128 MB).
+_LIFTED_FAILURE_CAP = 4000
 
 
-def _lifted_stop_ok(graph, mesh, F, poles, pole_dist):
+def _lifted_stop_ok(graph, mesh, F, pole_dist):
     eta = mesh.eta
     n = mesh.n
     link = 2.5 * eta * math.sqrt(n)
@@ -378,28 +355,28 @@ def _lifted_stop_ok(graph, mesh, F, poles, pole_dist):
     failing = np.nonzero(~graph.admissible & (graph.f_norms <= thr))[0]
     shadow_extent = 0.0
     if failing.size:
-        if failing.size > 4000:
-            return False, None
+        if failing.size > _LIFTED_FAILURE_CAP:
+            return False
         pts = mesh.points[failing]
         fail_pole_dist = pole_dist[failing]
-        for comp in _cluster_failures(pts, link):
+        for comp in _clusters(pts, link)[1]:
             comp_dist = fail_pole_dist[list(comp)]
             if float(comp_dist.min()) > link:
-                return False, None  # low-residual island away from the poles
+                return False  # low-residual island away from the poles
             shadow_extent = max(shadow_extent, float(comp_dist.max()))
     if shadow_extent > 0.6:
-        return False, None
+        return False
     # pole certifiers define how far the pole components reach
     certifier = graph.admissible & ~graph.active
     if certifier.any():
         shadow_extent = max(shadow_extent, float(pole_dist[certifier].max()))
     if shadow_extent > 0.75:
-        return False, None
+        return False
     if len(graph.vertex_indices):
         margin = shadow_extent + 2.0 * eta * math.sqrt(n)
         if float(pole_dist[graph.vertex_indices].min()) <= margin:
-            return False, None
-    return True, shadow_extent
+            return False
+    return True
 
 
 def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
@@ -439,8 +416,8 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
             stop = check_stop(Fn, mesh, graph)
             ok = stop["separation_ok"] and stop["exclusion_ok"]
         else:
-            ok, _ = _lifted_stop_ok(graph, mesh, Fn, poles, pole_dist)
-            ok = ok and check_stop(Fn, mesh, graph)["separation_ok"]
+            ok = (_lifted_stop_ok(graph, mesh, Fn, pole_dist)
+                  and check_stop(Fn, mesh, graph)["separation_ok"])
         if ok:
             stopped = True
             break

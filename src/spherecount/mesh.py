@@ -47,10 +47,9 @@ def angular_distance_many(X, y):
     return np.arccos(np.clip(c, -1.0, 1.0))
 
 
-def pairwise_angular(X, Y=None):
+def pairwise_angular(X):
     X = np.asarray(X, float)
-    Y = X if Y is None else np.asarray(Y, float)
-    return np.arccos(np.clip(X @ Y.T, -1.0, 1.0))
+    return np.arccos(np.clip(X @ X.T, -1.0, 1.0))
 
 
 def mesh_count_bound(n, t):

@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherecount.certification import refine_zero
 from spherecount.convergence import ALPHA, r0
-from spherecount.counting import (CountResult, UnionFind, build_graph,
+from spherecount.counting import (CountResult, _clusters, build_graph,
                                   check_stop, count_affine, initial_eta,
                                   predicted_complexity,
                                   predicted_eta_threshold, root_count)
-from spherecount.mesh import MeshSizeError, angular_distance, build_mesh
+from spherecount.mesh import (MeshSizeError, angular_distance, build_mesh,
+                             pairwise_angular)
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, normalize)
 
@@ -41,18 +44,52 @@ def coordinate_pair():
     ))
 
 
-class TestUnionFind:
-    def test_components(self):
-        uf = UnionFind(5)
-        uf.union(0, 3)
-        uf.union(3, 4)
-        assert uf.components(5) == [[0, 3, 4], [1], [2]]
+def bfs_components(m, pairs):
+    """Connected components by breadth-first search, in discovery order."""
+    adjacent = [[] for _ in range(m)]
+    for i, j in pairs:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen = [False] * m
+    components = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = [start], []
+        while queue:
+            v = queue.pop(0)
+            members.append(v)
+            for w in adjacent[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        components.append(tuple(sorted(members)))
+    return tuple(components)
 
-    def test_labels_deterministic(self):
-        uf = UnionFind(4)
-        uf.union(3, 1)
-        uf.union(1, 0)
-        assert uf.find(3) == 0
+
+class TestClusters:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(0, 40), dim=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1), scalar=st.booleans(),
+           scale=st.floats(0.0, 1.5))
+    def test_matches_brute_force(self, m, dim, seed, scalar, scale):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((m, dim))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        if scalar:
+            reach = scale
+        else:
+            half = rng.uniform(0.0, scale, (m, m))
+            reach = half + half.T
+        dist = pairwise_angular(points)
+        bound = np.broadcast_to(reach, (m, m))
+        expected = tuple((i, j) for i in range(m) for j in range(i + 1, m)
+                         if dist[i, j] <= bound[i, j])
+        pairs, components = _clusters(points, reach)
+        assert pairs == expected
+        assert all(type(v) is int for pair in pairs for v in pair)
+        assert components == bfs_components(m, expected)
 
 
 class TestBuildGraph:
