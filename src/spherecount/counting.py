@@ -76,6 +76,8 @@ class CertGraph:
     the kappa maximum had to look at.  Elsewhere it is NaN, "not
     computed", which is distinct from inf, "singular".  ``components``
     holds tuples of ascending vertex positions, ordered by least member.
+    ``separation`` is the least angular distance between vertices of
+    different components, inf when there is at most one component.
     """
 
     eta: float
@@ -83,6 +85,7 @@ class CertGraph:
     certificates: tuple          # one Certificate per vertex
     edges: tuple                 # pairs of vertex positions
     components: tuple            # tuple of tuples of vertex positions
+    separation: float            # least distance across components, or inf
     f_norms: np.ndarray          # residual norm at every mesh point
     mus: np.ndarray              # mu where computed: inf if singular, NaN if skipped
     admissible: np.ndarray       # inclusion-test mask over the whole mesh
@@ -169,23 +172,27 @@ def _clusters(points, reach):
     """Link the points within angular distance ``reach`` of each other.
 
     ``reach`` is a scalar or a matrix over the pairs.  Returns (pairs,
-    components): the linked pairs i < j in row-major order, and the
-    connected components as tuples of ascending positions ordered by
-    least member.
+    components, separation): the linked pairs i < j in row-major order,
+    the connected components as tuples of ascending positions ordered by
+    least member, and the least distance between points of different
+    components (inf when there is at most one).
     """
     # imported here so that importing the package does not load csgraph
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    i, j = np.nonzero(np.triu(pairwise_angular(points) <= reach, 1))
+    dist = pairwise_angular(points)
+    i, j = np.nonzero(np.triu(dist <= reach, 1))
     m = len(points)
     _, labels = connected_components(
         coo_matrix((np.ones(i.size), (i, j)), shape=(m, m)), directed=False)
     groups = {}
     for v, label in enumerate(labels.tolist()):
         groups.setdefault(label, []).append(v)
+    separation = np.min(dist, initial=math.inf,
+                        where=labels[:, None] != labels[None, :])
     return (tuple(zip(i.tolist(), j.tolist())),
-            tuple(tuple(g) for g in groups.values()))
+            tuple(tuple(g) for g in groups.values()), float(separation))
 
 
 def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
@@ -197,14 +204,15 @@ def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
         certs.append(certificate_from_values(
             x, beta, float(mus[idx]), float(f_norms[idx]), F.max_degree))
     radii = np.array([c.inclusion_radius for c in certs])
-    edges, components = _clusters(mesh.points[vertex_indices],
-                                  radii[:, None] + radii[None, :])
+    edges, components, separation = _clusters(
+        mesh.points[vertex_indices], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertex_indices,
         certificates=tuple(certs),
         edges=edges,
         components=components,
+        separation=separation,
         f_norms=f_norms,
         mus=mus,
         admissible=admissible,
@@ -233,18 +241,8 @@ def exclusion_threshold(F, eta):
 
 def check_stop(F, mesh, graph):
     """The two termination predicates of the counting loop."""
-    n = mesh.n
     eta = mesh.eta
-    separation_ok = True
-    if len(graph.components) > 1:
-        pts = mesh.points[graph.vertex_indices]
-        labels = np.empty(len(graph.vertex_indices), dtype=int)
-        for ci, comp in enumerate(graph.components):
-            labels[list(comp)] = ci
-        dist = pairwise_angular(pts)
-        different = labels[:, None] != labels[None, :]
-        if different.any():
-            separation_ok = bool(dist[different].min() > 2.0 * eta * math.sqrt(n))
+    separation_ok = graph.separation > 2.0 * eta * math.sqrt(mesh.n)
     rejected = graph.active & ~graph.admissible
     exclusion_ok = bool(np.all(
         graph.f_norms[rejected] > exclusion_threshold(F, eta)))

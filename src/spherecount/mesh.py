@@ -61,14 +61,25 @@ def mesh_count_bound(n, t):
 class SphereMesh:
     """The grid C(eta) on S^n, eta = 2^-t, as a deduplicated point array.
 
-    ``lattice`` holds the integer cube-surface points (row-lex sorted, so
-    construction is deterministic); ``points`` their radial projections.
+    ``points`` holds the radial projections of the cube-surface lattice
+    points in facet-major order (see ``build_mesh``).  ``lattice``, the
+    integer points themselves, is derived from ``points`` on demand.
     """
 
     n: int
     t: int
-    lattice: np.ndarray  # (count, n+1) ints with max |k_i| = 2^t
     points: np.ndarray   # (count, n+1) unit rows
+
+    @property
+    def lattice(self):
+        """(count, n+1) int64 rows k with max |k_i| = 2^t, k/|k| = points.
+
+        Each row of ``points`` is k/|k| with every quotient correctly
+        rounded, so scaling it by 2^t / max |k_i/|k|| lands within a few
+        ulp of the integers k and rounding recovers them exactly.
+        """
+        scale = 2.0**self.t / np.max(np.abs(self.points), axis=1)
+        return np.rint(self.points * scale[:, None]).astype(np.int64)
 
     @property
     def eta(self):
@@ -86,10 +97,19 @@ class SphereMesh:
 def build_mesh(n, t, max_points=MESH_POINT_CAP):
     """Enumerate C(2^-t) on S^n.
 
-    Each cube-surface lattice point is generated exactly once: it is owned
-    by the lowest axis on which it attains the sup norm.  The facet-major
-    enumeration order is deterministic.  Raises MeshSizeError when the
-    count bound exceeds ``max_points``.
+    Each cube-surface lattice point k, max |k_i| = m = 2^t, is generated
+    exactly once: it is owned by the lowest axis on which it attains the
+    sup norm, so on the faces of axis a the coordinates before a range
+    over the interior (-m, m) and those after it over [-m, m].  The order
+    is facet-major: by owning axis, the +m face before the -m face, then
+    row-major over the other coordinates.
+
+    The unit rows are written face by face into one array.  The squared
+    radius m^2 + sum_j k_j^2 is an exact integer in float64, so its sqrt
+    is the correctly rounded |k|, and every coordinate is the one rounded
+    quotient k_i / |k|: the rows equal those of normalizing the integer
+    lattice with ``np.linalg.norm``, bit for bit.  Raises MeshSizeError
+    when the count bound exceeds ``max_points``.
     """
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
@@ -98,25 +118,32 @@ def build_mesh(n, t, max_points=MESH_POINT_CAP):
             f"mesh for n={n}, t={t} may have up to {mesh_count_bound(n, t)} points "
             f"(cap {max_points})")
     m = 2**t
-    full = np.arange(-m, m + 1, dtype=np.int64)
-    interior = np.arange(-(m - 1), m, dtype=np.int64)
-    faces = []
+    full = np.arange(-m, m + 1, dtype=float)
+    interior = full[1:-1]
+    points = np.empty((2 * sum((2 * m - 1)**a * (2 * m + 1)**(n - a)
+                               for a in range(n + 1)), n + 1))
+    row = 0
     for axis in range(n + 1):
-        for sign in (m, -m):
-            ranges = [interior if j < axis else full
-                      for j in range(n + 1) if j != axis]
-            grids = np.meshgrid(*ranges, indexing="ij")
-            rows = grids[0].size if grids else 1
-            face = np.empty((rows, n + 1), dtype=np.int64)
-            cols = [c for c in range(n + 1) if c != axis]
-            for col, g in zip(cols, grids):
-                face[:, col] = g.reshape(-1)
-            face[:, axis] = sign
-            faces.append(face)
-    lattice = np.concatenate(faces, axis=0)
-    pts = lattice.astype(float)
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    return SphereMesh(n=n, t=t, lattice=lattice, points=pts)
+        cols = [c for c in range(n + 1) if c != axis]
+        ranges = [interior] * axis + [full] * (n - axis)
+        shape = tuple(r.size for r in ranges)
+        # the coordinate of column cols[q], broadcastable over the face grid
+        ks = [r.reshape([-1 if d == q else 1 for d in range(n)])
+              for q, r in enumerate(ranges)]
+        radius = np.full(shape, float(m * m))
+        for k in ks:
+            radius += k * k
+        np.sqrt(radius, out=radius)
+        size = radius.size
+        plus = points[row:row + size].reshape(shape + (n + 1,))
+        minus = points[row + size:row + 2 * size]
+        for c, k in zip(cols, ks):
+            np.divide(k, radius, out=plus[..., c])
+        np.divide(float(m), radius, out=plus[..., axis])
+        minus[:] = points[row:row + size]
+        np.negative(minus[:, axis], out=minus[:, axis])
+        row += 2 * size
+    return SphereMesh(n=n, t=t, points=points)
 
 
 def covering_check(mesh, z):

@@ -276,7 +276,11 @@ class PolynomialSystem:
             for p in self.polynomials))
 
     def normalized(self):
-        """The system rescaled to unit Weyl norm."""
+        """The system rescaled to unit Weyl norm, built once per system."""
+        return self._normalized
+
+    @cached_property
+    def _normalized(self):
         nrm = self.weyl_norm
         if nrm == 0.0:
             raise ValueError("cannot normalize the zero system")

@@ -68,6 +68,15 @@ def bfs_components(m, pairs):
     return tuple(components)
 
 
+def labelled_separation(dist, components):
+    """Least distance across components, from hand-built labels."""
+    labels = np.empty(dist.shape[0], dtype=int)
+    for ci, comp in enumerate(components):
+        labels[list(comp)] = ci
+    different = labels[:, None] != labels[None, :]
+    return float(dist[different].min()) if different.any() else math.inf
+
+
 class TestClusters:
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(0, 40), dim=st.integers(2, 4),
@@ -86,10 +95,11 @@ class TestClusters:
         bound = np.broadcast_to(reach, (m, m))
         expected = tuple((i, j) for i in range(m) for j in range(i + 1, m)
                          if dist[i, j] <= bound[i, j])
-        pairs, components = _clusters(points, reach)
+        pairs, components, separation = _clusters(points, reach)
         assert pairs == expected
         assert all(type(v) is int for pair in pairs for v in pair)
         assert components == bfs_components(m, expected)
+        assert separation == labelled_separation(dist, components)
 
 
 class TestBuildGraph:
@@ -132,6 +142,16 @@ class TestBuildGraph:
             assert i < j
         flat = [v for comp in g.components for v in comp]
         assert sorted(flat) == list(range(len(g.vertex_indices)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(slopes=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+           t=st.integers(2, 6))
+    def test_separation_matches_labels(self, slopes, t):
+        F = linear_product(slopes)
+        mesh = build_mesh(1, t)
+        g = build_graph(F, mesh)
+        dist = pairwise_angular(mesh.points[g.vertex_indices])
+        assert g.separation == labelled_separation(dist, g.components)
 
 
 class TestCheckStop:

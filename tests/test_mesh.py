@@ -77,6 +77,43 @@ class TestBuildMesh:
             build_mesh(3, 12)
 
 
+def reference_grid(n, t):
+    """C(2^-t) by the direct route: int64 faces, then float rows / norm."""
+    m = 2**t
+    full = np.arange(-m, m + 1, dtype=np.int64)
+    interior = np.arange(-(m - 1), m, dtype=np.int64)
+    faces = []
+    for axis in range(n + 1):
+        for sign in (m, -m):
+            ranges = [interior if j < axis else full
+                      for j in range(n + 1) if j != axis]
+            grids = np.meshgrid(*ranges, indexing="ij")
+            face = np.empty((grids[0].size, n + 1), dtype=np.int64)
+            cols = [c for c in range(n + 1) if c != axis]
+            for col, g in zip(cols, grids):
+                face[:, col] = g.reshape(-1)
+            face[:, axis] = sign
+            faces.append(face)
+    lattice = np.concatenate(faces, axis=0)
+    points = lattice.astype(float)
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return lattice, points
+
+
+# every t up to grids of about 100k points
+PINNED_GRIDS = [(n, t) for n, top in ((1, 13), (2, 6), (3, 3), (4, 2))
+                for t in range(top + 1)]
+
+
+@pytest.mark.parametrize("n,t", PINNED_GRIDS)
+def test_grid_matches_reference_bit_for_bit(n, t):
+    lattice, points = reference_grid(n, t)
+    mesh = build_mesh(n, t)
+    assert mesh.points.tobytes() == points.tobytes()
+    assert mesh.lattice.dtype == np.int64
+    assert np.array_equal(mesh.lattice, lattice)
+
+
 class TestCovering:
     def test_mesh_point_is_its_own_cover(self):
         mesh = build_mesh(2, 2)

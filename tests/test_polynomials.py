@@ -227,6 +227,19 @@ class TestWeylInner:
             assert lhs == pytest.approx(weyl_inner(f, g), abs=1e-10 * (1 + abs(lhs)))
 
 
+class TestNormalized:
+    def test_built_once_per_system(self):
+        F = sample_gaussian_system(2, (2, 3), 7)
+        assert F.normalized() is F.normalized()
+
+    def test_coefficients_equal_a_fresh_rescaling(self):
+        for seed in range(5):
+            F = sample_gaussian_system(3, (1, 2, 3), seed)
+            fresh = F.scaled(1.0 / F.weyl_norm)
+            for p, q in zip(F.normalized().polynomials, fresh.polynomials):
+                assert p.coefficients == q.coefficients
+
+
 class TestKernel:
     def test_coincident(self):
         assert kernel_eval(2, [1.0, 0.0], [1.0, 0.0]) == 1.0
