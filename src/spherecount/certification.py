@@ -12,6 +12,11 @@ threshold alpha_star, in which case Newton iteration from x converges to a
 zero zeta_x within the cap of radius r_x = r0(alpha_star) mu |f(x)|.
 Conversely exclusion_radius gives a cap around x certified to contain no
 zero at all.
+
+Every Newton step (beta, refine_zero) solves the chart system with LAPACK
+(numpy.linalg.solve).  The chart Jacobian counts as singular, and the step
+as undefined, by the same rule that makes mu infinite
+(condition._nonsingular: sigma_min(M) at most _SINGULAR_TOL max|M|).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polynomials as pl
-from .condition import mu, tangent_basis
+from .condition import _nonsingular, min_singular_value, mu, tangent_basis
 from .convergence import ALPHA, gamma_error_sequence, r0, robust_u0
 
 __all__ = [
@@ -36,7 +41,6 @@ __all__ = [
     "exclusion_radius",
     "refine_zero",
     "robust_certify",
-    "solve_partial_pivot",
 ]
 
 
@@ -61,52 +65,26 @@ def tangent_frame(x):
     return TangentFrame(base=x, basis=tangent_basis(x))
 
 
-def solve_partial_pivot(M, b, pivot_tol=1e-14):
-    """Solve M x = b by elimination with partial pivoting.
+def _newton_step(F, point, basis):
+    """The Newton step of f in the chart spanned by ``basis`` at ``point``.
 
-    Returns None when a pivot falls below pivot_tol * |M| (singular).
+    LAPACK solves the chart system; None when its Jacobian is singular
+    under the rule that also decides where mu is infinite.
     """
-    M = np.array(M, dtype=float)
-    b = np.array(b, dtype=float)
-    n = M.shape[0]
-    scale = float(np.linalg.norm(M))
-    if scale == 0.0:
+    M = pl.jacobian(F, point) @ basis
+    if not _nonsingular(M, min_singular_value(M)):
         return None
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[piv, col]) < pivot_tol * scale:
-            return None
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        inv = 1.0 / M[col, col]
-        for row in range(col + 1, n):
-            factor = M[row, col] * inv
-            if factor != 0.0:
-                M[row, col:] -= factor * M[col, col:]
-                b[row] -= factor * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - M[row, row + 1:] @ x[row + 1:]) / M[row, row]
-    return x
+    return np.linalg.solve(M, pl.evaluate(F, point))
 
 
-def _chart_jacobian(F, x, frame):
-    return pl.jacobian(F, x) @ frame.basis
-
-
-def chart_beta(F, x, frame=None):
+def chart_beta(F, x):
     """beta(F_x, 0): the length of the first Newton step in the chart at x.
 
     Returns inf when the restricted Jacobian is singular.
     """
-    if frame is None:
-        frame = tangent_frame(x)
-    M = _chart_jacobian(F, frame.base, frame)
-    step = solve_partial_pivot(M, pl.evaluate(F, frame.base))
-    if step is None:
-        return math.inf
-    return float(np.linalg.norm(step))
+    frame = tangent_frame(x)
+    step = _newton_step(F, frame.base, frame.basis)
+    return math.inf if step is None else float(np.linalg.norm(step))
 
 
 def gamma_bound(F, x):
@@ -224,9 +202,7 @@ def refine_zero(F, x, tol=1e-13, max_steps=50):
     beta = math.inf
     converged = False
     for _ in range(max_steps):
-        point = frame.base + frame.embed(c)
-        M = pl.jacobian(Fn, point) @ frame.basis
-        step = solve_partial_pivot(M, pl.evaluate(Fn, point))
+        step = _newton_step(Fn, frame.base + frame.embed(c), frame.basis)
         if step is None:
             beta = math.inf
             break

@@ -43,6 +43,8 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
+# rows per batch when a whole grid is evaluated
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,16 @@ def distance_to_rank_deficient(A):
     return min_singular_value(A)
 
 
+def _nonsingular(M, smin):
+    """The one singularity rule: M (or each matrix of a stack) is singular
+    when its least singular value ``smin`` is at most _SINGULAR_TOL max|M|.
+
+    The rule is relative to the matrix, so it does not depend on the scale
+    of f; an all-zero matrix is singular.
+    """
+    return smin > _SINGULAR_TOL * np.abs(M).max(axis=(-2, -1))
+
+
 # ---------------------------------------------------------------------------
 # tangent frames and restricted Jacobians
 
@@ -144,10 +156,9 @@ def mu(F, x):
     """
     M = scaled_restricted_jacobian(F, x)
     smin = min_singular_value(M)
-    nrm = F.weyl_norm
-    if smin <= _SINGULAR_TOL * max(1.0, float(np.abs(M).max())):
+    if not _nonsingular(M, smin):
         return math.inf
-    return nrm / smin
+    return F.weyl_norm / smin
 
 
 # ---------------------------------------------------------------------------
@@ -196,32 +207,36 @@ def mu_many(F, X, f_norm=None):
         f_norm = F.weyl_norm
     M = _restricted_jacobians_batch(F, X)
     smin = _sigma_min_batch(M)
-    scale = np.abs(M).max(axis=(1, 2))
     out = np.full(X.shape[0], np.inf)
-    ok = smin > _SINGULAR_TOL * np.maximum(1.0, scale)
-    out[ok] = f_norm / smin[ok]
+    ok = _nonsingular(M, smin)
+    with np.errstate(over="ignore"):  # a subnormal smin gives mu = inf
+        out[ok] = f_norm / smin[ok]
     return out
 
 
+def _kappa(f_norms, mus):
+    """kappa = 1/sqrt(mu^-2 + |f|^2), with mu taken at unit |f| (inf: singular).
+
+    Never above 1/sqrt(f*f): mu^-2 >= 0 and correctly rounded operations
+    are monotone.  inf where f = 0 at a singular point.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_mu2 = np.where(np.isfinite(mus), 1.0 / (mus * mus), 0.0)
+        return 1.0 / np.sqrt(inv_mu2 + f_norms * f_norms)
+
+
 def kappa_point(F, x):
-    """kappa(f, x) = 1/sqrt(mu^-2 + |f(x)|^2) for the normalized system."""
+    """kappa(f, x) for the normalized system."""
     Fn = F.normalized()
-    m = mu(Fn, x)
-    fv = float(np.linalg.norm(pl.evaluate(Fn, x)))
-    inv_mu2 = 0.0 if math.isinf(m) else 1.0 / (m * m)
-    denom = math.sqrt(inv_mu2 + fv * fv)
-    return math.inf if denom == 0.0 else 1.0 / denom
+    fv = np.linalg.norm(pl.evaluate(Fn, x))
+    return float(_kappa(fv, mu(Fn, x)))
 
 
 def kappa_many(F, X):
     """Vectorized kappa for the normalized system at many unit points."""
     Fn = F.normalized()
-    M = _restricted_jacobians_batch(Fn, np.asarray(X, float))
-    smin = _sigma_min_batch(M)
     fv = np.linalg.norm(pl.evaluate_many(Fn, X), axis=1)
-    denom = np.sqrt(smin * smin + fv * fv)
-    with np.errstate(divide="ignore"):
-        return np.where(denom > 0.0, 1.0 / denom, np.inf)
+    return _kappa(fv, mu_many(Fn, X, f_norm=1.0))
 
 
 # positions in the first block bounded_max visits; the block then doubles
@@ -255,14 +270,13 @@ def bounded_max(bounds, values, best, max_block):
     return best
 
 
-def kappa_grid(F, mesh, chunk=1 << 18):
+def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
-    Since kappa(x) <= 1/|f(x)| for the normalized system, and correctly
-    rounded arithmetic keeps 1/sqrt(smin^2 + f^2) <= 1/sqrt(f^2), the
-    residual alone bounds kappa: ``kappa_many`` runs only on the points,
-    taken in increasing |f|, whose bound 1/sqrt(f*f) still beats the
-    running maximum.  The result equals the maximum over every point.
+    Since ``_kappa`` never exceeds 1/sqrt(f*f), the residual alone bounds
+    kappa: ``kappa_many`` runs only on the points, taken in increasing |f|,
+    whose bound 1/sqrt(f*f) still beats the running maximum.  The result
+    equals the maximum over every point.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
@@ -270,12 +284,12 @@ def kappa_grid(F, mesh, chunk=1 << 18):
     Fn = F.normalized()
     pts = mesh.points
     f_norms = np.concatenate([
-        np.linalg.norm(pl.evaluate_many(Fn, pts[lo:lo + chunk]), axis=1)
-        for lo in range(0, pts.shape[0], chunk)])
+        np.linalg.norm(pl.evaluate_many(Fn, pts[lo:lo + _CHUNK]), axis=1)
+        for lo in range(0, pts.shape[0], _CHUNK)])
     with np.errstate(divide="ignore"):
         bounds = 1.0 / np.sqrt(f_norms * f_norms)
     best = bounded_max(bounds, lambda idx: float(np.max(kappa_many(F, pts[idx]))),
-                       best=0.0, max_block=chunk)
+                       best=0.0, max_block=_CHUNK)
     return best, mesh.covering_radius_bound
 
 
@@ -301,7 +315,7 @@ def minimal_singular_perturbation(F, x):
     x = pl.sphere_point(x, tol=1e-9)
     basis = tangent_basis(x)
     M = scaled_restricted_jacobian(F, x, basis)
-    if min_singular_value(M) <= _SINGULAR_TOL:
+    if not _nonsingular(M, min_singular_value(M)):
         return F
     B = eckart_young_correction(M)
     polys = []

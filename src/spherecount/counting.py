@@ -45,7 +45,7 @@ import numpy as np
 
 from . import polynomials as pl
 from .certification import RefinedZero, certificate_from_values, chart_beta, refine_zero
-from .condition import bounded_max, mu_many
+from .condition import _CHUNK, _kappa, bounded_max, mu_many
 from .convergence import ALPHA, r0
 from .mesh import (MESH_POINT_CAP, angular_distance_many, build_mesh,
                    pairwise_angular)
@@ -62,15 +62,12 @@ __all__ = [
     "predicted_complexity",
 ]
 
-_CHUNK = 1 << 18
-
-
 @dataclass(frozen=True)
 class CertGraph:
     """Admissible grid points, their certificates, and the proximity graph.
 
-    ``admissible`` covers the whole grid; the vertex set excludes points
-    masked out by ``active`` (used by the lifted loop for pole certifiers).
+    ``admissible`` covers the whole grid; the vertices are the admissible
+    points, less the pole certifiers in the lifted loop.
     ``mus`` holds mu only where it was computed (see ``_point_data``):
     at every point that could pass the inclusion test, and at the points
     the kappa maximum had to look at.  Elsewhere it is NaN, "not
@@ -89,7 +86,6 @@ class CertGraph:
     f_norms: np.ndarray          # residual norm at every mesh point
     mus: np.ndarray              # mu where computed: inf if singular, NaN if skipped
     admissible: np.ndarray       # inclusion-test mask over the whole mesh
-    active: np.ndarray           # vertex-eligibility mask
 
 
 # For a unit-norm system mu >= sqrt(n) at every point (the degree-scaled
@@ -108,10 +104,10 @@ def _candidate_ceiling(F):
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
 
 
-def _map_chunks(fn, rows, threads=1, chunk=_CHUNK):
+def _map_chunks(fn, rows, threads=1):
     """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
-    spans = [(lo, min(lo + chunk, rows.shape[0]))
-             for lo in range(0, rows.shape[0], chunk)] or [(0, 0)]
+    spans = [(lo, min(lo + _CHUNK, rows.shape[0]))
+             for lo in range(0, rows.shape[0], _CHUNK)] or [(0, 0)]
 
     def work(span):
         return fn(rows[span[0]:span[1]])
@@ -195,8 +191,7 @@ def _clusters(points, reach):
             tuple(tuple(g) for g in groups.values()), float(separation))
 
 
-def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
-    vertex_indices = np.nonzero(admissible & active)[0]
+def _assemble_graph(F, mesh, f_norms, mus, admissible, vertex_indices):
     certs = []
     for idx in vertex_indices:
         x = mesh.points[idx]
@@ -216,36 +211,37 @@ def _assemble_graph(F, mesh, f_norms, mus, admissible, active):
         f_norms=f_norms,
         mus=mus,
         admissible=admissible,
-        active=active,
     )
 
 
 def _admissible_mask(F, f_norms, mus):
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         value = F.max_degree**1.5 * mus * mus * f_norms
     return np.isfinite(mus) & (value < ALPHA.alpha_star)
 
 
-def build_graph(F, mesh, threads=1, active=None):
+def build_graph(F, mesh, threads=1):
     """Certify the grid against the normalized system and link nearby caps."""
     Fn = F.normalized()
-    if active is None:
-        active = np.ones(mesh.count, dtype=bool)
     f_norms, mus, admissible, _ = _point_data(Fn, mesh.points, threads=threads)
-    return _assemble_graph(Fn, mesh, f_norms, mus, admissible, active)
+    return _assemble_graph(Fn, mesh, f_norms, mus, admissible,
+                           np.nonzero(admissible)[0])
 
 
 def exclusion_threshold(F, eta):
     return eta * math.sqrt(F.n * F.max_degree) / 2.0
 
 
+def _exclusion_failures(F, mesh, graph):
+    """Grid points passing neither test: not admissible, |f| <= threshold."""
+    low = np.nonzero(graph.f_norms <= exclusion_threshold(F, mesh.eta))[0]
+    return low[~graph.admissible[low]]
+
+
 def check_stop(F, mesh, graph):
     """The two termination predicates of the counting loop."""
-    eta = mesh.eta
-    separation_ok = graph.separation > 2.0 * eta * math.sqrt(mesh.n)
-    rejected = graph.active & ~graph.admissible
-    exclusion_ok = bool(np.all(
-        graph.f_norms[rejected] > exclusion_threshold(F, eta)))
+    separation_ok = graph.separation > 2.0 * mesh.eta * math.sqrt(mesh.n)
+    exclusion_ok = _exclusion_failures(F, mesh, graph).size == 0
     return {"separation_ok": separation_ok, "exclusion_ok": exclusion_ok}
 
 
@@ -304,14 +300,8 @@ def predicted_complexity(F, kappa_estimate):
 
 
 def _kappa_max(f_norms, mus):
-    """Largest finite kappa = 1/sqrt(mu^-2 + |f|^2); -inf if there is none.
-
-    Never above 1/sqrt(f*f): inv_mu2 >= 0 and correctly rounded operations
-    are monotone.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_mu2 = np.where(np.isfinite(mus), 1.0 / (mus * mus), 0.0)
-        k = 1.0 / np.sqrt(inv_mu2 + f_norms * f_norms)
+    """Largest finite kappa (``condition._kappa``); -inf if there is none."""
+    k = _kappa(f_norms, mus)
     k = k[np.isfinite(k)]
     return float(k.max()) if k.size else -math.inf
 
@@ -345,12 +335,11 @@ class _PoleData:
 _LIFTED_FAILURE_CAP = 4000
 
 
-def _lifted_stop_ok(graph, mesh, F, pole_dist):
+def _lifted_stop_ok(graph, mesh, F, pole_dist, certifiers):
     eta = mesh.eta
     n = mesh.n
     link = 2.5 * eta * math.sqrt(n)
-    thr = exclusion_threshold(F, eta)
-    failing = np.nonzero(~graph.admissible & (graph.f_norms <= thr))[0]
+    failing = _exclusion_failures(F, mesh, graph)
     shadow_extent = 0.0
     if failing.size:
         if failing.size > _LIFTED_FAILURE_CAP:
@@ -365,9 +354,8 @@ def _lifted_stop_ok(graph, mesh, F, pole_dist):
     if shadow_extent > 0.6:
         return False
     # pole certifiers define how far the pole components reach
-    certifier = graph.admissible & ~graph.active
-    if certifier.any():
-        shadow_extent = max(shadow_extent, float(pole_dist[certifier].max()))
+    if certifiers.size:
+        shadow_extent = max(shadow_extent, float(pole_dist[certifiers].max()))
     if shadow_extent > 0.75:
         return False
     if len(graph.vertex_indices):
@@ -401,20 +389,20 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
             sample = pole_dist > 0.2
         f_norms, mus, admissible, kappa_est = _point_data(
             Fn, mesh.points, threads=threads, kappa_sample=sample)
-        active = np.ones(mesh.count, dtype=bool)
+        vertices = np.nonzero(admissible)[0]
         if poles is not None:
             # points whose certified ball contains a pole belong to the
             # pole component, not to a new one
-            adm = np.nonzero(admissible)[0]
-            reach = r0(ALPHA.alpha_star) * mus[adm] * f_norms[adm]
-            active[adm] = ~(pole_dist[adm] <= reach + 1e-15)
-        graph = _assemble_graph(Fn, mesh, f_norms, mus, admissible, active)
+            reach = r0(ALPHA.alpha_star) * mus[vertices] * f_norms[vertices]
+            at_pole = pole_dist[vertices] <= reach + 1e-15
+            certifiers, vertices = vertices[at_pole], vertices[~at_pole]
+        graph = _assemble_graph(Fn, mesh, f_norms, mus, admissible, vertices)
         evaluations += 2 * mesh.count + 2 * len(graph.vertex_indices)
         if poles is None:
             stop = check_stop(Fn, mesh, graph)
             ok = stop["separation_ok"] and stop["exclusion_ok"]
         else:
-            ok = (_lifted_stop_ok(graph, mesh, Fn, pole_dist)
+            ok = (_lifted_stop_ok(graph, mesh, Fn, pole_dist, certifiers)
                   and check_stop(Fn, mesh, graph)["separation_ok"])
         if ok:
             stopped = True

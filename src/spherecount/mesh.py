@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = [
     "SphereMesh",
@@ -174,6 +173,9 @@ def sch_membership(x, Y, residual_tol=1e-10):
     Membership is decided by nonnegative least squares on the cone
     condition sum lambda_i y_i = x.
     """
+    # imported here so that importing the package does not load scipy.optimize
+    from scipy.optimize import nnls
+
     x = np.asarray(x, float)
     Y = np.atleast_2d(np.asarray(Y, float))
     _hemisphere_witness(Y)

@@ -6,8 +6,8 @@ import pytest
 from spherecount.certification import (chart_beta, exclusion_radius,
                                        gamma_bound, inclusion_test,
                                        refine_zero, robust_certify,
-                                       solve_partial_pivot, tangent_frame)
-from spherecount.condition import mu
+                                       tangent_frame)
+from spherecount.condition import mu, mu_many
 from spherecount.convergence import ALPHA, gamma_error_sequence
 from spherecount.mesh import angular_distance
 from spherecount.polynomials import (HomogeneousPolynomial, PolynomialSystem,
@@ -57,19 +57,6 @@ class TestTangentFrame:
         assert a.basis.tobytes() == b.basis.tobytes()
 
 
-class TestSolve:
-    def test_matches_reference_solver(self, rng):
-        for _ in range(20):
-            M = rng.standard_normal((4, 4))
-            b = rng.standard_normal(4)
-            x = solve_partial_pivot(M, b)
-            assert np.allclose(x, np.linalg.solve(M, b), atol=1e-10)
-
-    def test_singular_returns_none(self):
-        M = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert solve_partial_pivot(M, np.ones(2)) is None
-
-
 class TestChartBeta:
     def test_zero_at_zero(self):
         F = single(2, 1, {(0, 1): 1.0})
@@ -87,6 +74,31 @@ class TestChartBeta:
             M = jacobian(F, x) @ fr.basis
             expected = np.linalg.norm(np.linalg.solve(M, evaluate(F, x)))
             assert chart_beta(F, x) == pytest.approx(expected, abs=1e-12 * (1 + expected))
+
+    def test_singular_chart(self):
+        # f = x_1^2 is flat at (1, 0): the chart Jacobian there is zero
+        F = single(2, 2, {(0, 2): 1.0})
+        x = np.array([1.0, 0.0])
+        assert chart_beta(F, x) == math.inf
+        z = refine_zero(F, x)
+        assert z.converged is False
+        assert z.final_beta == math.inf
+
+
+class TestScaleInvariance:
+    """The singularity rule is relative to the matrix, so mu and beta do
+    not depend on the scale of f, however small or large."""
+
+    @pytest.mark.parametrize("s", [1e-15, 1e-20, 1e10])
+    def test_mu_and_beta(self, rng, s):
+        for seed in range(4):
+            F = random_unit_system(2, (2, 2), 70 + seed)
+            X = np.array([random_sphere_point(rng, 3) for _ in range(8)])
+            G = F.scaled(s)
+            assert mu_many(G, X) == pytest.approx(mu_many(F, X), rel=1e-12)
+            for x in X:
+                assert mu(G, x) == pytest.approx(mu(F, x), rel=1e-12)
+                assert chart_beta(G, x) == pytest.approx(chart_beta(F, x), rel=1e-12)
 
 
 class TestGammaBound:

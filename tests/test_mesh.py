@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spherecount
 from spherecount.mesh import (MeshSizeError, angular_distance,
                               angular_distance_many, build_mesh,
                               convexity_cover_check, covering_check,
@@ -205,3 +209,14 @@ class TestMeshHullProperty:
             near = mesh.points[angular_distance_many(mesh.points, x) <= radius]
             assert len(near) > 0
             assert sch_membership(x, near)
+
+
+def test_import_loads_neither_scipy_optimize_nor_sparse():
+    # sch_membership and the graph clustering import them when called; a
+    # bare package import must stay cheap
+    src = os.path.dirname(os.path.dirname(spherecount.__file__))
+    code = ("import spherecount, sys; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"

@@ -129,7 +129,9 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     mesh = build_mesh(n, t)
     full = float(np.max(kappa_many(F, mesh.points)))
     assert kappa_grid(F, mesh)[0] == full
-    assert kappa_grid(F, mesh, chunk=512)[0] == full
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condition, "_CHUNK", 512)
+        assert kappa_grid(F, mesh)[0] == full
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
