@@ -10,8 +10,10 @@ invariants of F_x at 0 through the condition number:
 and admits x exactly when (max d)^{3/2} mu^2 |f(x)| stays below the
 threshold alpha_star, in which case Newton iteration from x converges to a
 zero zeta_x within the cap of radius r_x = r0(alpha_star) mu |f(x)|.
-Conversely exclusion_radius gives a cap around x certified to contain no
-zero at all.
+The test reads mu and |f| alone and is written once, over arrays: the
+predicate _admissible and the cap radius _inclusion_radius serve
+inclusion_test and the counting loop alike.  Conversely exclusion_radius
+gives a cap around x certified to contain no zero at all.
 
 Every Newton step (beta, refine_zero) solves the chart system with LAPACK
 (numpy.linalg.solve).  The chart Jacobian counts as singular, and the step
@@ -120,27 +122,17 @@ class Certificate:
         }
 
 
-def certificate_from_values(x, beta, m, f_norm, max_degree):
-    """Assemble a Certificate from precomputed mu and residual norm."""
-    gb = math.inf if math.isinf(m) else 0.5 * max_degree**1.5 * m
-    alpha = beta * gb if not (beta == 0.0 and math.isinf(gb)) else math.inf
-    admissible = (not math.isinf(m)) and max_degree**1.5 * m * m * f_norm < ALPHA.alpha_star
-    if math.isinf(m):
-        r_x = math.inf
-    elif f_norm == 0.0:
-        r_x = 0.0
-    else:
-        r_x = r0(ALPHA.alpha_star) * m * f_norm
-    return Certificate(
-        point=np.asarray(x, float),
-        beta=beta,
-        gamma_bound=gb,
-        alpha_bound=alpha,
-        mu=m,
-        f_norm_at_x=f_norm,
-        inclusion_radius=r_x,
-        admissible=admissible,
-    )
+def _admissible(f_norms, mus, max_degree):
+    """The inclusion test, elementwise, at unit |f|: D^1.5 mu^2 |f| < alpha_star."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        value = max_degree**1.5 * mus * mus * f_norms
+    return np.isfinite(mus) & (value < ALPHA.alpha_star)
+
+
+def _inclusion_radius(f_norms, mus):
+    """Radius r0(alpha_star) mu |f| of the certified cap; inf where mu is inf."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(np.isinf(mus), math.inf, r0(ALPHA.alpha_star) * mus * f_norms)
 
 
 def inclusion_test(F, x):
@@ -156,7 +148,17 @@ def inclusion_test(F, x):
     m = mu(Fn, x)
     f_norm = float(np.linalg.norm(pl.evaluate(Fn, x)))
     beta = chart_beta(Fn, x)
-    return certificate_from_values(x, beta, m, f_norm, Fn.max_degree)
+    gb = math.inf if math.isinf(m) else 0.5 * Fn.max_degree**1.5 * m
+    return Certificate(
+        point=np.asarray(x, float),
+        beta=beta,
+        gamma_bound=gb,
+        alpha_bound=beta * gb if not (beta == 0.0 and math.isinf(gb)) else math.inf,
+        mu=m,
+        f_norm_at_x=f_norm,
+        inclusion_radius=float(_inclusion_radius(f_norm, m)),
+        admissible=bool(_admissible(f_norm, m, Fn.max_degree)),
+    )
 
 
 def exclusion_radius(F, x):

@@ -317,6 +317,8 @@ def _run(args):
         return 0
 
     if cmd == "mesh":
+        if args.probes < 1:
+            raise ValueError("--probes must be at least 1")
         mesh = build_mesh(args.n, args.t)
         rng = np.random.default_rng(args.seed)
         probes = rng.standard_normal((args.probes, args.n + 1))
@@ -335,6 +337,9 @@ def _run(args):
 
     if cmd == "mc-kappa":
         degrees = tuple(int(d) for d in args.degrees.split(","))
+        # checks sigma before any trial runs
+        smoothed = (None if args.sigma is None
+                    else smoothed_ln_kappa_bound(args.n, degrees, args.sigma))
         out = monte_carlo_ln_kappa(args.n, degrees, args.trials, args.t,
                                    seed=args.seed, threads=args.threads)
         rows = [("trial", "ln_kappa_estimate")]
@@ -342,9 +347,8 @@ def _run(args):
         rows.append(("mean", f"{out['mean_ln_kappa']:.6f}"))
         if out["bound"] is not None:
             rows.append(("bound", f"{out['bound']:.6f}"))
-        if args.sigma is not None:
-            rows.append(("smoothed_bound",
-                         f"{smoothed_ln_kappa_bound(args.n, degrees, args.sigma):.6f}"))
+        if smoothed is not None:
+            rows.append(("smoothed_bound", f"{smoothed:.6f}"))
         if args.output == "json":
             _emit_json({"rows": [list(r) for r in rows]})
         else:

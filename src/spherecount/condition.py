@@ -12,6 +12,7 @@ maximum governs the cost of the counting algorithm.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,29 @@ _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
 # rows per batch when a whole grid is evaluated
 _CHUNK = 1 << 18
+
+
+def _map_chunks(fn, rows, threads=1):
+    """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
+    spans = [(lo, min(lo + _CHUNK, rows.shape[0]))
+             for lo in range(0, rows.shape[0], _CHUNK)] or [(0, 0)]
+
+    def work(span):
+        return fn(rows[span[0]:span[1]])
+
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(work, spans))
+    else:
+        parts = [work(s) for s in spans]
+    return np.concatenate(parts)
+
+
+def _residual_norms(F, points, threads=1):
+    """|f| at every row of ``points``, evaluated a chunk at a time."""
+    return _map_chunks(
+        lambda block: np.linalg.norm(pl.evaluate_many(F, block), axis=1),
+        points, threads=threads)
 
 
 @dataclass(frozen=True)
@@ -225,6 +249,12 @@ def _kappa(f_norms, mus):
         return 1.0 / np.sqrt(inv_mu2 + f_norms * f_norms)
 
 
+def _kappa_max(f_norms, mus):
+    """Largest ``_kappa`` over the rows, inf included; -inf if there are none."""
+    k = _kappa(f_norms, mus)
+    return float(k.max()) if k.size else -math.inf
+
+
 def kappa_point(F, x):
     """kappa(f, x) for the normalized system."""
     Fn = F.normalized()
@@ -274,22 +304,21 @@ def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     Since ``_kappa`` never exceeds 1/sqrt(f*f), the residual alone bounds
-    kappa: ``kappa_many`` runs only on the points, taken in increasing |f|,
+    kappa: mu is computed only at the points, taken in increasing |f|,
     whose bound 1/sqrt(f*f) still beats the running maximum.  The result
-    equals the maximum over every point.
+    equals the maximum over every point; it is inf when a singular zero
+    lies on the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
     Fn = F.normalized()
     pts = mesh.points
-    f_norms = np.concatenate([
-        np.linalg.norm(pl.evaluate_many(Fn, pts[lo:lo + _CHUNK]), axis=1)
-        for lo in range(0, pts.shape[0], _CHUNK)])
+    f_norms = _residual_norms(Fn, pts)
     with np.errstate(divide="ignore"):
         bounds = 1.0 / np.sqrt(f_norms * f_norms)
-    best = bounded_max(bounds, lambda idx: float(np.max(kappa_many(F, pts[idx]))),
-                       best=0.0, max_block=_CHUNK)
+    best = bounded_max(bounds, lambda idx: _kappa_max(
+        f_norms[idx], mu_many(Fn, pts[idx], f_norm=1.0)), best=0.0, max_block=_CHUNK)
     return best, mesh.covering_radius_bound
 
 
@@ -427,8 +456,6 @@ def monte_carlo_ln_kappa(n, degrees, trials, mesh_t, seed, threads=1):
         return math.log(est)
 
     if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
             samples = list(pool.map(one, range(trials)))
     else:

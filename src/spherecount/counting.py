@@ -38,17 +38,18 @@ otherwise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import polynomials as pl
-from .certification import RefinedZero, certificate_from_values, chart_beta, refine_zero
-from .condition import _CHUNK, _kappa, bounded_max, mu_many
+# chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
+from .certification import (RefinedZero, _admissible, _inclusion_radius,
+                            chart_beta, refine_zero)
+from .condition import (_CHUNK, _kappa_max, _map_chunks, _residual_norms,
+                        bounded_max, mu_many)
 from .convergence import ALPHA, r0
-from .mesh import (MESH_POINT_CAP, angular_distance_many, build_mesh,
-                   pairwise_angular)
+from .mesh import angular_distance_many, build_mesh, pairwise_angular
 
 __all__ = [
     "CertGraph",
@@ -64,10 +65,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CertGraph:
-    """Admissible grid points, their certificates, and the proximity graph.
+    """Admissible grid points, their inclusion radii, and the proximity graph.
 
     ``admissible`` covers the whole grid; the vertices are the admissible
-    points, less the pole certifiers in the lifted loop.
+    points, less the pole certifiers in the lifted loop.  ``radii`` holds
+    the radius r0(alpha_star) mu |f| of each vertex's certified cap
+    (``certification._inclusion_radius``); two vertices are linked when
+    their caps meet.
     ``mus`` holds mu only where it was computed (see ``_point_data``):
     at every point that could pass the inclusion test, and at the points
     the kappa maximum had to look at.  Elsewhere it is NaN, "not
@@ -79,7 +83,7 @@ class CertGraph:
 
     eta: float
     vertex_indices: np.ndarray   # indices into the mesh point list
-    certificates: tuple          # one Certificate per vertex
+    radii: np.ndarray            # inclusion radius per vertex
     edges: tuple                 # pairs of vertex positions
     components: tuple            # tuple of tuples of vertex positions
     separation: float            # least distance across components, or inf
@@ -104,22 +108,6 @@ def _candidate_ceiling(F):
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
 
 
-def _map_chunks(fn, rows, threads=1):
-    """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
-    spans = [(lo, min(lo + _CHUNK, rows.shape[0]))
-             for lo in range(0, rows.shape[0], _CHUNK)] or [(0, 0)]
-
-    def work(span):
-        return fn(rows[span[0]:span[1]])
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
-    return np.concatenate(parts)
-
-
 def _mu_at(F, points, idx, threads=1):
     return _map_chunks(lambda rows: mu_many(F, points[rows], f_norm=1.0),
                        idx, threads=threads)
@@ -134,19 +122,17 @@ def _point_data(F, points, threads=1, kappa_sample=None):
     that the kappa maximum has to visit: kappa <= 1/|f|, so points are
     taken in increasing |f| until the bound 1/sqrt(f*f) no longer beats
     the running maximum.  Elsewhere ``mus`` is NaN.  ``kappa`` is the
-    maximum of the finite kappa values over the sample, inf if there is
-    none, and None without a sample.  mu of a row does not depend on the
-    other rows of its batch, so every value equals what an exhaustive pass
-    over all points would give.
+    maximum of kappa over the sample (inf at a singular zero, or for an
+    empty sample), and None without a sample.  mu of a row does not
+    depend on the other rows of its batch, so every value equals what an
+    exhaustive pass over all points would give.
     """
-    f_norms = _map_chunks(
-        lambda block: np.linalg.norm(pl.evaluate_many(F, block), axis=1),
-        points, threads=threads)
+    f_norms = _residual_norms(F, points, threads=threads)
     mus = np.full(points.shape[0], np.nan)
     cand = np.nonzero(f_norms < _candidate_ceiling(F))[0]
     mus[cand] = _mu_at(F, points, cand, threads)
     admissible = np.zeros(points.shape[0], dtype=bool)
-    admissible[cand] = _admissible_mask(F, f_norms[cand], mus[cand])
+    admissible[cand] = _admissible(f_norms[cand], mus[cand], F.max_degree)
     if kappa_sample is None:
         return f_norms, mus, admissible, None
     seen = cand[kappa_sample[cand]]
@@ -191,20 +177,14 @@ def _clusters(points, reach):
             tuple(tuple(g) for g in groups.values()), float(separation))
 
 
-def _assemble_graph(F, mesh, f_norms, mus, admissible, vertex_indices):
-    certs = []
-    for idx in vertex_indices:
-        x = mesh.points[idx]
-        beta = chart_beta(F, x)
-        certs.append(certificate_from_values(
-            x, beta, float(mus[idx]), float(f_norms[idx]), F.max_degree))
-    radii = np.array([c.inclusion_radius for c in certs])
+def _assemble_graph(mesh, f_norms, mus, admissible, vertex_indices):
+    radii = _inclusion_radius(f_norms[vertex_indices], mus[vertex_indices])
     edges, components, separation = _clusters(
         mesh.points[vertex_indices], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertex_indices,
-        certificates=tuple(certs),
+        radii=radii,
         edges=edges,
         components=components,
         separation=separation,
@@ -214,17 +194,11 @@ def _assemble_graph(F, mesh, f_norms, mus, admissible, vertex_indices):
     )
 
 
-def _admissible_mask(F, f_norms, mus):
-    with np.errstate(invalid="ignore", over="ignore"):
-        value = F.max_degree**1.5 * mus * mus * f_norms
-    return np.isfinite(mus) & (value < ALPHA.alpha_star)
-
-
 def build_graph(F, mesh, threads=1):
     """Certify the grid against the normalized system and link nearby caps."""
     Fn = F.normalized()
     f_norms, mus, admissible, _ = _point_data(Fn, mesh.points, threads=threads)
-    return _assemble_graph(Fn, mesh, f_norms, mus, admissible,
+    return _assemble_graph(mesh, f_norms, mus, admissible,
                            np.nonzero(admissible)[0])
 
 
@@ -299,20 +273,10 @@ def predicted_complexity(F, kappa_estimate):
     }
 
 
-def _kappa_max(f_norms, mus):
-    """Largest finite kappa (``condition._kappa``); -inf if there is none."""
-    k = _kappa(f_norms, mus)
-    k = k[np.isfinite(k)]
-    return float(k.max()) if k.size else -math.inf
-
-
 def _component_representatives(graph):
     """One vertex per component: smallest residual, ties by vertex order."""
-    reps = []
-    for comp in graph.components:
-        best = min(comp, key=lambda i: (graph.certificates[i].f_norm_at_x, i))
-        reps.append(best)
-    return reps
+    f_norms = graph.f_norms[graph.vertex_indices]
+    return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +329,7 @@ def _lifted_stop_ok(graph, mesh, F, pole_dist, certifiers):
     return True
 
 
-def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
+def _run_loop(F, max_t, threads, poles=None):
     Fn = F.normalized()
     n = Fn.n
     _, t0 = initial_eta(n)
@@ -378,7 +342,7 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
     mesh = None
     stopped = False
     for t in range(t0 + 1, max_t + 1):
-        mesh = build_mesh(n, t, max_points=max_mesh_points)
+        mesh = build_mesh(n, t)
         iterations += 1
         if poles is None:
             pole_dist = None
@@ -393,10 +357,10 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
         if poles is not None:
             # points whose certified ball contains a pole belong to the
             # pole component, not to a new one
-            reach = r0(ALPHA.alpha_star) * mus[vertices] * f_norms[vertices]
+            reach = _inclusion_radius(f_norms[vertices], mus[vertices])
             at_pole = pole_dist[vertices] <= reach + 1e-15
             certifiers, vertices = vertices[at_pole], vertices[~at_pole]
-        graph = _assemble_graph(Fn, mesh, f_norms, mus, admissible, vertices)
+        graph = _assemble_graph(mesh, f_norms, mus, admissible, vertices)
         evaluations += 2 * mesh.count + 2 * len(graph.vertex_indices)
         if poles is None:
             stop = check_stop(Fn, mesh, graph)
@@ -435,15 +399,14 @@ def _run_loop(F, max_t, threads, poles=None, max_mesh_points=MESH_POINT_CAP):
     )
 
 
-def root_count(F, max_t=10, threads=1, max_mesh_points=MESH_POINT_CAP):
+def root_count(F, max_t=10, threads=1):
     """Count (and locate) the zeros of a nondegenerate system on S^n.
 
     Halves the spacing until both stop conditions hold or t exceeds
     ``max_t``; budget exhaustion is reported through ``stopped=False``
     rather than raised.  Grid-size overflow does raise (MeshSizeError).
     """
-    return _run_loop(F, max_t=max_t, threads=threads,
-                     max_mesh_points=max_mesh_points)
+    return _run_loop(F, max_t=max_t, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +461,7 @@ def _probe_zero_conditioning(F, poles, probe):
     return worst if seen else 1.0
 
 
-def count_affine(affine_polys, max_t=10, threads=1, aux_scale=None,
-                 max_mesh_points=MESH_POINT_CAP):
+def count_affine(affine_polys, max_t=10, threads=1, aux_scale=None):
     """Count real affine roots through the sphere lift.
 
     Returns (sphere_result, affine_count) with
@@ -524,7 +486,6 @@ def count_affine(affine_polys, max_t=10, threads=1, aux_scale=None,
     for pole in poles.poles:
         if float(np.linalg.norm(pl.evaluate(lifted, pole))) > 1e-10:
             raise AssertionError("lift invariant violated: pole is not a zero")
-    result = _run_loop(lifted, max_t=max_t, threads=threads, poles=poles,
-                       max_mesh_points=max_mesh_points)
+    result = _run_loop(lifted, max_t=max_t, threads=threads, poles=poles)
     affine_count = result.count // 2 - 1 if result.stopped else None
     return result, affine_count

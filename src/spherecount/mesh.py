@@ -26,7 +26,7 @@ __all__ = [
     "MESH_POINT_CAP",
 ]
 
-# default size cap on a grid: a (20M, n+1) float array is ~0.5 GB for n=2
+# size cap on a grid: a (20M, n+1) float array is ~0.5 GB for n=2
 MESH_POINT_CAP = 20_000_000
 
 
@@ -93,7 +93,7 @@ class SphereMesh:
         return self.eta * math.sqrt(self.n) / 2.0
 
 
-def build_mesh(n, t, max_points=MESH_POINT_CAP):
+def build_mesh(n, t):
     """Enumerate C(2^-t) on S^n.
 
     Each cube-surface lattice point k, max |k_i| = m = 2^t, is generated
@@ -108,14 +108,14 @@ def build_mesh(n, t, max_points=MESH_POINT_CAP):
     is the correctly rounded |k|, and every coordinate is the one rounded
     quotient k_i / |k|: the rows equal those of normalizing the integer
     lattice with ``np.linalg.norm``, bit for bit.  Raises MeshSizeError
-    when the count bound exceeds ``max_points``.
+    when the count bound exceeds ``MESH_POINT_CAP``, read at call time.
     """
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
-    if mesh_count_bound(n, t) > max_points:
+    if mesh_count_bound(n, t) > MESH_POINT_CAP:
         raise MeshSizeError(
             f"mesh for n={n}, t={t} may have up to {mesh_count_bound(n, t)} points "
-            f"(cap {max_points})")
+            f"(cap {MESH_POINT_CAP})")
     m = 2**t
     full = np.arange(-m, m + 1, dtype=float)
     interior = full[1:-1]

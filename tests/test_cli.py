@@ -145,12 +145,15 @@ class TestDispatch:
         assert code == 2
         assert doc["stopped"] is False and doc["final_eta"] == 2.0**-6
         assert "clamped to 6" in captured.err
+        # the cap holds for every grid, so it must admit the affine path's
+        # t=4 probe grid on S^2 (6534 points); levels then stop at t=4
+        monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 10_000)
         path.write_text("x0^2 - 2\n")
         code = dispatch(["--input", str(path), "count", "--affine", "--max-t", "9"])
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["affine_count"] is None
-        assert "clamped to 2" in captured.err
+        assert "clamped to 4" in captured.err
 
     def test_oversized_grid_exits_3(self, sys_json, capsys):
         assert dispatch(["mesh", "--n", "3", "--t", "12"]) == 3
@@ -202,6 +205,20 @@ class TestDispatch:
         assert code == 0
         assert doc["count"] == 16
         assert doc["covering_observed_max"] <= doc["covering_radius_bound"]
+
+    def test_mesh_rejects_zero_probes(self, capsys):
+        assert dispatch(["mesh", "--n", "1", "--t", "1", "--probes", "0"]) == 3
+        assert "--probes must be at least 1" in capsys.readouterr().err
+
+    def test_mc_kappa_rejects_sigma_before_trials(self, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before --sigma was checked")
+
+        monkeypatch.setattr("spherecount.cli.monte_carlo_ln_kappa", no_trials)
+        for sigma in ("0", "1.5"):
+            assert dispatch(["mc-kappa", "--trials", "3", "--t", "2",
+                             "--sigma", sigma]) == 3
+            assert "sigma must lie in (0, 1]" in capsys.readouterr().err
 
     def test_mc_kappa_csv(self, capsys):
         code = dispatch(["--seed", "5", "mc-kappa", "--n", "3", "--degrees",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherecount.certification import refine_zero
+from spherecount.certification import inclusion_test, refine_zero
+from spherecount.condition import kappa_grid
 from spherecount.convergence import ALPHA, r0
 from spherecount.counting import (CountResult, _clusters, build_graph,
                                   check_stop, count_affine, initial_eta,
@@ -154,6 +155,23 @@ class TestBuildGraph:
         assert g.separation == labelled_separation(dist, g.components)
 
 
+    @pytest.mark.parametrize("system, t", [
+        (lambda: linear_product((0.4, -0.9, 1.2)), 6),
+        (coordinate_pair, 4),
+        (lambda: random_unit_system(2, (2, 2), 21), 6),
+    ])
+    def test_radii_match_inclusion_test(self, system, t):
+        # mu_many's closed form and the scalar SVD differ by a few ulp
+        F = system()
+        mesh = build_mesh(F.n, t)
+        g = build_graph(F, mesh)
+        assert len(g.radii) == len(g.vertex_indices) > 0
+        for pos, idx in enumerate(g.vertex_indices):
+            cert = inclusion_test(F, mesh.points[idx])
+            assert cert.admissible
+            assert g.radii[pos] == pytest.approx(cert.inclusion_radius, rel=1e-10)
+
+
 class TestCheckStop:
     def test_clean_instance_stops(self):
         F = coordinate_pair()
@@ -219,10 +237,20 @@ class TestRootCount:
         assert not res.stopped
         assert isinstance(res, CountResult)
 
-    def test_mesh_guard_propagates(self):
+    def test_singular_zero_on_grid_gives_infinite_kappa(self):
+        F = single(2, 2, {(0, 2): 1.0})   # x1^2: double zeros at +-e0
+        res = root_count(F, max_t=6)
+        t = initial_eta(1)[1] + res.iterations
+        assert not res.stopped
+        assert res.kappa_grid_estimate == kappa_grid(F, build_mesh(1, t))[0]
+        assert res.kappa_grid_estimate == math.inf
+        assert res.predicted_eta_threshold is None
+
+    def test_mesh_guard_propagates(self, monkeypatch):
+        monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 100)
         F = coordinate_pair()
         with pytest.raises(MeshSizeError):
-            root_count(F, max_t=14, max_mesh_points=100)
+            root_count(F, max_t=14)
 
     def test_admissibility_stable_across_refinement(self):
         # grid points persist when the spacing halves and their admissibility
@@ -241,7 +269,7 @@ class TestRootCount:
         F = linear_product((0.4, -0.9))
         mesh = build_mesh(1, 6)
         g = build_graph(F, mesh)
-        kappa = max(c.mu for c in g.certificates)
+        kappa = max(g.mus[g.vertex_indices])
         refined = []
         for comp in g.components:
             zs = [refine_zero(F, mesh.points[g.vertex_indices[i]]).zeta

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherecount import condition
-from spherecount.condition import (_sigma_min_batch, bounded_max, kappa_grid,
-                                   kappa_many, mu, mu_many,
+from spherecount.certification import _admissible
+from spherecount.condition import (_kappa_max, _sigma_min_batch, bounded_max,
+                                   kappa_grid, kappa_many, mu, mu_many,
                                    sample_gaussian_system)
-from spherecount.counting import (_PoleData, _admissible_mask,
-                                  _balanced_scaled_lift, _candidate_ceiling,
-                                  _kappa_max,
+from spherecount.counting import (_PoleData, _balanced_scaled_lift,
+                                  _candidate_ceiling,
                                   _point_data, build_graph, count_affine,
                                   initial_eta, root_count)
 from spherecount.mesh import build_mesh
@@ -31,7 +31,7 @@ def exhaustive(F, points, sample=None):
     """Residuals, mu, admissibility and the kappa maximum at every point."""
     f_norms = np.linalg.norm(evaluate_many(F, points), axis=1)
     mus = mu_many(F, points, f_norm=1.0)
-    admissible = _admissible_mask(F, f_norms, mus)
+    admissible = _admissible(f_norms, mus, F.max_degree)
     keep = slice(None) if sample is None else sample
     kappa = _kappa_max(f_norms[keep], mus[keep])
     return f_norms, mus, admissible, (kappa if kappa > -math.inf else math.inf)
@@ -90,7 +90,7 @@ def test_build_graph_matches_exhaustive(system, t):
     _, mu_all, adm_all, _ = exhaustive(Fn, mesh.points)
     assert np.array_equal(graph.admissible, adm_all)
     assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
-    assert [c.mu for c in graph.certificates] == list(mu_all[graph.vertex_indices])
+    assert list(graph.mus[graph.vertex_indices]) == list(mu_all[graph.vertex_indices])
     # mu is computed at the admissibility candidates only
     assert np.array_equal(np.isnan(graph.mus),
                           graph.f_norms >= _candidate_ceiling(Fn))
