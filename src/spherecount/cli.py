@@ -292,6 +292,12 @@ def _build_parser():
 
 def dispatch(argv):
     parser = _build_parser()
+    # argparse takes "-0.6,0.8" for an option (only plain numbers are
+    # exempt), so a point with a negative first coordinate joins its flag
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1:i + 1] = [f"--point={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

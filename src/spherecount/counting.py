@@ -10,29 +10,30 @@ The spacing is halved until two conditions hold simultaneously:
     exclusion:   every rejected grid point x has |f(x)| above
                  eta sqrt(n max d)/2, so its neighbourhood carries no zero.
 
-On termination the number of components equals the number of zeros of f
-on S^n, and refining one vertex per component locates them all.
+On termination the count is the number of components plus the number of
+zeros known in advance, and refining one vertex per component locates
+the others.
 
-Lifted affine systems need special treatment.  The two poles
-(0, ..., 0, +-1) of a lifted system are always zeros, and they are
-degenerate whenever some input degree exceeds one (the homogenized
-equations are flat at y = 0), so the exclusion predicate can never clear
-a pole neighbourhood and the plain loop cannot terminate.  The lifted
-loop therefore treats the poles as known components:
+There is one loop.  The plain count knows no zeros in advance; the
+affine front end knows two, the poles (0, ..., 0, +-1) of a lifted
+system.  They are degenerate whenever some input degree exceeds one (the
+homogenized equations are flat at y = 0), so exclusion can never clear a
+pole neighbourhood.  Known zeros enter the loop in three places, each
+void when there are none:
 
   * admissible grid points whose certified ball reaches their nearest
-    pole certify the pole itself (the certified zero is constant on the
-    ball and the pole is a zero), so they join the pole's component
-    instead of seeding a new one;
+    known zero certify that zero (the certified zero is constant on the
+    ball), so they join its component instead of seeding a new one;
   * exclusion failures are clustered at grid scale and each cluster must
-    contain its pole: a low-residual island elsewhere blocks stopping;
-  * vertices must keep a separation margin from the pole shadows.
+    reach a known zero: a low-residual island elsewhere blocks stopping,
+    and with no known zeros every failure is such an island;
+  * vertices must keep a separation margin from the known zeros' shadows.
 
-The count on termination is the component count plus two.  A zero whose
-entire low-residual neighbourhood stays merged with a pole shadow can
-defer termination until the spacing resolves the gap; the variant is
-validated against dense-grid oracles and reports budget exhaustion
-otherwise.
+A zero whose entire low-residual neighbourhood stays merged with a pole
+shadow can defer termination until the spacing resolves the gap; the
+lifted count is validated against dense-grid oracles and reports budget
+exhaustion otherwise.  The kappa diagnostic is taken once, on the final
+grid, away from the known zeros.
 """
 
 from __future__ import annotations
@@ -68,13 +69,11 @@ class CertGraph:
     """Admissible grid points, their inclusion radii, and the proximity graph.
 
     ``admissible`` covers the whole grid; the vertices are the admissible
-    points, less the pole certifiers in the lifted loop.  ``radii`` holds
-    the radius r0(alpha_star) mu |f| of each vertex's certified cap
+    points whose cap reaches no known zero.  ``radii`` holds the radius
+    r0(alpha_star) mu |f| of each vertex's certified cap
     (``certification._inclusion_radius``); two vertices are linked when
-    their caps meet.
-    ``mus`` holds mu only where it was computed (see ``_point_data``):
-    at every point that could pass the inclusion test, and at the points
-    the kappa maximum had to look at.  Elsewhere it is NaN, "not
+    their caps meet.  ``mus`` holds mu only at the points that could pass
+    the inclusion test (see ``_point_data``); elsewhere it is NaN, "not
     computed", which is distinct from inf, "singular".  ``components``
     holds tuples of ascending vertex positions, ordered by least member.
     ``separation`` is the least angular distance between vertices of
@@ -88,7 +87,7 @@ class CertGraph:
     components: tuple            # tuple of tuples of vertex positions
     separation: float            # least distance across components, or inf
     f_norms: np.ndarray          # residual norm at every mesh point
-    mus: np.ndarray              # mu where computed: inf if singular, NaN if skipped
+    mus: np.ndarray              # mu at the candidates: inf if singular, NaN if skipped
     admissible: np.ndarray       # inclusion-test mask over the whole mesh
 
 
@@ -113,19 +112,13 @@ def _mu_at(F, points, idx, threads=1):
                        idx, threads=threads)
 
 
-def _point_data(F, points, threads=1, kappa_sample=None):
-    """Residual norms everywhere; mu only where it can change an answer.
+def _point_data(F, points, threads=1):
+    """Residual norms everywhere; mu only where it can change the count.
 
-    Returns (f_norms, mus, admissible, kappa).  mu is computed at the
-    admissibility candidates (|f| below ``_candidate_ceiling``) and, when
-    a boolean mask ``kappa_sample`` is given, at the points of the sample
-    that the kappa maximum has to visit: kappa <= 1/|f|, so points are
-    taken in increasing |f| until the bound 1/sqrt(f*f) no longer beats
-    the running maximum.  Elsewhere ``mus`` is NaN.  ``kappa`` is the
-    maximum of kappa over the sample (inf at a singular zero, or for an
-    empty sample), and None without a sample.  mu of a row does not
-    depend on the other rows of its batch, so every value equals what an
-    exhaustive pass over all points would give.
+    Returns (f_norms, mus, admissible).  mu is computed at the
+    admissibility candidates (|f| below ``_candidate_ceiling``) and is NaN
+    elsewhere.  mu of a row does not depend on the other rows of its
+    batch, so every value equals what an exhaustive pass would give.
     """
     f_norms = _residual_norms(F, points, threads=threads)
     mus = np.full(points.shape[0], np.nan)
@@ -133,21 +126,35 @@ def _point_data(F, points, threads=1, kappa_sample=None):
     mus[cand] = _mu_at(F, points, cand, threads)
     admissible = np.zeros(points.shape[0], dtype=bool)
     admissible[cand] = _admissible(f_norms[cand], mus[cand], F.max_degree)
-    if kappa_sample is None:
-        return f_norms, mus, admissible, None
-    seen = cand[kappa_sample[cand]]
-    best = _kappa_max(f_norms[seen], mus[seen])
+    return f_norms, mus, admissible
+
+
+def _kappa_estimate(F, points, f_norms, mus, poles=(), threads=1):
+    """Maximum of kappa over the grid points beyond _KAPPA_POLE_GAP of a pole.
+
+    ``f_norms`` and ``mus`` are ``_point_data`` of the grid.  The known
+    values of mu seed the running maximum; since kappa <= 1/|f|, the
+    other points are taken in increasing |f| until the bound 1/sqrt(f*f)
+    no longer beats it.  The result equals the maximum over the whole
+    sample: inf at a singular zero, or for an empty sample.
+    """
     with np.errstate(divide="ignore"):
         bounds = 1.0 / np.sqrt(f_norms * f_norms)
-    rows = np.nonzero(kappa_sample & (bounds > best) & np.isnan(mus))[0]
+    if poles:
+        # a bound of -inf is never visited
+        bounds[_map_chunks(lambda block: _pole_distance(block, poles)
+                           <= _KAPPA_POLE_GAP, points)] = -math.inf
+    known = np.nonzero(~np.isnan(mus))[0]
+    seen = known[bounds[known] > -math.inf]
+    best = _kappa_max(f_norms[seen], mus[seen])
+    rows = np.nonzero((bounds > best) & np.isnan(mus))[0]
 
     def visit(pos):
         idx = rows[pos]
-        mus[idx] = _mu_at(F, points, idx, threads)
-        return _kappa_max(f_norms[idx], mus[idx])
+        return _kappa_max(f_norms[idx], _mu_at(F, points, idx, threads))
 
     best = bounded_max(bounds[rows], visit, best=best, max_block=_CHUNK)
-    return f_norms, mus, admissible, (best if best > -math.inf else math.inf)
+    return best if best > -math.inf else math.inf
 
 
 def _clusters(points, reach):
@@ -177,13 +184,48 @@ def _clusters(points, reach):
             tuple(tuple(g) for g in groups.values()), float(separation))
 
 
-def _assemble_graph(mesh, f_norms, mus, admissible, vertex_indices):
-    radii = _inclusion_radius(f_norms[vertex_indices], mus[vertex_indices])
+def _pole_distance(points, poles):
+    """Angular distance from each row to the nearest pole (inf if none)."""
+    d = np.full(points.shape[0], math.inf)
+    for pole in poles:
+        d = np.minimum(d, angular_distance_many(points, pole))
+    return d
+
+
+# The heuristic gate for zeros known in advance (the lifted poles):
+# a cap that reaches within this angle of a pole certifies the pole
+_CERTIFIER_SLACK = 1e-15
+# exclusion failures within this many eta sqrt(n) of each other belong to
+# one cluster, and a cluster this close to a pole belongs to the pole
+_LINK_FACTOR = 2.5
+# farthest angle from its pole that a failure cluster may reach
+_FAILURE_SHADOW_MAX = 0.6
+# farthest angle from its pole that a failure or a certifier may reach
+_SHADOW_MAX = 0.75
+# the kappa diagnostic leaves out the points within this angle of a pole
+_KAPPA_POLE_GAP = 0.2
+# Largest exclusion-failure set the gate clusters; a level with more
+# failures does not stop.  The cap bounds the dense pair matrix of the
+# clustering at 4000^2 doubles (128 MB).
+_LIFTED_FAILURE_CAP = 4000
+
+
+def _level(F, mesh, threads=1, poles=()):
+    """Certify a grid against the normalized F and link nearby caps.
+
+    An admissible point whose cap reaches a pole certifies that pole.
+    """
+    f_norms, mus, admissible = _point_data(F, mesh.points, threads=threads)
+    vertices = np.nonzero(admissible)[0]
+    radii = _inclusion_radius(f_norms[vertices], mus[vertices])
+    at_pole = (_pole_distance(mesh.points[vertices], poles)
+               <= radii + _CERTIFIER_SLACK)
+    vertices, radii = vertices[~at_pole], radii[~at_pole]
     edges, components, separation = _clusters(
-        mesh.points[vertex_indices], radii[:, None] + radii[None, :])
+        mesh.points[vertices], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
-        vertex_indices=vertex_indices,
+        vertex_indices=vertices,
         radii=radii,
         edges=edges,
         components=components,
@@ -196,10 +238,7 @@ def _assemble_graph(mesh, f_norms, mus, admissible, vertex_indices):
 
 def build_graph(F, mesh, threads=1):
     """Certify the grid against the normalized system and link nearby caps."""
-    Fn = F.normalized()
-    f_norms, mus, admissible, _ = _point_data(Fn, mesh.points, threads=threads)
-    return _assemble_graph(mesh, f_norms, mus, admissible,
-                           np.nonzero(admissible)[0])
+    return _level(F.normalized(), mesh, threads=threads)
 
 
 def exclusion_threshold(F, eta):
@@ -212,11 +251,45 @@ def _exclusion_failures(F, mesh, graph):
     return low[~graph.admissible[low]]
 
 
-def check_stop(F, mesh, graph):
-    """The two termination predicates of the counting loop."""
-    separation_ok = graph.separation > 2.0 * mesh.eta * math.sqrt(mesh.n)
-    exclusion_ok = _exclusion_failures(F, mesh, graph).size == 0
-    return {"separation_ok": separation_ok, "exclusion_ok": exclusion_ok}
+def check_stop(F, mesh, graph, poles=()):
+    """The two termination predicates of the counting loop.
+
+    ``separation_ok``: vertices of distinct components are farther apart
+    than 2 eta sqrt(n).  ``exclusion_ok``: the grid points failing both
+    tests are explained by the zeros known in advance (``poles``, as
+    given to the graph), so with none there is no such point.  With poles
+    the failures cluster around them, failures and certifiers stay within
+    the shadow extents, and the vertices keep 2 eta sqrt(n) beyond them.
+    """
+    eta, n = mesh.eta, mesh.n
+    stop = {"separation_ok": graph.separation > 2.0 * eta * math.sqrt(n),
+            "exclusion_ok": False}
+    link = _LINK_FACTOR * eta * math.sqrt(n)
+    failing = _exclusion_failures(F, mesh, graph)
+    shadow_extent = 0.0
+    if failing.size:
+        fail_pole_dist = _pole_distance(mesh.points[failing], poles)
+        # with no pole in reach, no cluster can reach one
+        if float(fail_pole_dist.min()) > link or failing.size > _LIFTED_FAILURE_CAP:
+            return stop
+        for comp in _clusters(mesh.points[failing], link)[1]:
+            comp_dist = fail_pole_dist[list(comp)]
+            if float(comp_dist.min()) > link:
+                return stop  # low-residual island away from the poles
+            shadow_extent = max(shadow_extent, float(comp_dist.max()))
+    if shadow_extent > _FAILURE_SHADOW_MAX:
+        return stop
+    # the pole certifiers define how far the pole components reach
+    certifiers = np.setdiff1d(np.nonzero(graph.admissible)[0], graph.vertex_indices)
+    if certifiers.size:
+        shadow_extent = max(shadow_extent, float(
+            _pole_distance(mesh.points[certifiers], poles).max()))
+    if shadow_extent > _SHADOW_MAX:
+        return stop
+    margin = shadow_extent + 2.0 * eta * math.sqrt(n)
+    vertex_dist = _pole_distance(mesh.points[graph.vertex_indices], poles)
+    stop["exclusion_ok"] = float(vertex_dist.min(initial=math.inf)) > margin
+    return stop
 
 
 @dataclass(frozen=True)
@@ -279,119 +352,39 @@ def _component_representatives(graph):
     return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
 
 
-# ---------------------------------------------------------------------------
-# the lifted loop: poles as known components
-
-@dataclass(frozen=True)
-class _PoleData:
-    poles: tuple
-
-    def distances(self, points):
-        d = angular_distance_many(points, self.poles[0])
-        for pole in self.poles[1:]:
-            d = np.minimum(d, angular_distance_many(points, pole))
-        return d
-
-
-# Largest exclusion-failure set the lifted gate clusters; a level with
-# more failures does not stop.  The cap bounds the dense pair matrix of
-# the clustering at 4000^2 doubles (128 MB).
-_LIFTED_FAILURE_CAP = 4000
-
-
-def _lifted_stop_ok(graph, mesh, F, pole_dist, certifiers):
-    eta = mesh.eta
-    n = mesh.n
-    link = 2.5 * eta * math.sqrt(n)
-    failing = _exclusion_failures(F, mesh, graph)
-    shadow_extent = 0.0
-    if failing.size:
-        if failing.size > _LIFTED_FAILURE_CAP:
-            return False
-        pts = mesh.points[failing]
-        fail_pole_dist = pole_dist[failing]
-        for comp in _clusters(pts, link)[1]:
-            comp_dist = fail_pole_dist[list(comp)]
-            if float(comp_dist.min()) > link:
-                return False  # low-residual island away from the poles
-            shadow_extent = max(shadow_extent, float(comp_dist.max()))
-    if shadow_extent > 0.6:
-        return False
-    # pole certifiers define how far the pole components reach
-    if certifiers.size:
-        shadow_extent = max(shadow_extent, float(pole_dist[certifiers].max()))
-    if shadow_extent > 0.75:
-        return False
-    if len(graph.vertex_indices):
-        margin = shadow_extent + 2.0 * eta * math.sqrt(n)
-        if float(pole_dist[graph.vertex_indices].min()) <= margin:
-            return False
-    return True
-
-
-def _run_loop(F, max_t, threads, poles=None):
+def _run_loop(F, max_t, threads, poles=()):
     Fn = F.normalized()
     n = Fn.n
     _, t0 = initial_eta(n)
     if max_t <= t0:
         raise ValueError(f"max_t = {max_t} allows no refinement (initial t = {t0})")
     evaluations = 0
-    iterations = 0
-    kappa_est = None
-    graph = None
-    mesh = None
-    stopped = False
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t)
-        iterations += 1
-        if poles is None:
-            pole_dist = None
-            sample = np.ones(mesh.count, dtype=bool)
-        else:
-            pole_dist = poles.distances(mesh.points)
-            # kappa diagnostic away from the degenerate pole shadows
-            sample = pole_dist > 0.2
-        f_norms, mus, admissible, kappa_est = _point_data(
-            Fn, mesh.points, threads=threads, kappa_sample=sample)
-        vertices = np.nonzero(admissible)[0]
-        if poles is not None:
-            # points whose certified ball contains a pole belong to the
-            # pole component, not to a new one
-            reach = _inclusion_radius(f_norms[vertices], mus[vertices])
-            at_pole = pole_dist[vertices] <= reach + 1e-15
-            certifiers, vertices = vertices[at_pole], vertices[~at_pole]
-        graph = _assemble_graph(mesh, f_norms, mus, admissible, vertices)
+        graph = _level(Fn, mesh, threads=threads, poles=poles)
         evaluations += 2 * mesh.count + 2 * len(graph.vertex_indices)
-        if poles is None:
-            stop = check_stop(Fn, mesh, graph)
-            ok = stop["separation_ok"] and stop["exclusion_ok"]
-        else:
-            ok = (_lifted_stop_ok(graph, mesh, Fn, pole_dist, certifiers)
-                  and check_stop(Fn, mesh, graph)["separation_ok"])
-        if ok:
-            stopped = True
+        stop = check_stop(Fn, mesh, graph, poles)
+        stopped = stop["separation_ok"] and stop["exclusion_ok"]
+        if stopped:
             break
     zeros = []
     if stopped:
         for rep in _component_representatives(graph):
-            x = mesh.points[graph.vertex_indices[rep]]
-            z = refine_zero(Fn, x)
+            z = refine_zero(Fn, mesh.points[graph.vertex_indices[rep]])
             evaluations += 2 * max(z.newton_steps, 1)
             zeros.append(z)
-    count = len(graph.components) if graph is not None else 0
-    if poles is not None:
-        count += len(poles.poles)
-        for pole in poles.poles:
-            zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
-                                     final_beta=0.0, converged=True))
-    threshold = None
-    if kappa_est is not None and math.isfinite(kappa_est) and kappa_est >= 1.0:
-        threshold = predicted_eta_threshold(Fn, kappa_est)
+    for pole in poles:
+        zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
+                                 final_beta=0.0, converged=True))
+    kappa_est = _kappa_estimate(Fn, mesh.points, graph.f_norms, graph.mus,
+                                poles=poles, threads=threads)
+    threshold = (predicted_eta_threshold(Fn, kappa_est)
+                 if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
     return CountResult(
-        count=count,
+        count=len(graph.components) + len(poles),
         zeros=tuple(zeros),
-        final_eta=mesh.eta if mesh is not None else math.nan,
-        iterations=iterations,
+        final_eta=mesh.eta,
+        iterations=t - t0,
         evaluations=evaluations,
         stopped=stopped,
         predicted_eta_threshold=threshold,
@@ -445,14 +438,13 @@ def _probe_zero_conditioning(F, poles, probe):
     from .condition import mu as mu_point
 
     f_norms = np.linalg.norm(pl.evaluate_many(F, probe.points), axis=1)
-    pole_dist = poles.distances(probe.points)
-    away = np.nonzero(pole_dist > 0.25)[0]
+    away = np.nonzero(_pole_distance(probe.points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0
     seen = []
     for idx in order[:16]:
         z = refine_zero(F, probe.points[idx])
-        if not z.converged or float(poles.distances(z.zeta[None, :])[0]) < 0.1:
+        if not z.converged or float(_pole_distance(z.zeta[None, :], poles)[0]) < 0.1:
             continue
         if any(float(np.linalg.norm(z.zeta - s)) < 1e-6 for s in seen):
             continue
@@ -461,29 +453,30 @@ def _probe_zero_conditioning(F, poles, probe):
     return worst if seen else 1.0
 
 
-def count_affine(affine_polys, max_t=10, threads=1, aux_scale=None):
+def _conditioned_lift(affine_polys):
+    """The balanced lift whose auxiliary scale best conditions the zeros.
+
+    Tries the scales 1, 2, 4, 8 and 16 and keeps the first whose probed
+    finite zeros have the least worst mu (``_probe_zero_conditioning``).
+    """
+    lifts = [_balanced_scaled_lift(affine_polys, lam)
+             for lam in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    probe = build_mesh(lifts[0].n, 4)
+    poles = pl.lifted_poles(lifts[0].n_vars)
+    return min(lifts, key=lambda F: _probe_zero_conditioning(F, poles, probe))
+
+
+def count_affine(affine_polys, max_t=10, threads=1):
     """Count real affine roots through the sphere lift.
 
     Returns (sphere_result, affine_count) with
     affine_count = sphere_count/2 - 1 when the loop stopped (None
-    otherwise).  ``aux_scale`` overrides the automatic conditioning sweep
-    of the auxiliary-equation scale.
+    otherwise).  The loop runs on ``_conditioned_lift`` with the two poles
+    as known zeros.
     """
-    if aux_scale is None:
-        probe = None
-        best = None
-        for lam in (1.0, 2.0, 4.0, 8.0, 16.0):
-            F = _balanced_scaled_lift(affine_polys, lam)
-            poles = _PoleData(poles=tuple(pl.lifted_poles(F.n_vars)))
-            if probe is None:
-                probe = build_mesh(F.n, 4)
-            score = _probe_zero_conditioning(F, poles, probe)
-            if best is None or score < best[0]:
-                best = (score, lam)
-        aux_scale = best[1]
-    lifted = _balanced_scaled_lift(affine_polys, aux_scale)
-    poles = _PoleData(poles=tuple(pl.lifted_poles(lifted.n_vars)))
-    for pole in poles.poles:
+    lifted = _conditioned_lift(affine_polys)
+    poles = pl.lifted_poles(lifted.n_vars)
+    for pole in poles:
         if float(np.linalg.norm(pl.evaluate(lifted, pole))) > 1e-10:
             raise AssertionError("lift invariant violated: pole is not a zero")
     result = _run_loop(lifted, max_t=max_t, threads=threads, poles=poles)

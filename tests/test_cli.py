@@ -193,6 +193,19 @@ class TestDispatch:
         assert code == 0
         assert doc["mu"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
+    def test_certify_negative_point(self, sys_json, capsys):
+        code = dispatch(["--input", sys_json, "certify", "--point", "-1,0,0"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["point"] == [-1.0, 0.0, 0.0]
+        assert doc["admissible"] is True
+
+    def test_mu_negative_point(self, sys_json, capsys):
+        code = dispatch(["--input", sys_json, "mu", "--point", "-.6,0,.8"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["point"] == pytest.approx([-0.6, 0.0, 0.8], rel=1e-12)
+
     def test_kappa(self, sys_json, capsys):
         code = dispatch(["--input", sys_json, "kappa", "--t", "3"])
         doc = json.loads(capsys.readouterr().out)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from spherecount.certification import inclusion_test, refine_zero
 from spherecount.condition import kappa_grid
 from spherecount.convergence import ALPHA, r0
-from spherecount.counting import (CountResult, _clusters, build_graph,
+from spherecount.counting import (CountResult, _clusters,
+                                  _exclusion_failures, build_graph,
                                   check_stop, count_affine, initial_eta,
                                   predicted_complexity,
                                   predicted_eta_threshold, root_count)
@@ -194,6 +195,17 @@ class TestCheckStop:
         mesh = build_mesh(1, 2)
         g = build_graph(F, mesh)
         assert not check_stop(F, mesh, g)["exclusion_ok"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(slopes=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+           t=st.integers(2, 6))
+    def test_exclusion_without_poles_is_no_failure(self, slopes, t):
+        # with no known zeros the gate for them reduces to plain exclusion
+        F = linear_product(slopes)
+        mesh = build_mesh(1, t)
+        g = build_graph(F, mesh)
+        assert check_stop(F, mesh, g)["exclusion_ok"] == (
+            _exclusion_failures(F, mesh, g).size == 0)
 
 
 class TestRootCount:

@@ -15,11 +15,11 @@ from spherecount.certification import _admissible
 from spherecount.condition import (_kappa_max, _sigma_min_batch, bounded_max,
                                    kappa_grid, kappa_many, mu, mu_many,
                                    sample_gaussian_system)
-from spherecount.counting import (_PoleData, _balanced_scaled_lift,
-                                  _candidate_ceiling,
-                                  _point_data, build_graph, count_affine,
-                                  initial_eta, root_count)
-from spherecount.mesh import build_mesh
+from spherecount import counting
+from spherecount.counting import (_candidate_ceiling, _conditioned_lift,
+                                  _kappa_estimate, _point_data, build_graph,
+                                  count_affine, initial_eta, root_count)
+from spherecount.mesh import angular_distance_many, build_mesh
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, evaluate_many,
                                      lifted_poles)
@@ -67,8 +67,16 @@ def test_point_data_matches_exhaustive(system, t):
     n = F.n
     points = build_mesh(n, t).points
     f_all, mu_all, adm_all, kappa_all = exhaustive(F, points)
-    f_norms, mus, admissible, kappa = _point_data(
-        F, points, kappa_sample=np.ones(points.shape[0], dtype=bool))
+    rows = []
+
+    def counted_mu_many(G, X, **kw):
+        rows.append(X.shape[0])
+        return mu_many(G, X, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "mu_many", counted_mu_many)
+        f_norms, mus, admissible = _point_data(F, points)
+        kappa = _kappa_estimate(F, points, f_norms, mus)
     assert np.array_equal(f_norms, f_all)
     assert np.array_equal(admissible, adm_all)
     assert kappa == kappa_all
@@ -78,7 +86,7 @@ def test_point_data_matches_exhaustive(system, t):
     # kappa of a well-conditioned system is near 1 everywhere, so 1/|f|
     # prunes nothing there; elsewhere few points need mu
     if kappa_all > 2.0:
-        assert done.sum() < points.shape[0] // 4
+        assert sum(rows) < points.shape[0] // 4
 
 
 @pytest.mark.parametrize("system, t", CASES[:3] + CASES[5:])
@@ -105,17 +113,33 @@ def test_root_count_kappa_matches_exhaustive(seed):
     assert res.kappa_grid_estimate == kappa
 
 
+def test_root_count_takes_kappa_once():
+    calls = []
+
+    def counted_bounded_max(*args, **kw):
+        calls.append(1)
+        return bounded_max(*args, **kw)
+
+    F = random_unit_system(2, (2, 2), 4000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "bounded_max", counted_bounded_max)
+        res = root_count(F, max_t=5)
+    assert res.iterations >= 3
+    assert len(calls) == 1
+
+
 def test_lifted_loop_matches_exhaustive():
     polys = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]   # x^3 - x
-    res, _ = count_affine(polys, max_t=6, aux_scale=1.0)
-    lifted = _balanced_scaled_lift(polys, 1.0).normalized()
+    res, _ = count_affine(polys, max_t=6)
+    lifted = _conditioned_lift(polys).normalized()
     t = initial_eta(lifted.n)[1] + res.iterations
     points = build_mesh(lifted.n, t).points
-    poles = _PoleData(poles=tuple(lifted_poles(lifted.n_vars)))
-    sample = poles.distances(points) > 0.2
+    poles = lifted_poles(lifted.n_vars)
+    sample = np.min([angular_distance_many(points, p) for p in poles], axis=0) > 0.2
     _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
     assert res.kappa_grid_estimate == kappa_all
-    _, mus, admissible, kappa = _point_data(lifted, points, kappa_sample=sample)
+    f_norms, mus, admissible = _point_data(lifted, points)
+    kappa = _kappa_estimate(lifted, points, f_norms, mus, poles)
     assert np.array_equal(admissible, adm_all)
     assert kappa == kappa_all
     done = ~np.isnan(mus)
