@@ -165,9 +165,11 @@ def exclusion_radius(F, x):
     """Angular radius around x certified to contain no zero of f.
 
     delta = min(|f(x)| / sqrt(max d), sqrt(2)) for the unit-norm system
-    (normalized internally); zero when f(x) = 0.
+    (normalized internally); zero when f(x) = 0.  x must lie on the unit
+    sphere.
     """
     Fn = F.normalized()
+    x = pl.sphere_point(x, tol=1e-9)
     f_norm = float(np.linalg.norm(pl.evaluate(Fn, x)))
     return min(f_norm / math.sqrt(Fn.max_degree), math.sqrt(2.0))
 

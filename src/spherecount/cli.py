@@ -257,8 +257,6 @@ def _build_parser():
 
     c = sub.add_parser("count", help="count zeros on the sphere")
     c.add_argument("--max-t", type=int, default=9)
-    c.add_argument("--normalize", action="store_true",
-                   help="rescale the input to unit Weyl norm before reporting")
     c.add_argument("--affine", action="store_true",
                    help="treat the input as an affine system and count through the lift")
     c.add_argument("--stats", action="store_true")
@@ -379,8 +377,6 @@ def _run(args):
 
     F = _load_system(args.input)
     if cmd == "count":
-        if args.normalize:
-            F = F.normalized()
         result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t),
                             threads=args.threads)
         doc = result.to_json()

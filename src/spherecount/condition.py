@@ -256,8 +256,9 @@ def _kappa_max(f_norms, mus):
 
 
 def kappa_point(F, x):
-    """kappa(f, x) for the normalized system."""
+    """kappa(f, x) for the normalized system at the unit point x."""
     Fn = F.normalized()
+    x = pl.sphere_point(x, tol=1e-9)
     fv = np.linalg.norm(pl.evaluate(Fn, x))
     return float(_kappa(fv, mu(Fn, x)))
 

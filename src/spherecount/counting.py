@@ -68,14 +68,14 @@ __all__ = [
 class CertGraph:
     """Admissible grid points, their inclusion radii, and the proximity graph.
 
-    ``admissible`` covers the whole grid; the vertices are the admissible
-    points whose cap reaches no known zero.  ``radii`` holds the radius
-    r0(alpha_star) mu |f| of each vertex's certified cap
-    (``certification._inclusion_radius``); two vertices are linked when
-    their caps meet.  ``mus`` holds mu only at the points that could pass
-    the inclusion test (see ``_point_data``); elsewhere it is NaN, "not
-    computed", which is distinct from inf, "singular".  ``components``
-    holds tuples of ascending vertex positions, ordered by least member.
+    ``candidates`` holds, ascending, the mesh indices that could pass the
+    inclusion test (see ``_point_data``); ``mus`` and ``admissible`` are
+    mu (inf if singular) and the test's outcome at those rows only.  The
+    vertices are the admissible candidates whose cap reaches no known
+    zero.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
+    vertex's certified cap (``certification._inclusion_radius``); two
+    vertices are linked when their caps meet.  ``components`` holds
+    tuples of ascending vertex positions, ordered by least member.
     ``separation`` is the least angular distance between vertices of
     different components, inf when there is at most one component.
     """
@@ -83,12 +83,12 @@ class CertGraph:
     eta: float
     vertex_indices: np.ndarray   # indices into the mesh point list
     radii: np.ndarray            # inclusion radius per vertex
-    edges: tuple                 # pairs of vertex positions
     components: tuple            # tuple of tuples of vertex positions
     separation: float            # least distance across components, or inf
     f_norms: np.ndarray          # residual norm at every mesh point
-    mus: np.ndarray              # mu at the candidates: inf if singular, NaN if skipped
-    admissible: np.ndarray       # inclusion-test mask over the whole mesh
+    candidates: np.ndarray       # ascending mesh indices that may pass inclusion
+    mus: np.ndarray              # mu per candidate, inf if singular
+    admissible: np.ndarray       # inclusion-test outcome per candidate
 
 
 # For a unit-norm system mu >= sqrt(n) at every point (the degree-scaled
@@ -115,28 +115,28 @@ def _mu_at(F, points, idx, threads=1):
 def _point_data(F, points, threads=1):
     """Residual norms everywhere; mu only where it can change the count.
 
-    Returns (f_norms, mus, admissible).  mu is computed at the
-    admissibility candidates (|f| below ``_candidate_ceiling``) and is NaN
-    elsewhere.  mu of a row does not depend on the other rows of its
-    batch, so every value equals what an exhaustive pass would give.
+    Returns (f_norms, candidates, mus, admissible): ``candidates`` are the
+    ascending rows with |f| below ``_candidate_ceiling``, and ``mus`` and
+    ``admissible`` hold mu and the inclusion test at those rows only.  mu
+    of a row does not depend on the other rows of its batch, so every
+    value equals what an exhaustive pass would give.
     """
     f_norms = _residual_norms(F, points, threads=threads)
-    mus = np.full(points.shape[0], np.nan)
-    cand = np.nonzero(f_norms < _candidate_ceiling(F))[0]
-    mus[cand] = _mu_at(F, points, cand, threads)
-    admissible = np.zeros(points.shape[0], dtype=bool)
-    admissible[cand] = _admissible(f_norms[cand], mus[cand], F.max_degree)
-    return f_norms, mus, admissible
+    candidates = np.nonzero(f_norms < _candidate_ceiling(F))[0]
+    mus = _mu_at(F, points, candidates, threads)
+    admissible = _admissible(f_norms[candidates], mus, F.max_degree)
+    return f_norms, candidates, mus, admissible
 
 
-def _kappa_estimate(F, points, f_norms, mus, poles=(), threads=1):
+def _kappa_estimate(F, points, f_norms, known, known_mus, poles=(), threads=1):
     """Maximum of kappa over the grid points beyond _KAPPA_POLE_GAP of a pole.
 
-    ``f_norms`` and ``mus`` are ``_point_data`` of the grid.  The known
-    values of mu seed the running maximum; since kappa <= 1/|f|, the
-    other points are taken in increasing |f| until the bound 1/sqrt(f*f)
-    no longer beats it.  The result equals the maximum over the whole
-    sample: inf at a singular zero, or for an empty sample.
+    ``f_norms`` is |f| at every row of ``points`` and ``known_mus`` is mu
+    at the rows ``known``.  The known rows outside the pole gap seed the
+    running maximum; since kappa <= 1/|f|, the other points are taken in
+    increasing |f| until the bound 1/sqrt(f*f) no longer beats it.  The
+    result equals the maximum over the whole sample: inf at a singular
+    zero, or for an empty sample.
     """
     with np.errstate(divide="ignore"):
         bounds = 1.0 / np.sqrt(f_norms * f_norms)
@@ -144,27 +144,22 @@ def _kappa_estimate(F, points, f_norms, mus, poles=(), threads=1):
         # a bound of -inf is never visited
         bounds[_map_chunks(lambda block: _pole_distance(block, poles)
                            <= _KAPPA_POLE_GAP, points)] = -math.inf
-    known = np.nonzero(~np.isnan(mus))[0]
-    seen = known[bounds[known] > -math.inf]
-    best = _kappa_max(f_norms[seen], mus[seen])
-    rows = np.nonzero((bounds > best) & np.isnan(mus))[0]
-
-    def visit(pos):
-        idx = rows[pos]
-        return _kappa_max(f_norms[idx], _mu_at(F, points, idx, threads))
-
-    best = bounded_max(bounds[rows], visit, best=best, max_block=_CHUNK)
+    seen = bounds[known] > -math.inf
+    best = _kappa_max(f_norms[known[seen]], known_mus[seen])
+    bounds[known] = -math.inf
+    best = bounded_max(bounds, lambda idx: _kappa_max(
+        f_norms[idx], _mu_at(F, points, idx, threads)), best=best, max_block=_CHUNK)
     return best if best > -math.inf else math.inf
 
 
 def _clusters(points, reach):
     """Link the points within angular distance ``reach`` of each other.
 
-    ``reach`` is a scalar or a matrix over the pairs.  Returns (pairs,
-    components, separation): the linked pairs i < j in row-major order,
-    the connected components as tuples of ascending positions ordered by
-    least member, and the least distance between points of different
-    components (inf when there is at most one).
+    ``reach`` is a scalar or a matrix over the pairs.  Returns
+    (components, separation): the connected components as tuples of
+    ascending positions ordered by least member, and the least distance
+    between points of different components (inf when there is at most
+    one).
     """
     # imported here so that importing the package does not load csgraph
     from scipy.sparse import coo_matrix
@@ -180,8 +175,7 @@ def _clusters(points, reach):
         groups.setdefault(label, []).append(v)
     separation = np.min(dist, initial=math.inf,
                         where=labels[:, None] != labels[None, :])
-    return (tuple(zip(i.tolist(), j.tolist())),
-            tuple(tuple(g) for g in groups.values()), float(separation))
+    return tuple(tuple(g) for g in groups.values()), float(separation)
 
 
 def _pole_distance(points, poles):
@@ -215,22 +209,23 @@ def _level(F, mesh, threads=1, poles=()):
 
     An admissible point whose cap reaches a pole certifies that pole.
     """
-    f_norms, mus, admissible = _point_data(F, mesh.points, threads=threads)
-    vertices = np.nonzero(admissible)[0]
-    radii = _inclusion_radius(f_norms[vertices], mus[vertices])
+    f_norms, candidates, mus, admissible = _point_data(F, mesh.points,
+                                                       threads=threads)
+    vertices = candidates[admissible]
+    radii = _inclusion_radius(f_norms[vertices], mus[admissible])
     at_pole = (_pole_distance(mesh.points[vertices], poles)
                <= radii + _CERTIFIER_SLACK)
     vertices, radii = vertices[~at_pole], radii[~at_pole]
-    edges, components, separation = _clusters(
+    components, separation = _clusters(
         mesh.points[vertices], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertices,
         radii=radii,
-        edges=edges,
         components=components,
         separation=separation,
         f_norms=f_norms,
+        candidates=candidates,
         mus=mus,
         admissible=admissible,
     )
@@ -248,7 +243,7 @@ def exclusion_threshold(F, eta):
 def _exclusion_failures(F, mesh, graph):
     """Grid points passing neither test: not admissible, |f| <= threshold."""
     low = np.nonzero(graph.f_norms <= exclusion_threshold(F, mesh.eta))[0]
-    return low[~graph.admissible[low]]
+    return np.setdiff1d(low, graph.candidates[graph.admissible], assume_unique=True)
 
 
 def check_stop(F, mesh, graph, poles=()):
@@ -272,7 +267,7 @@ def check_stop(F, mesh, graph, poles=()):
         # with no pole in reach, no cluster can reach one
         if float(fail_pole_dist.min()) > link or failing.size > _LIFTED_FAILURE_CAP:
             return stop
-        for comp in _clusters(mesh.points[failing], link)[1]:
+        for comp in _clusters(mesh.points[failing], link)[0]:
             comp_dist = fail_pole_dist[list(comp)]
             if float(comp_dist.min()) > link:
                 return stop  # low-residual island away from the poles
@@ -280,7 +275,8 @@ def check_stop(F, mesh, graph, poles=()):
     if shadow_extent > _FAILURE_SHADOW_MAX:
         return stop
     # the pole certifiers define how far the pole components reach
-    certifiers = np.setdiff1d(np.nonzero(graph.admissible)[0], graph.vertex_indices)
+    certifiers = np.setdiff1d(graph.candidates[graph.admissible],
+                              graph.vertex_indices)
     if certifiers.size:
         shadow_extent = max(shadow_extent, float(
             _pole_distance(mesh.points[certifiers], poles).max()))
@@ -376,8 +372,8 @@ def _run_loop(F, max_t, threads, poles=()):
     for pole in poles:
         zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
                                  final_beta=0.0, converged=True))
-    kappa_est = _kappa_estimate(Fn, mesh.points, graph.f_norms, graph.mus,
-                                poles=poles, threads=threads)
+    kappa_est = _kappa_estimate(Fn, mesh.points, graph.f_norms, graph.candidates,
+                                graph.mus, poles=poles, threads=threads)
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
     return CountResult(
@@ -420,12 +416,12 @@ def _balanced_scaled_lift(affine_polys, aux_scale):
     for e, c in g.coefficients.items():
         coeffs[e] = c * aux_scale if e[0] == 1 else c
     polys[-1] = pl.HomogeneousPolynomial(g.n_vars, g.degree, coeffs)
-    balanced = tuple(
-        pl.HomogeneousPolynomial(p.n_vars, p.degree,
-                                 {e: c / pl.weyl_norm(p)
-                                  for e, c in p.coefficients.items()})
-        for p in polys)
-    return pl.PolynomialSystem(balanced).normalized()
+    balanced = []
+    for p in polys:
+        nrm = pl.weyl_norm(p)
+        balanced.append(pl.HomogeneousPolynomial(
+            p.n_vars, p.degree, {e: c / nrm for e, c in p.coefficients.items()}))
+    return pl.PolynomialSystem(tuple(balanced)).normalized()
 
 
 def _probe_zero_conditioning(F, poles, probe):
@@ -437,7 +433,7 @@ def _probe_zero_conditioning(F, poles, probe):
     """
     from .condition import mu as mu_point
 
-    f_norms = np.linalg.norm(pl.evaluate_many(F, probe.points), axis=1)
+    f_norms = _residual_norms(F, probe.points)
     away = np.nonzero(_pole_distance(probe.points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0

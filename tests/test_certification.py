@@ -184,6 +184,14 @@ class TestExclusion:
         fv = abs(evaluate(F.normalized(), x)[0])
         assert got == pytest.approx(fv / 2.0, rel=1e-12)
 
+    def test_rejects_point_off_sphere(self):
+        # at 3x the residual is 9x larger, and so would be the cap
+        F = single(2, 2, {(2, 0): 1.0, (0, 2): -0.5})
+        x = np.array([0.6, 0.8])
+        assert exclusion_radius(F, x) < 0.03
+        with pytest.raises(ValueError):
+            exclusion_radius(F, 3.0 * x)
+
     def test_no_zero_inside_radius_n1(self, rng):
         for seed in range(30):
             F = random_unit_system(1, (3,), 500 + seed)

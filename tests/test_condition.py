@@ -221,6 +221,13 @@ class TestKappa:
         # residual 1 and singular restriction: kappa = 1
         assert kappa_point(F, x) == pytest.approx(1.0, rel=1e-12)
 
+    def test_rejects_point_off_sphere(self):
+        F = PolynomialSystem((HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (0, 2): -0.5}),))
+        x = np.array([0.6, 0.8])
+        assert kappa_point(F, x) == pytest.approx(1.097, abs=1e-3)
+        with pytest.raises(ValueError):
+            kappa_point(F, 3.0 * x)
+
     def test_inequality_chain(self, rng):
         checked = 0
         for seed in range(10):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherecount import condition
 from spherecount.certification import inclusion_test, refine_zero
 from spherecount.condition import kappa_grid
 from spherecount.convergence import ALPHA, r0
@@ -97,9 +98,7 @@ class TestClusters:
         bound = np.broadcast_to(reach, (m, m))
         expected = tuple((i, j) for i in range(m) for j in range(i + 1, m)
                          if dist[i, j] <= bound[i, j])
-        pairs, components, separation = _clusters(points, reach)
-        assert pairs == expected
-        assert all(type(v) is int for pair in pairs for v in pair)
+        components, separation = _clusters(points, reach)
         assert components == bfs_components(m, expected)
         assert separation == labelled_separation(dist, components)
 
@@ -130,18 +129,15 @@ class TestBuildGraph:
         # vertices split between the two antipodal zeros only, and the
         # several vertices around each zero chain into a single component
         assert len(g.components) == 2
-        assert len(g.edges) > 0
         for comp in g.components:
             assert len(comp) >= 2
             pts = mesh.points[g.vertex_indices[list(comp)]]
             assert np.ptp(np.sign(pts[:, 0])) == 0.0
 
-    def test_edges_symmetric_no_loops(self):
+    def test_components_partition_vertices(self):
         F = single(2, 1, {(0, 1): 1.0, (1, 0): -0.05})
         mesh = build_mesh(1, 4)
         g = build_graph(F, mesh)
-        for i, j in g.edges:
-            assert i < j
         flat = [v for comp in g.components for v in comp]
         assert sorted(flat) == list(range(len(g.vertex_indices)))
 
@@ -273,15 +269,17 @@ class TestRootCount:
         gc = build_graph(F, coarse)
         gf = build_graph(F, fine)
         fine_index = {tuple(k): i for i, k in enumerate(fine.lattice)}
+        coarse_vertices = set(gc.vertex_indices.tolist())
+        fine_vertices = set(gf.vertex_indices.tolist())
         for i, k in enumerate(coarse.lattice):
             j = fine_index[tuple(2 * np.asarray(k))]
-            assert gc.admissible[i] == gf.admissible[j]
+            assert (i in coarse_vertices) == (j in fine_vertices)
 
     def test_component_soundness(self):
         F = linear_product((0.4, -0.9))
         mesh = build_mesh(1, 6)
         g = build_graph(F, mesh)
-        kappa = max(g.mus[g.vertex_indices])
+        kappa = max(g.mus[g.admissible])
         refined = []
         for comp in g.components:
             zs = [refine_zero(F, mesh.points[g.vertex_indices[i]]).zeta
@@ -301,6 +299,20 @@ class TestRootCount:
             res = root_count(F, max_t=8, threads=threads)
             docs.append(json.dumps(res.to_json(), sort_keys=True))
         assert docs[0] == docs[1]
+
+    def test_determinism_across_threads_in_chunks(self, monkeypatch):
+        # small chunks make every level span several, so the pool runs
+        monkeypatch.setattr(condition, "_CHUNK", 64)
+        F = random_unit_system(2, (2, 2), 4000)
+        cubic = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]
+        docs = []
+        for threads in (1, 2, 4):
+            res = root_count(F, max_t=5, threads=threads)
+            lifted, affine_count = count_affine(cubic, max_t=6, threads=threads)
+            docs.append(json.dumps([res.to_json(), res.kappa_grid_estimate,
+                                    lifted.to_json(), lifted.kappa_grid_estimate,
+                                    affine_count], sort_keys=True))
+        assert docs[0] == docs[1] == docs[2]
 
 
 class TestPredictions:

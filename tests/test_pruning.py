@@ -75,14 +75,14 @@ def test_point_data_matches_exhaustive(system, t):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "mu_many", counted_mu_many)
-        f_norms, mus, admissible = _point_data(F, points)
-        kappa = _kappa_estimate(F, points, f_norms, mus)
+        f_norms, candidates, mus, admissible = _point_data(F, points)
+        kappa = _kappa_estimate(F, points, f_norms, candidates, mus)
     assert np.array_equal(f_norms, f_all)
-    assert np.array_equal(admissible, adm_all)
+    assert np.array_equal(candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
+    assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
     assert kappa == kappa_all
-    done = ~np.isnan(mus)
-    assert np.array_equal(mus[done], mu_all[done])
-    assert np.all(mus[done] >= math.sqrt(n) * (1.0 - 1e-12))
+    assert np.array_equal(mus, mu_all[candidates])
+    assert np.all(mus >= math.sqrt(n) * (1.0 - 1e-12))
     # kappa of a well-conditioned system is near 1 everywhere, so 1/|f|
     # prunes nothing there; elsewhere few points need mu
     if kappa_all > 2.0:
@@ -96,12 +96,14 @@ def test_build_graph_matches_exhaustive(system, t):
     graph = build_graph(F, mesh)
     Fn = F.normalized()
     _, mu_all, adm_all, _ = exhaustive(Fn, mesh.points)
-    assert np.array_equal(graph.admissible, adm_all)
+    assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
-    assert list(graph.mus[graph.vertex_indices]) == list(mu_all[graph.vertex_indices])
-    # mu is computed at the admissibility candidates only
-    assert np.array_equal(np.isnan(graph.mus),
-                          graph.f_norms >= _candidate_ceiling(Fn))
+    assert list(graph.mus) == list(mu_all[graph.candidates])
+    # mu and the inclusion test are kept at the admissibility candidates only
+    assert graph.mus.shape == graph.admissible.shape == graph.candidates.shape
+    assert np.array_equal(graph.candidates,
+                          np.nonzero(graph.f_norms < _candidate_ceiling(Fn))[0])
+    assert np.array_equal(graph.vertex_indices, graph.candidates[graph.admissible])
 
 
 @pytest.mark.parametrize("seed", [4000, 4002, 4006])
@@ -138,12 +140,12 @@ def test_lifted_loop_matches_exhaustive():
     sample = np.min([angular_distance_many(points, p) for p in poles], axis=0) > 0.2
     _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
     assert res.kappa_grid_estimate == kappa_all
-    f_norms, mus, admissible = _point_data(lifted, points)
-    kappa = _kappa_estimate(lifted, points, f_norms, mus, poles)
-    assert np.array_equal(admissible, adm_all)
+    f_norms, candidates, mus, admissible = _point_data(lifted, points)
+    kappa = _kappa_estimate(lifted, points, f_norms, candidates, mus, poles)
+    assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
+    assert np.array_equal(admissible, adm_all[candidates])
     assert kappa == kappa_all
-    done = ~np.isnan(mus)
-    assert np.array_equal(mus[done], mu_all[done])
+    assert np.array_equal(mus, mu_all[candidates])
 
 
 @pytest.mark.parametrize("n, degrees, seed, t", [
