@@ -48,27 +48,41 @@ _SINGULAR_TOL = 1e-14
 _CHUNK = 1 << 18
 
 
+def _each(fn, spans, threads):
+    """[fn(s) for s in spans], on a pool of ``threads`` when there are several."""
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, spans))
+    return [fn(s) for s in spans]
+
+
 def _map_chunks(fn, rows, threads=1):
     """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
     spans = [(lo, min(lo + _CHUNK, rows.shape[0]))
              for lo in range(0, rows.shape[0], _CHUNK)] or [(0, 0)]
+    return np.concatenate(_each(lambda s: fn(rows[s[0]:s[1]]), spans, threads))
+
+
+def _residual_norms(F, mesh, threads=1):
+    """|f| at every point of ``mesh``, evaluated on one point of each antipodal pair.
+
+    |f(-x)| = |f(x)| for homogeneous f, and ``pl.evaluate_many`` keeps
+    that exactly (its kernel is sign-symmetric), so a norm mirrored from a
+    +m face to its -m face (``SphereMesh.plus_spans``) equals a direct
+    evaluation bit for bit.  Each chunk of a +m face writes its norms into
+    the output twice: at its rows, and reversed at its mirror rows.
+    """
+    pts = mesh.points
+    out = np.empty(mesh.count)
 
     def work(span):
-        return fn(rows[span[0]:span[1]])
+        lo, hi, end = span
+        out[lo:hi] = np.linalg.norm(pl.evaluate_many(F, pts[lo:hi]), axis=1)
+        out[2 * end - hi:2 * end - lo] = out[lo:hi][::-1]
 
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, spans))
-    else:
-        parts = [work(s) for s in spans]
-    return np.concatenate(parts)
-
-
-def _residual_norms(F, points, threads=1):
-    """|f| at every row of ``points``, evaluated a chunk at a time."""
-    return _map_chunks(
-        lambda block: np.linalg.norm(pl.evaluate_many(F, block), axis=1),
-        points, threads=threads)
+    _each(work, [(lo, min(lo + _CHUNK, end), end) for start, end in mesh.plus_spans
+                 for lo in range(start, end, _CHUNK)], threads)
+    return out
 
 
 @dataclass(frozen=True)
@@ -249,6 +263,18 @@ def _kappa(f_norms, mus):
         return 1.0 / np.sqrt(inv_mu2 + f_norms * f_norms)
 
 
+def _kappa_bounds(f_norms):
+    """1/sqrt(f*f), the bound on ``_kappa`` at each row (inf where f = 0).
+
+    Formed in one new array, so a whole-grid call holds one temporary
+    the size of ``f_norms``, not two.
+    """
+    bounds = f_norms * f_norms
+    np.sqrt(bounds, out=bounds)
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, bounds, out=bounds)
+
+
 def _kappa_max(f_norms, mus):
     """Largest ``_kappa`` over the rows, inf included; -inf if there are none."""
     k = _kappa(f_norms, mus)
@@ -315,10 +341,8 @@ def kappa_grid(F, mesh):
     """
     Fn = F.normalized()
     pts = mesh.points
-    f_norms = _residual_norms(Fn, pts)
-    with np.errstate(divide="ignore"):
-        bounds = 1.0 / np.sqrt(f_norms * f_norms)
-    best = bounded_max(bounds, lambda idx: _kappa_max(
+    f_norms = _residual_norms(Fn, mesh)
+    best = bounded_max(_kappa_bounds(f_norms), lambda idx: _kappa_max(
         f_norms[idx], mu_many(Fn, pts[idx], f_norm=1.0)), best=0.0, max_block=_CHUNK)
     return best, mesh.covering_radius_bound
 

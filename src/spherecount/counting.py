@@ -47,8 +47,8 @@ from . import polynomials as pl
 # chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
-from .condition import (_CHUNK, _kappa_max, _map_chunks, _residual_norms,
-                        bounded_max, mu_many)
+from .condition import (_CHUNK, _kappa_bounds, _kappa_max, _map_chunks,
+                        _residual_norms, bounded_max, mu_many)
 from .convergence import ALPHA, r0
 from .mesh import angular_distance_many, build_mesh, pairwise_angular
 
@@ -112,8 +112,8 @@ def _mu_at(F, points, idx, threads=1):
                        idx, threads=threads)
 
 
-def _point_data(F, points, threads=1):
-    """Residual norms everywhere; mu only where it can change the count.
+def _point_data(F, mesh, threads=1):
+    """Residual norms at every mesh point; mu only where it can change the count.
 
     Returns (f_norms, candidates, mus, admissible): ``candidates`` are the
     ascending rows with |f| below ``_candidate_ceiling``, and ``mus`` and
@@ -121,9 +121,9 @@ def _point_data(F, points, threads=1):
     of a row does not depend on the other rows of its batch, so every
     value equals what an exhaustive pass would give.
     """
-    f_norms = _residual_norms(F, points, threads=threads)
+    f_norms = _residual_norms(F, mesh, threads=threads)
     candidates = np.nonzero(f_norms < _candidate_ceiling(F))[0]
-    mus = _mu_at(F, points, candidates, threads)
+    mus = _mu_at(F, mesh.points, candidates, threads)
     admissible = _admissible(f_norms[candidates], mus, F.max_degree)
     return f_norms, candidates, mus, admissible
 
@@ -138,8 +138,7 @@ def _kappa_estimate(F, points, f_norms, known, known_mus, poles=(), threads=1):
     result equals the maximum over the whole sample: inf at a singular
     zero, or for an empty sample.
     """
-    with np.errstate(divide="ignore"):
-        bounds = 1.0 / np.sqrt(f_norms * f_norms)
+    bounds = _kappa_bounds(f_norms)
     if poles:
         # a bound of -inf is never visited
         bounds[_map_chunks(lambda block: _pole_distance(block, poles)
@@ -209,8 +208,7 @@ def _level(F, mesh, threads=1, poles=()):
 
     An admissible point whose cap reaches a pole certifies that pole.
     """
-    f_norms, candidates, mus, admissible = _point_data(F, mesh.points,
-                                                       threads=threads)
+    f_norms, candidates, mus, admissible = _point_data(F, mesh, threads=threads)
     vertices = candidates[admissible]
     radii = _inclusion_radius(f_norms[vertices], mus[admissible])
     at_pole = (_pole_distance(mesh.points[vertices], poles)
@@ -433,7 +431,7 @@ def _probe_zero_conditioning(F, poles, probe):
     """
     from .condition import mu as mu_point
 
-    f_norms = _residual_norms(F, probe.points)
+    f_norms = _residual_norms(F, probe)
     away = np.nonzero(_pole_distance(probe.points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0

@@ -92,6 +92,26 @@ class SphereMesh:
     def covering_radius_bound(self):
         return self.eta * math.sqrt(self.n) / 2.0
 
+    @property
+    def plus_spans(self):
+        """The rows [lo, hi) of the +m face of each owning axis, in order.
+
+        They hold exactly half of the points: the -m face follows at rows
+        [hi, 2 hi - lo), and its row 2 hi - 1 - i equals -points[i] (see
+        ``build_mesh``).
+        """
+        spans, lo = [], 0
+        for size in _face_sizes(self.n, self.t):
+            spans.append((lo, lo + size))
+            lo += 2 * size
+        return tuple(spans)
+
+
+def _face_sizes(n, t):
+    """Points on one face of each owning axis a: (2m-1)^a (2m+1)^(n-a), m = 2^t."""
+    m = 2**t
+    return [(2 * m - 1)**a * (2 * m + 1)**(n - a) for a in range(n + 1)]
+
 
 def build_mesh(n, t):
     """Enumerate C(2^-t) on S^n.
@@ -101,7 +121,13 @@ def build_mesh(n, t):
     sup norm, so on the faces of axis a the coordinates before a range
     over the interior (-m, m) and those after it over [-m, m].  The order
     is facet-major: by owning axis, the +m face before the -m face, then
-    row-major over the other coordinates.
+    row-major over the other coordinates.  Each coordinate range is
+    symmetric about 0, so reading a face backwards negates every other
+    coordinate: the -m face read backwards equals the +m face negated,
+    exactly (mirror rows share one radius, so their quotients differ only
+    in sign, and a zero coordinate stays 0.0), and the grid is closed under
+    x -> -x with one point of each pair on a +m face
+    (``SphereMesh.plus_spans``).
 
     The unit rows are written face by face into one array.  The squared
     radius m^2 + sum_j k_j^2 is an exact integer in float64, so its sqrt
@@ -119,8 +145,7 @@ def build_mesh(n, t):
     m = 2**t
     full = np.arange(-m, m + 1, dtype=float)
     interior = full[1:-1]
-    points = np.empty((2 * sum((2 * m - 1)**a * (2 * m + 1)**(n - a)
-                               for a in range(n + 1)), n + 1))
+    points = np.empty((2 * sum(_face_sizes(n, t)), n + 1))
     row = 0
     for axis in range(n + 1):
         cols = [c for c in range(n + 1) if c != axis]

@@ -13,14 +13,15 @@ Evaluation.  Each polynomial compiles once, on first use, into a term
 program, ``(c, ((j, e), ...))`` per term in graded-lex order with zero
 exponents left out, and one program per partial derivative.  ``_run`` is
 the one kernel that evaluates monomials, on Python floats for one point
-and on the columns of a batch as arrays: it computes each ``x_j**e`` once
-per call, multiplies a term's factors left to right and sums ``c * term``
-in term order.  That order is fixed, so batched results, and ``mu_many``
-and ``kappa_grid`` built on them, are bit-for-bit those of earlier
-releases.  One point agrees with the same row of a batch only up to
-rounding, within a few ``eps * sum_t |c_t| |x^a_t|``: numpy's vectorized
-``**`` does not always round like libm ``pow`` (with numpy 2.4 on an
-AVX-512 Xeon, 2.7% of cubes and 0.09% of squares differ in the last bit).
+and on the columns of a batch as arrays: it forms each ``x_j**e`` once per
+call as ``x_j**(e-1) * x_j``, multiplies a term's factors left to right
+and sums ``c * term`` in term order.  Every step is one correctly rounded
+IEEE multiplication or addition, in an order fixed by the program, so one
+point equals the same row of a batch bit for bit, and the kernel is
+sign-symmetric: a homogeneous polynomial of degree d gives exactly
+``(-1)**d f(x)`` at ``-x``.  Neither would hold with ``**``: numpy's
+vectorized power does not always round like libm ``pow``, and its
+``(-x)**3`` differs from ``-(x**3)`` in the last bit for some x.
 """
 
 from __future__ import annotations
@@ -304,14 +305,19 @@ def _run(program, cols, cache):
     total = 0.0
     for c, factors in program:
         term = None
-        for key in factors:
-            p = cache.get(key)
-            if p is None:
-                j, e = key
-                p = cache[key] = cols[j] ** e
+        for j, e in factors:
+            p = _power(cols, cache, j, e)
             term = p if term is None else term * p
         total += c if term is None else c * term
     return total
+
+
+def _power(cols, cache, j, e):
+    """x_j**e as x_j**(e-1) * x_j, each power formed once per ``cache``."""
+    p = cache.get((j, e))
+    if p is None:
+        p = cache[j, e] = cols[j] if e == 1 else _power(cols, cache, j, e - 1) * cols[j]
+    return p
 
 
 def _point(n_vars, x):

@@ -118,6 +118,22 @@ def test_grid_matches_reference_bit_for_bit(n, t):
     assert np.array_equal(mesh.lattice, lattice)
 
 
+@pytest.mark.parametrize("n,t", [(n, t) for n, top in ((1, 9), (2, 5), (3, 3), (4, 2))
+                                 for t in range(top + 1)])
+def test_minus_faces_mirror_plus_faces_bit_for_bit(n, t):
+    mesh = build_mesh(n, t)
+    spans = mesh.plus_spans
+    assert len(spans) == n + 1 and spans[0][0] == 0
+    assert 2 * sum(hi - lo for lo, hi in spans) == mesh.count
+    ends = [2 * hi - lo for lo, hi in spans]
+    assert [lo for lo, _ in spans[1:]] + [mesh.count] == ends
+    for lo, hi in spans:
+        plus = mesh.points[lo:hi]
+        minus = mesh.points[hi:2 * hi - lo]
+        # == on doubles: equal bits, except that a 0.0 mirrors to 0.0, not -0.0
+        assert np.array_equal(-plus, minus[::-1])
+
+
 class TestCovering:
     def test_mesh_point_is_its_own_cover(self):
         mesh = build_mesh(2, 2)

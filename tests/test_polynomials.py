@@ -118,35 +118,25 @@ class TestJacobian:
             assert np.allclose(JJ[i], jacobian(F, X[i]), atol=1e-13)
 
 
-def _abs_sum(coefficients, x):
-    """sum_t |c_t| |x^a_t|, the scale of the rounding error of one value."""
-    return sum(abs(c) * math.prod(abs(float(v)) ** e for v, e in zip(x, expo))
-               for expo, c in coefficients.items())
-
-
 class TestEvaluationKernel:
-    """Scalar and batched evaluation run one kernel; they differ only in how
-    numpy and libm round powers, so they agree to a few ulps of the terms."""
+    """Scalar and batched evaluation run one kernel of IEEE multiplications
+    and additions in one order, so they agree bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3), seed=st.integers(0, 2**16), size=st.integers(0, 4),
            data=st.data())
     def test_scalar_matches_batch_row(self, n, seed, size, data):
-        degrees = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        degrees = tuple(data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
         F = sample_gaussian_system(n, degrees, seed)
         X = np.random.default_rng(seed).standard_normal((size, n + 1))
         values, jacobians = evaluate_many(F, X), jacobian_many(F, X)
         assert values.shape == (size, n) and jacobians.shape == (size, n, n + 1)
         assert evaluate_many(F.polynomials[0], X).shape == (size,)
-        eps8 = 8 * np.finfo(float).eps
         for i, x in enumerate(X):
-            fx, J = evaluate(F, x), jacobian(F, x)
             assert np.array_equal(evaluate_many(F, X[i:i + 1])[0], values[i])
             assert np.array_equal(jacobian_many(F, X[i:i + 1])[0], jacobians[i])
-            for k, p in enumerate(F.polynomials):
-                assert abs(fx[k] - values[i, k]) <= eps8 * _abs_sum(p.coefficients, x)
-                for j, g in enumerate(p.gradient_polys()):
-                    assert abs(J[k, j] - jacobians[i, k, j]) <= eps8 * _abs_sum(g, x)
+            assert np.array_equal(evaluate(F, x), values[i])
+            assert np.array_equal(jacobian(F, x), jacobians[i])
 
     def test_gradients_derived_once(self, monkeypatch):
         calls = []

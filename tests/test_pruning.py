@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherecount import condition
+from spherecount import polynomials as pl
 from spherecount.certification import _admissible
 from spherecount.condition import (_kappa_max, _sigma_min_batch, bounded_max,
                                    kappa_grid, kappa_many, mu, mu_many,
@@ -65,7 +66,8 @@ CASES = [
 def test_point_data_matches_exhaustive(system, t):
     F = system()
     n = F.n
-    points = build_mesh(n, t).points
+    mesh = build_mesh(n, t)
+    points = mesh.points
     f_all, mu_all, adm_all, kappa_all = exhaustive(F, points)
     rows = []
 
@@ -75,7 +77,7 @@ def test_point_data_matches_exhaustive(system, t):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "mu_many", counted_mu_many)
-        f_norms, candidates, mus, admissible = _point_data(F, points)
+        f_norms, candidates, mus, admissible = _point_data(F, mesh)
         kappa = _kappa_estimate(F, points, f_norms, candidates, mus)
     assert np.array_equal(f_norms, f_all)
     assert np.array_equal(candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
@@ -135,12 +137,13 @@ def test_lifted_loop_matches_exhaustive():
     res, _ = count_affine(polys, max_t=6)
     lifted = _conditioned_lift(polys).normalized()
     t = initial_eta(lifted.n)[1] + res.iterations
-    points = build_mesh(lifted.n, t).points
+    mesh = build_mesh(lifted.n, t)
+    points = mesh.points
     poles = lifted_poles(lifted.n_vars)
     sample = np.min([angular_distance_many(points, p) for p in poles], axis=0) > 0.2
     _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
     assert res.kappa_grid_estimate == kappa_all
-    f_norms, candidates, mus, admissible = _point_data(lifted, points)
+    f_norms, candidates, mus, admissible = _point_data(lifted, mesh)
     kappa = _kappa_estimate(lifted, points, f_norms, candidates, mus, poles)
     assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
     assert np.array_equal(admissible, adm_all[candidates])
@@ -158,6 +161,41 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_CHUNK", 512)
         assert kappa_grid(F, mesh)[0] == full
+
+
+# grids whose faces hold 2k to 5k points, so 512-row chunks end inside them
+@pytest.mark.parametrize("n, degrees, t", [
+    *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
+    (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
+def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
+    """The half-grid pass equals a whole-grid evaluation bit for bit, for any
+    chunking and thread count."""
+    F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
+    mesh = build_mesh(n, t)
+    direct = np.linalg.norm(evaluate_many(F, mesh.points), axis=1)
+    for chunk in (condition._CHUNK, 512):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(condition, "_CHUNK", chunk)
+            for threads in (1, 2):
+                assert np.array_equal(condition._residual_norms(F, mesh, threads), direct)
+
+
+@pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
+def test_level_evaluates_half_the_grid(n, degrees, t):
+    """A level evaluates f at one point of each antipodal pair."""
+    rows = []
+    evaluate = pl.evaluate_many
+
+    def counted_evaluate_many(f, X):
+        rows.append(X.shape[0])
+        return evaluate(f, X)
+
+    F = random_unit_system(n, degrees, 5)
+    mesh = build_mesh(n, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "evaluate_many", counted_evaluate_many)
+        counting._level(F, mesh)
+    assert sum(rows) == mesh.count // 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
