@@ -44,8 +44,12 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
-# rows per batch when a whole grid is evaluated
+# rows per thread span when a whole grid is evaluated; also the largest
+# block of positions bounded_max visits at once
 _CHUNK = 1 << 18
+# rows a span evaluates at once: the temporaries of one block of
+# evaluate_many and its norms stay in a 2 MB L2 cache
+_BLOCK = 1 << 14
 
 
 def _each(fn, spans, threads):
@@ -64,25 +68,42 @@ def _map_chunks(fn, rows, threads=1):
 
 
 def _residual_norms(F, mesh, threads=1):
-    """|f| at every point of ``mesh``, evaluated on one point of each antipodal pair.
+    """|f| at each pair row of ``mesh``, which stands for both points of its pair.
 
     |f(-x)| = |f(x)| for homogeneous f, and ``pl.evaluate_many`` keeps
-    that exactly (its kernel is sign-symmetric), so a norm mirrored from a
-    +m face to its -m face (``SphereMesh.plus_spans``) equals a direct
-    evaluation bit for bit.  Each chunk of a +m face writes its norms into
-    the output twice: at its rows, and reversed at its mirror rows.
+    that exactly (its kernel is sign-symmetric), so the norm at a pair
+    point equals a direct evaluation at its mirror bit for bit.  The pair
+    rows of each face are split into thread spans of ``_CHUNK`` rows, each
+    evaluated in blocks of ``_BLOCK`` rows.
     """
-    pts = mesh.points
-    out = np.empty(mesh.count)
+    pts = mesh.pair_points
+    out = np.empty(pts.shape[0])
 
     def work(span):
-        lo, hi, end = span
-        out[lo:hi] = np.linalg.norm(pl.evaluate_many(F, pts[lo:hi]), axis=1)
-        out[2 * end - hi:2 * end - lo] = out[lo:hi][::-1]
+        for lo in range(*span, _BLOCK):
+            hi = min(lo + _BLOCK, span[1])
+            out[lo:hi] = np.linalg.norm(pl.evaluate_many(F, pts[lo:hi]), axis=1)
 
-    _each(work, [(lo, min(lo + _CHUNK, end), end) for start, end in mesh.plus_spans
-                 for lo in range(start, end, _CHUNK)], threads)
+    # the +m face at full rows [lo, hi) holds the pair rows [lo/2, hi - lo/2)
+    _each(work, [(start, min(start + _CHUNK, hi - lo // 2)) for lo, hi in mesh.plus_spans
+                 for start in range(lo // 2, hi - lo // 2, _CHUNK)], threads)
     return out
+
+
+def _pair_mus(mesh, pairs, mu_rows):
+    """mu at the +m and at the -m point of each pair row: (plus, minus).
+
+    ``mu_rows(X)`` gives mu at the rows of X.  mu(-x) equals mu(x) bit for
+    bit except where x_0 = 0 (see ``mu_many``), so the -m point's mu is
+    computed only there.
+    """
+    X = mesh.pair_points[pairs]
+    plus = mu_rows(X)
+    minus = plus.copy()
+    tie = np.nonzero(X[:, 0] == 0.0)[0]
+    if tie.size:
+        minus[tie] = mu_rows(mesh.points_at(mesh.full_rows(pairs[tie])[1]))
+    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -238,7 +259,11 @@ def mu_many(F, X, f_norm=None):
     """Vectorized mu at many unit points (rows of X; none is fine).
 
     Each row's value depends on that row alone, bit for bit, so mu on a
-    subset of the rows equals the same subset of mu on all of them.
+    subset of the rows equals the same subset of mu on all of them.  At
+    -x it equals its value at x bit for bit wherever x_0 != 0: the
+    Householder vector of -x is the negated one of x, and the Jacobian
+    rows only change sign.  Where x_0 = 0 both points take the same
+    reflection (x_0 >= 0 for both), and the two values may differ.
     """
     X = np.asarray(X, float)
     if f_norm is None:
@@ -331,19 +356,23 @@ def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     Since ``_kappa`` never exceeds 1/sqrt(f*f), the residual alone bounds
-    kappa: mu is computed only at the points, taken in increasing |f|,
-    whose bound 1/sqrt(f*f) still beats the running maximum.  The result
-    equals the maximum over every point; it is inf when a singular zero
-    lies on the grid.
+    kappa: mu is computed only at the antipodal pairs, taken in increasing
+    |f|, whose bound 1/sqrt(f*f) still beats the running maximum
+    (``_pair_mus`` gives it at both points of a pair).  The result equals
+    the maximum over every point; it is inf when a singular zero lies on
+    the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
     Fn = F.normalized()
-    pts = mesh.points
     f_norms = _residual_norms(Fn, mesh)
-    best = bounded_max(_kappa_bounds(f_norms), lambda idx: _kappa_max(
-        f_norms[idx], mu_many(Fn, pts[idx], f_norm=1.0)), best=0.0, max_block=_CHUNK)
+
+    def visit(idx):
+        mus = _pair_mus(mesh, idx, lambda X: mu_many(Fn, X, f_norm=1.0))
+        return max(_kappa_max(f_norms[idx], m) for m in mus)
+
+    best = bounded_max(_kappa_bounds(f_norms), visit, best=0.0, max_block=_CHUNK)
     return best, mesh.covering_radius_bound
 
 

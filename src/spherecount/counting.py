@@ -48,7 +48,7 @@ from . import polynomials as pl
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
 from .condition import (_CHUNK, _kappa_bounds, _kappa_max, _map_chunks,
-                        _residual_norms, bounded_max, mu_many)
+                        _pair_mus, _residual_norms, bounded_max, mu_many)
 from .convergence import ALPHA, r0
 from .mesh import angular_distance_many, build_mesh, pairwise_angular
 
@@ -68,7 +68,9 @@ __all__ = [
 class CertGraph:
     """Admissible grid points, their inclusion radii, and the proximity graph.
 
-    ``candidates`` holds, ascending, the mesh indices that could pass the
+    ``f_norms`` holds |f| at each pair row of the mesh, one per antipodal
+    pair (``SphereMesh.pair_points``).  The index arrays hold full mesh
+    rows: ``candidates`` holds, ascending, the rows that could pass the
     inclusion test (see ``_point_data``); ``mus`` and ``admissible`` are
     mu (inf if singular) and the test's outcome at those rows only.  The
     vertices are the admissible candidates whose cap reaches no known
@@ -81,11 +83,11 @@ class CertGraph:
     """
 
     eta: float
-    vertex_indices: np.ndarray   # indices into the mesh point list
+    vertex_indices: np.ndarray   # full mesh rows of the vertices
     radii: np.ndarray            # inclusion radius per vertex
     components: tuple            # tuple of tuples of vertex positions
     separation: float            # least distance across components, or inf
-    f_norms: np.ndarray          # residual norm at every mesh point
+    f_norms: np.ndarray          # residual norm at every pair row
     candidates: np.ndarray       # ascending mesh indices that may pass inclusion
     mus: np.ndarray              # mu per candidate, inf if singular
     admissible: np.ndarray       # inclusion-test outcome per candidate
@@ -107,47 +109,62 @@ def _candidate_ceiling(F):
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
 
 
-def _mu_at(F, points, idx, threads=1):
-    return _map_chunks(lambda rows: mu_many(F, points[rows], f_norm=1.0),
-                       idx, threads=threads)
+def _mus_at(F, mesh, pairs, threads=1):
+    """mu at both points of each pair row (``condition._pair_mus``)."""
+    return _pair_mus(mesh, pairs, lambda X: _map_chunks(
+        lambda rows: mu_many(F, rows, f_norm=1.0), X, threads=threads))
+
+
+def _both_points(mesh, pairs):
+    """The ascending full rows of both points of the pair rows, and the
+    positions of their values in ``np.concatenate([plus, minus])``."""
+    rows = np.concatenate(mesh.full_rows(pairs))
+    order = np.argsort(rows)
+    return rows[order], order
 
 
 def _point_data(F, mesh, threads=1):
-    """Residual norms at every mesh point; mu only where it can change the count.
+    """Residual norms per antipodal pair; mu only where it can change the count.
 
-    Returns (f_norms, candidates, mus, admissible): ``candidates`` are the
-    ascending rows with |f| below ``_candidate_ceiling``, and ``mus`` and
-    ``admissible`` hold mu and the inclusion test at those rows only.  mu
-    of a row does not depend on the other rows of its batch, so every
-    value equals what an exhaustive pass would give.
+    Returns (f_norms, candidates, mus, admissible): ``f_norms`` is |f| at
+    each pair row, ``candidates`` are the ascending full rows with |f|
+    below ``_candidate_ceiling``, and ``mus`` and ``admissible`` hold mu
+    and the inclusion test at those rows only.  mu of a row does not
+    depend on the other rows of its batch, so every value equals what an
+    exhaustive pass would give.
     """
     f_norms = _residual_norms(F, mesh, threads=threads)
-    candidates = np.nonzero(f_norms < _candidate_ceiling(F))[0]
-    mus = _mu_at(F, mesh.points, candidates, threads)
-    admissible = _admissible(f_norms[candidates], mus, F.max_degree)
+    pairs = np.nonzero(f_norms < _candidate_ceiling(F))[0]
+    candidates, order = _both_points(mesh, pairs)
+    mus = np.concatenate(_mus_at(F, mesh, pairs, threads))[order]
+    admissible = _admissible(np.tile(f_norms[pairs], 2)[order], mus, F.max_degree)
     return f_norms, candidates, mus, admissible
 
 
-def _kappa_estimate(F, points, f_norms, known, known_mus, poles=(), threads=1):
+def _kappa_estimate(F, mesh, f_norms, known, known_mus, poles=(), threads=1):
     """Maximum of kappa over the grid points beyond _KAPPA_POLE_GAP of a pole.
 
-    ``f_norms`` is |f| at every row of ``points`` and ``known_mus`` is mu
-    at the rows ``known``.  The known rows outside the pole gap seed the
-    running maximum; since kappa <= 1/|f|, the other points are taken in
-    increasing |f| until the bound 1/sqrt(f*f) no longer beats it.  The
-    result equals the maximum over the whole sample: inf at a singular
-    zero, or for an empty sample.
+    ``f_norms`` is |f| at every pair row of ``mesh`` and ``known_mus`` is
+    mu at the full rows ``known``, which hold both points of their pairs.
+    The known rows outside the pole gap seed the running maximum; since
+    kappa <= 1/|f|, the other pairs are taken in increasing |f| until the
+    bound 1/sqrt(f*f) no longer beats it.  The poles are an antipodal
+    pair, so the gap holds both points of a pair or neither.  The result
+    equals the maximum over the whole sample: inf at a singular zero, or
+    for an empty sample.
     """
     bounds = _kappa_bounds(f_norms)
     if poles:
         # a bound of -inf is never visited
         bounds[_map_chunks(lambda block: _pole_distance(block, poles)
-                           <= _KAPPA_POLE_GAP, points)] = -math.inf
-    seen = bounds[known] > -math.inf
-    best = _kappa_max(f_norms[known[seen]], known_mus[seen])
-    bounds[known] = -math.inf
-    best = bounded_max(bounds, lambda idx: _kappa_max(
-        f_norms[idx], _mu_at(F, points, idx, threads)), best=best, max_block=_CHUNK)
+                           <= _KAPPA_POLE_GAP, mesh.pair_points)] = -math.inf
+    known_pairs = mesh.pair_rows(known)[0]
+    seen = bounds[known_pairs] > -math.inf
+    best = _kappa_max(f_norms[known_pairs[seen]], known_mus[seen])
+    bounds[known_pairs] = -math.inf
+    best = bounded_max(bounds, lambda idx: max(
+        _kappa_max(f_norms[idx], mus) for mus in _mus_at(F, mesh, idx, threads)),
+        best=best, max_block=_CHUNK)
     return best if best > -math.inf else math.inf
 
 
@@ -210,12 +227,12 @@ def _level(F, mesh, threads=1, poles=()):
     """
     f_norms, candidates, mus, admissible = _point_data(F, mesh, threads=threads)
     vertices = candidates[admissible]
-    radii = _inclusion_radius(f_norms[vertices], mus[admissible])
-    at_pole = (_pole_distance(mesh.points[vertices], poles)
+    radii = _inclusion_radius(f_norms[mesh.pair_rows(vertices)[0]], mus[admissible])
+    at_pole = (_pole_distance(mesh.points_at(vertices), poles)
                <= radii + _CERTIFIER_SLACK)
     vertices, radii = vertices[~at_pole], radii[~at_pole]
     components, separation = _clusters(
-        mesh.points[vertices], radii[:, None] + radii[None, :])
+        mesh.points_at(vertices), radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertices,
@@ -241,6 +258,7 @@ def exclusion_threshold(F, eta):
 def _exclusion_failures(F, mesh, graph):
     """Grid points passing neither test: not admissible, |f| <= threshold."""
     low = np.nonzero(graph.f_norms <= exclusion_threshold(F, mesh.eta))[0]
+    low, _ = _both_points(mesh, low)
     return np.setdiff1d(low, graph.candidates[graph.admissible], assume_unique=True)
 
 
@@ -261,11 +279,11 @@ def check_stop(F, mesh, graph, poles=()):
     failing = _exclusion_failures(F, mesh, graph)
     shadow_extent = 0.0
     if failing.size:
-        fail_pole_dist = _pole_distance(mesh.points[failing], poles)
+        fail_pole_dist = _pole_distance(mesh.points_at(failing), poles)
         # with no pole in reach, no cluster can reach one
         if float(fail_pole_dist.min()) > link or failing.size > _LIFTED_FAILURE_CAP:
             return stop
-        for comp in _clusters(mesh.points[failing], link)[0]:
+        for comp in _clusters(mesh.points_at(failing), link)[0]:
             comp_dist = fail_pole_dist[list(comp)]
             if float(comp_dist.min()) > link:
                 return stop  # low-residual island away from the poles
@@ -277,11 +295,11 @@ def check_stop(F, mesh, graph, poles=()):
                               graph.vertex_indices)
     if certifiers.size:
         shadow_extent = max(shadow_extent, float(
-            _pole_distance(mesh.points[certifiers], poles).max()))
+            _pole_distance(mesh.points_at(certifiers), poles).max()))
     if shadow_extent > _SHADOW_MAX:
         return stop
     margin = shadow_extent + 2.0 * eta * math.sqrt(n)
-    vertex_dist = _pole_distance(mesh.points[graph.vertex_indices], poles)
+    vertex_dist = _pole_distance(mesh.points_at(graph.vertex_indices), poles)
     stop["exclusion_ok"] = float(vertex_dist.min(initial=math.inf)) > margin
     return stop
 
@@ -340,9 +358,9 @@ def predicted_complexity(F, kappa_estimate):
     }
 
 
-def _component_representatives(graph):
+def _component_representatives(graph, mesh):
     """One vertex per component: smallest residual, ties by vertex order."""
-    f_norms = graph.f_norms[graph.vertex_indices]
+    f_norms = graph.f_norms[mesh.pair_rows(graph.vertex_indices)[0]]
     return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
 
 
@@ -363,14 +381,15 @@ def _run_loop(F, max_t, threads, poles=()):
             break
     zeros = []
     if stopped:
-        for rep in _component_representatives(graph):
-            z = refine_zero(Fn, mesh.points[graph.vertex_indices[rep]])
+        reps = graph.vertex_indices[_component_representatives(graph, mesh)]
+        for x in mesh.points_at(reps):
+            z = refine_zero(Fn, x)
             evaluations += 2 * max(z.newton_steps, 1)
             zeros.append(z)
     for pole in poles:
         zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
                                  final_beta=0.0, converged=True))
-    kappa_est = _kappa_estimate(Fn, mesh.points, graph.f_norms, graph.candidates,
+    kappa_est = _kappa_estimate(Fn, mesh, graph.f_norms, graph.candidates,
                                 graph.mus, poles=poles, threads=threads)
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
@@ -431,13 +450,14 @@ def _probe_zero_conditioning(F, poles, probe):
     """
     from .condition import mu as mu_point
 
-    f_norms = _residual_norms(F, probe)
-    away = np.nonzero(_pole_distance(probe.points, poles) > 0.25)[0]
+    points = probe.points
+    f_norms = _residual_norms(F, probe)[probe.pair_rows(np.arange(probe.count))[0]]
+    away = np.nonzero(_pole_distance(points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0
     seen = []
     for idx in order[:16]:
-        z = refine_zero(F, probe.points[idx])
+        z = refine_zero(F, points[idx])
         if not z.converged or float(_pole_distance(z.zeta[None, :], poles)[0]) < 0.1:
             continue
         if any(float(np.linalg.norm(z.zeta - s)) < 1e-6 for s in seen):

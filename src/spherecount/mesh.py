@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +59,26 @@ def mesh_count_bound(n, t):
 
 @dataclass(frozen=True)
 class SphereMesh:
-    """The grid C(eta) on S^n, eta = 2^-t, as a deduplicated point array.
+    """The grid C(eta) on S^n, eta = 2^-t, stored as one point per antipodal pair.
 
-    ``points`` holds the radial projections of the cube-surface lattice
-    points in facet-major order (see ``build_mesh``).  ``lattice``, the
-    integer points themselves, is derived from ``points`` on demand.
+    The grid is closed under x -> -x, and ``pair_points`` holds one point
+    of each pair: the +m faces of ``build_mesh`` in order, row p being
+    pair row p.  Rows of the whole grid ("full rows", ``count`` of them)
+    are numbered in facet-major order (see ``build_mesh``), each +m face
+    followed by its -m face; ``pair_rows`` and ``full_rows`` map between
+    the two numberings and ``points_at`` gives the coordinates of any
+    full rows.  ``points`` materializes the whole grid, and ``lattice``,
+    the integer points themselves, is derived from it on demand.
     """
 
     n: int
     t: int
-    points: np.ndarray   # (count, n+1) unit rows
+    pair_points: np.ndarray   # (count/2, n+1) unit rows, the +m faces
+
+    @cached_property
+    def points(self):
+        """(count, n+1) unit rows in facet-major order, built on first access."""
+        return self.points_at(np.arange(self.count))
 
     @property
     def lattice(self):
@@ -77,8 +88,9 @@ class SphereMesh:
         rounded, so scaling it by 2^t / max |k_i/|k|| lands within a few
         ulp of the integers k and rounding recovers them exactly.
         """
-        scale = 2.0**self.t / np.max(np.abs(self.points), axis=1)
-        return np.rint(self.points * scale[:, None]).astype(np.int64)
+        points = self.points
+        scale = 2.0**self.t / np.max(np.abs(points), axis=1)
+        return np.rint(points * scale[:, None]).astype(np.int64)
 
     @property
     def eta(self):
@@ -86,7 +98,7 @@ class SphereMesh:
 
     @property
     def count(self):
-        return self.points.shape[0]
+        return 2 * self.pair_points.shape[0]
 
     @property
     def covering_radius_bound(self):
@@ -94,17 +106,52 @@ class SphereMesh:
 
     @property
     def plus_spans(self):
-        """The rows [lo, hi) of the +m face of each owning axis, in order.
+        """The full rows [lo, hi) of the +m face of each owning axis, in order.
 
         They hold exactly half of the points: the -m face follows at rows
-        [hi, 2 hi - lo), and its row 2 hi - 1 - i equals -points[i] (see
-        ``build_mesh``).
+        [hi, 2 hi - lo), and the face's pair rows are [lo/2, hi - lo/2).
         """
         spans, lo = [], 0
         for size in _face_sizes(self.n, self.t):
             spans.append((lo, lo + size))
             lo += 2 * size
         return tuple(spans)
+
+    def _faces(self, pairs):
+        """First pair row and size of the face holding each pair row."""
+        starts = np.cumsum([0] + _face_sizes(self.n, self.t))
+        face = np.searchsorted(starts[1:], pairs, side="right")
+        return starts[face], starts[face + 1] - starts[face]
+
+    def full_rows(self, pairs):
+        """(+m row, -m row): the full rows of both points of each pair row.
+
+        The -m face is the +m face reversed and negated, so pair row p of a
+        face starting at pair row s with z points sits at full rows
+        p + s and 3 s + 2 z - 1 - p.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64)
+        start, size = self._faces(pairs)
+        return pairs + start, 3 * start + 2 * size - 1 - pairs
+
+    def pair_rows(self, rows):
+        """(pair row, on a -m face): the inverse of ``full_rows``."""
+        rows = np.asarray(rows, dtype=np.int64)
+        # a face holding pair rows [s, s + z) holds full rows [2 s, 2 s + 2 z)
+        start, size = self._faces(rows // 2)
+        minus = rows - 2 * start >= size
+        return np.where(minus, 3 * start + 2 * size - 1 - rows, rows - start), minus
+
+    def points_at(self, rows):
+        """The coordinates of the full rows, bit for bit those of ``points``.
+
+        A -m row is -x + 0.0 for its pair point x, so a zero coordinate
+        stays 0.0 as in ``build_mesh``.
+        """
+        pairs, minus = self.pair_rows(rows)
+        X = self.pair_points[pairs]
+        X[minus] = -X[minus] + 0.0
+        return X
 
 
 def _face_sizes(n, t):
@@ -114,7 +161,7 @@ def _face_sizes(n, t):
 
 
 def build_mesh(n, t):
-    """Enumerate C(2^-t) on S^n.
+    """Enumerate C(2^-t) on S^n, one point of each antipodal pair.
 
     Each cube-surface lattice point k, max |k_i| = m = 2^t, is generated
     exactly once: it is owned by the lowest axis on which it attains the
@@ -125,16 +172,17 @@ def build_mesh(n, t):
     symmetric about 0, so reading a face backwards negates every other
     coordinate: the -m face read backwards equals the +m face negated,
     exactly (mirror rows share one radius, so their quotients differ only
-    in sign, and a zero coordinate stays 0.0), and the grid is closed under
-    x -> -x with one point of each pair on a +m face
-    (``SphereMesh.plus_spans``).
+    in sign), and the grid is closed under x -> -x with one point of each
+    pair on a +m face.  Only the +m faces are written
+    (``SphereMesh.pair_points``); ``count`` and ``eta`` still describe
+    the whole grid.
 
-    The unit rows are written face by face into one array.  The squared
-    radius m^2 + sum_j k_j^2 is an exact integer in float64, so its sqrt
-    is the correctly rounded |k|, and every coordinate is the one rounded
-    quotient k_i / |k|: the rows equal those of normalizing the integer
-    lattice with ``np.linalg.norm``, bit for bit.  Raises MeshSizeError
-    when the count bound exceeds ``MESH_POINT_CAP``, read at call time.
+    The squared radius m^2 + sum_j k_j^2 is an exact integer in float64,
+    so its sqrt is the correctly rounded |k|, and every coordinate is the
+    one rounded quotient k_i / |k|: the rows equal those of normalizing
+    the integer lattice with ``np.linalg.norm``, bit for bit.  Raises
+    MeshSizeError when the count bound exceeds ``MESH_POINT_CAP``, read
+    at call time; the cap counts the points of the whole grid.
     """
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
@@ -145,7 +193,7 @@ def build_mesh(n, t):
     m = 2**t
     full = np.arange(-m, m + 1, dtype=float)
     interior = full[1:-1]
-    points = np.empty((2 * sum(_face_sizes(n, t)), n + 1))
+    points = np.empty((sum(_face_sizes(n, t)), n + 1))
     row = 0
     for axis in range(n + 1):
         cols = [c for c in range(n + 1) if c != axis]
@@ -158,16 +206,12 @@ def build_mesh(n, t):
         for k in ks:
             radius += k * k
         np.sqrt(radius, out=radius)
-        size = radius.size
-        plus = points[row:row + size].reshape(shape + (n + 1,))
-        minus = points[row + size:row + 2 * size]
+        plus = points[row:row + radius.size].reshape(shape + (n + 1,))
         for c, k in zip(cols, ks):
             np.divide(k, radius, out=plus[..., c])
         np.divide(float(m), radius, out=plus[..., axis])
-        minus[:] = points[row:row + size]
-        np.negative(minus[:, axis], out=minus[:, axis])
-        row += 2 * size
-    return SphereMesh(n=n, t=t, points=points)
+        row += radius.size
+    return SphereMesh(n=n, t=t, pair_points=points)
 
 
 def covering_check(mesh, z):

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import spherecount
-from spherecount.mesh import (MeshSizeError, angular_distance,
+from spherecount import counting
+from spherecount.condition import kappa_grid, sample_gaussian_system
+from spherecount.mesh import (MeshSizeError, SphereMesh, angular_distance,
                               angular_distance_many, build_mesh,
                               convexity_cover_check, covering_check,
                               mesh_count_bound, sch_membership)
+from spherecount.polynomials import AffinePolynomial
 
 from conftest import random_sphere_point
 
@@ -118,8 +121,11 @@ def test_grid_matches_reference_bit_for_bit(n, t):
     assert np.array_equal(mesh.lattice, lattice)
 
 
-@pytest.mark.parametrize("n,t", [(n, t) for n, top in ((1, 9), (2, 5), (3, 3), (4, 2))
-                                 for t in range(top + 1)])
+MIRROR_GRIDS = [(n, t) for n, top in ((1, 9), (2, 5), (3, 3), (4, 2))
+                for t in range(top + 1)]
+
+
+@pytest.mark.parametrize("n,t", MIRROR_GRIDS)
 def test_minus_faces_mirror_plus_faces_bit_for_bit(n, t):
     mesh = build_mesh(n, t)
     spans = mesh.plus_spans
@@ -132,6 +138,59 @@ def test_minus_faces_mirror_plus_faces_bit_for_bit(n, t):
         minus = mesh.points[hi:2 * hi - lo]
         # == on doubles: equal bits, except that a 0.0 mirrors to 0.0, not -0.0
         assert np.array_equal(-plus, minus[::-1])
+
+
+@pytest.mark.parametrize("n,t", MIRROR_GRIDS)
+def test_row_accessor_matches_reference_bit_for_bit(n, t):
+    """points_at gives any full rows of the grid, in any order, zero signs
+    included, and pair_rows inverts full_rows."""
+    _, reference = reference_grid(n, t)
+    mesh = build_mesh(n, t)
+    rows = np.random.default_rng(n + 10 * t).permutation(mesh.count)
+    assert mesh.points_at(rows).tobytes() == reference[rows].tobytes()
+    pairs = np.arange(mesh.count // 2)
+    plus, minus = mesh.full_rows(pairs)
+    assert np.array_equal(np.sort(np.concatenate([plus, minus])), np.arange(mesh.count))
+    assert mesh.pair_points.tobytes() == reference[plus].tobytes()
+    for full, on_minus in ((plus, False), (minus, True)):
+        back, flags = mesh.pair_rows(full)
+        assert np.array_equal(back, pairs)
+        assert np.all(flags == on_minus)
+
+
+def test_counting_never_builds_the_full_grid(monkeypatch):
+    """The counting loop and kappa_grid read the grid through pair_points and
+    points_at; only count_affine's coarse probe grid builds ``points``."""
+    allowed = []
+    build = SphereMesh.points.func
+
+    def guarded(mesh):
+        if not allowed:
+            raise AssertionError("SphereMesh.points was built")
+        return build(mesh)
+
+    probe = counting._probe_zero_conditioning
+
+    def probe_with_points(*args):
+        allowed.append(True)
+        try:
+            return probe(*args)
+        finally:
+            allowed.pop()
+
+    monkeypatch.setattr(SphereMesh, "points", property(guarded))
+    monkeypatch.setattr(counting, "_probe_zero_conditioning", probe_with_points)
+    with pytest.raises(AssertionError):
+        build_mesh(2, 2).points
+    stopping = sample_gaussian_system(2, (2, 2), 21)
+    for threads in (1, 2):
+        assert spherecount.root_count(stopping, max_t=9, threads=threads).stopped
+        assert not spherecount.root_count(sample_gaussian_system(2, (2, 2), 4000),
+                                          max_t=5, threads=threads).stopped
+    result, affine_count = spherecount.count_affine(
+        [AffinePolynomial(1, {(2,): 1.0, (0,): -2.0})], max_t=9)
+    assert result.stopped and affine_count == 2
+    assert kappa_grid(stopping, build_mesh(2, 5))[0] > 1.0
 
 
 class TestCovering:

@@ -38,6 +38,11 @@ def exhaustive(F, points, sample=None):
     return f_norms, mus, admissible, (kappa if kappa > -math.inf else math.inf)
 
 
+def full(mesh, pair_values):
+    """Per-pair values at every full row of the mesh."""
+    return pair_values[mesh.pair_rows(np.arange(mesh.count))[0]]
+
+
 def gaussian(n, degrees, seed):
     return lambda: random_unit_system(n, degrees, seed)
 
@@ -78,8 +83,9 @@ def test_point_data_matches_exhaustive(system, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "mu_many", counted_mu_many)
         f_norms, candidates, mus, admissible = _point_data(F, mesh)
-        kappa = _kappa_estimate(F, points, f_norms, candidates, mus)
-    assert np.array_equal(f_norms, f_all)
+        kappa = _kappa_estimate(F, mesh, f_norms, candidates, mus)
+    assert f_norms.shape == (mesh.count // 2,)
+    assert np.array_equal(full(mesh, f_norms), f_all)
     assert np.array_equal(candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
     assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
     assert kappa == kappa_all
@@ -104,7 +110,7 @@ def test_build_graph_matches_exhaustive(system, t):
     # mu and the inclusion test are kept at the admissibility candidates only
     assert graph.mus.shape == graph.admissible.shape == graph.candidates.shape
     assert np.array_equal(graph.candidates,
-                          np.nonzero(graph.f_norms < _candidate_ceiling(Fn))[0])
+                          np.nonzero(full(mesh, graph.f_norms) < _candidate_ceiling(Fn))[0])
     assert np.array_equal(graph.vertex_indices, graph.candidates[graph.admissible])
 
 
@@ -144,7 +150,7 @@ def test_lifted_loop_matches_exhaustive():
     _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
     assert res.kappa_grid_estimate == kappa_all
     f_norms, candidates, mus, admissible = _point_data(lifted, mesh)
-    kappa = _kappa_estimate(lifted, points, f_norms, candidates, mus, poles)
+    kappa = _kappa_estimate(lifted, mesh, f_norms, candidates, mus, poles)
     assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
     assert np.array_equal(admissible, adm_all[candidates])
     assert kappa == kappa_all
@@ -168,16 +174,19 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
 def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
-    """The half-grid pass equals a whole-grid evaluation bit for bit, for any
-    chunking and thread count."""
+    """The half-grid pass equals a whole-grid evaluation bit for bit at every
+    full row, for any span and block size and thread count."""
     F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
     mesh = build_mesh(n, t)
     direct = np.linalg.norm(evaluate_many(F, mesh.points), axis=1)
-    for chunk in (condition._CHUNK, 512):
+    for chunk, block in ((condition._CHUNK, condition._BLOCK), (512, condition._BLOCK),
+                         (condition._CHUNK, 512), (512, 200)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_CHUNK", chunk)
+            mp.setattr(condition, "_BLOCK", block)
             for threads in (1, 2):
-                assert np.array_equal(condition._residual_norms(F, mesh, threads), direct)
+                norms = condition._residual_norms(F, mesh, threads)
+                assert np.array_equal(full(mesh, norms), direct)
 
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
