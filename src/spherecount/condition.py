@@ -52,18 +52,22 @@ _CHUNK = 1 << 18
 _BLOCK = 1 << 14
 
 
-def _each(fn, spans, threads):
-    """[fn(s) for s in spans], on a pool of ``threads`` when there are several."""
-    if threads > 1 and len(spans) > 1:
+def _each(fn, items, threads):
+    """[fn(s) for s in items], on a pool of ``threads`` when there are several."""
+    if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, spans))
-    return [fn(s) for s in spans]
+            return list(pool.map(fn, items))
+    return [fn(s) for s in items]
+
+
+def _spans(rows):
+    """Consecutive [lo, hi) spans of at most ``_CHUNK`` rows over ``rows`` rows."""
+    return [(lo, min(lo + _CHUNK, rows)) for lo in range(0, rows, _CHUNK)]
 
 
 def _map_chunks(fn, rows, threads=1):
     """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
-    spans = [(lo, min(lo + _CHUNK, rows.shape[0]))
-             for lo in range(0, rows.shape[0], _CHUNK)] or [(0, 0)]
+    spans = _spans(rows.shape[0]) or [(0, 0)]
     return np.concatenate(_each(lambda s: fn(rows[s[0]:s[1]]), spans, threads))
 
 
@@ -73,8 +77,8 @@ def _residual_norms(F, mesh, threads=1):
     |f(-x)| = |f(x)| for homogeneous f, and ``pl.evaluate_many`` keeps
     that exactly (its kernel is sign-symmetric), so the norm at a pair
     point equals a direct evaluation at its mirror bit for bit.  The pair
-    rows of each face are split into thread spans of ``_CHUNK`` rows, each
-    evaluated in blocks of ``_BLOCK`` rows.
+    rows are split into thread spans of ``_CHUNK`` rows, each evaluated in
+    blocks of ``_BLOCK`` rows.
     """
     pts = mesh.pair_points
     out = np.empty(pts.shape[0])
@@ -84,26 +88,8 @@ def _residual_norms(F, mesh, threads=1):
             hi = min(lo + _BLOCK, span[1])
             out[lo:hi] = np.linalg.norm(pl.evaluate_many(F, pts[lo:hi]), axis=1)
 
-    # the +m face at full rows [lo, hi) holds the pair rows [lo/2, hi - lo/2)
-    _each(work, [(start, min(start + _CHUNK, hi - lo // 2)) for lo, hi in mesh.plus_spans
-                 for start in range(lo // 2, hi - lo // 2, _CHUNK)], threads)
+    _each(work, _spans(pts.shape[0]), threads)
     return out
-
-
-def _pair_mus(mesh, pairs, mu_rows):
-    """mu at the +m and at the -m point of each pair row: (plus, minus).
-
-    ``mu_rows(X)`` gives mu at the rows of X.  mu(-x) equals mu(x) bit for
-    bit except where x_0 = 0 (see ``mu_many``), so the -m point's mu is
-    computed only there.
-    """
-    X = mesh.pair_points[pairs]
-    plus = mu_rows(X)
-    minus = plus.copy()
-    tie = np.nonzero(X[:, 0] == 0.0)[0]
-    if tie.size:
-        minus[tie] = mu_rows(mesh.points_at(mesh.full_rows(pairs[tie])[1]))
-    return plus, minus
 
 
 @dataclass(frozen=True)
@@ -355,12 +341,12 @@ def bounded_max(bounds, values, best, max_block):
 def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
-    Since ``_kappa`` never exceeds 1/sqrt(f*f), the residual alone bounds
-    kappa: mu is computed only at the antipodal pairs, taken in increasing
-    |f|, whose bound 1/sqrt(f*f) still beats the running maximum
-    (``_pair_mus`` gives it at both points of a pair).  The result equals
-    the maximum over every point; it is inf when a singular zero lies on
-    the grid.
+    |f| and mu are projective, so each antipodal pair is sampled at its
+    pair point.  Since ``_kappa`` never exceeds 1/sqrt(f*f), the residual
+    alone bounds kappa: mu is computed only at the pairs, taken in
+    increasing |f|, whose bound 1/sqrt(f*f) still beats the running
+    maximum.  The result equals the maximum over every pair point; it is
+    inf when a singular zero lies on the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
@@ -369,8 +355,7 @@ def kappa_grid(F, mesh):
     f_norms = _residual_norms(Fn, mesh)
 
     def visit(idx):
-        mus = _pair_mus(mesh, idx, lambda X: mu_many(Fn, X, f_norm=1.0))
-        return max(_kappa_max(f_norms[idx], m) for m in mus)
+        return _kappa_max(f_norms[idx], mu_many(Fn, mesh.pair_points[idx], f_norm=1.0))
 
     best = bounded_max(_kappa_bounds(f_norms), visit, best=0.0, max_block=_CHUNK)
     return best, mesh.covering_radius_bound
@@ -509,11 +494,7 @@ def monte_carlo_ln_kappa(n, degrees, trials, mesh_t, seed, threads=1):
         est, _ = kappa_grid(F, mesh)
         return math.log(est)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(one, range(trials)))
-    else:
-        samples = [one(i) for i in range(trials)]
+    samples = _each(one, range(trials), threads)
     bound = expected_ln_kappa_bound(n, degrees) if n >= 3 else None
     return {
         "samples": samples,

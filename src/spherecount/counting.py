@@ -10,9 +10,16 @@ The spacing is halved until two conditions hold simultaneously:
     exclusion:   every rejected grid point x has |f(x)| above
                  eta sqrt(n max d)/2, so its neighbourhood carries no zero.
 
-On termination the count is the number of components plus the number of
-zeros known in advance, and refining one vertex per component locates
-the others.
+The loop counts on projective space.  f is homogeneous, so |f|, mu and
+both tests are invariant under x -> -x, the grid is closed under it, and
+the zeros come in pairs +-zeta.  Every set of the loop therefore holds
+pair rows (``SphereMesh.pair_points``, one point per antipodal pair), and
+distances between pairs are projective: min(d, pi - d) for the angle d
+between their pair points.  A stopped component certifies one pair
++-zeta, never a zero that is its own antipode, so on termination the
+count is twice the number of components plus the number of zeros known
+in advance; refining one vertex per component locates zeta, and -zeta
+with it.
 
 There is one loop.  The plain count knows no zeros in advance; the
 affine front end knows two, the poles (0, ..., 0, +-1) of a lifted
@@ -39,7 +46,7 @@ grid, away from the known zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +55,7 @@ from . import polynomials as pl
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
 from .condition import (_CHUNK, _kappa_bounds, _kappa_max, _map_chunks,
-                        _pair_mus, _residual_norms, bounded_max, mu_many)
+                        _residual_norms, bounded_max, mu_many)
 from .convergence import ALPHA, r0
 from .mesh import angular_distance_many, build_mesh, pairwise_angular
 
@@ -66,29 +73,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CertGraph:
-    """Admissible grid points, their inclusion radii, and the proximity graph.
+    """Admissible antipodal pairs, their inclusion radii, and the proximity graph.
 
-    ``f_norms`` holds |f| at each pair row of the mesh, one per antipodal
-    pair (``SphereMesh.pair_points``).  The index arrays hold full mesh
-    rows: ``candidates`` holds, ascending, the rows that could pass the
-    inclusion test (see ``_point_data``); ``mus`` and ``admissible`` are
-    mu (inf if singular) and the test's outcome at those rows only.  The
-    vertices are the admissible candidates whose cap reaches no known
-    zero.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
-    vertex's certified cap (``certification._inclusion_radius``); two
-    vertices are linked when their caps meet.  ``components`` holds
-    tuples of ascending vertex positions, ordered by least member.
-    ``separation`` is the least angular distance between vertices of
-    different components, inf when there is at most one component.
+    Every index is a pair row of the mesh (``SphereMesh.pair_points``),
+    which stands for both points of its pair.  ``f_norms`` holds |f| at
+    each pair row; ``candidates`` holds, ascending, the pair rows that
+    could pass the inclusion test (see ``_point_data``); ``mus`` and
+    ``admissible`` are mu (inf if singular) at their pair points and the
+    test's outcome there, which decides both points.  The vertices are the
+    admissible candidates whose cap reaches no known zero.  ``radii``
+    holds the radius r0(alpha_star) mu |f| of each vertex's certified cap
+    (``certification._inclusion_radius``); two vertices are linked when
+    their caps, or the cap of one and the mirror of the other's, meet.
+    ``components`` holds tuples of ascending vertex positions, ordered by
+    least member.  ``separation`` is the least projective distance between
+    vertices of different components, inf when there is at most one
+    component.
     """
 
     eta: float
-    vertex_indices: np.ndarray   # full mesh rows of the vertices
+    vertex_indices: np.ndarray   # ascending pair rows of the vertices
     radii: np.ndarray            # inclusion radius per vertex
     components: tuple            # tuple of tuples of vertex positions
-    separation: float            # least distance across components, or inf
+    separation: float            # least projective distance across components, or inf
     f_norms: np.ndarray          # residual norm at every pair row
-    candidates: np.ndarray       # ascending mesh indices that may pass inclusion
+    candidates: np.ndarray       # ascending pair rows that may pass inclusion
     mus: np.ndarray              # mu per candidate, inf if singular
     admissible: np.ndarray       # inclusion-test outcome per candidate
 
@@ -110,78 +119,69 @@ def _candidate_ceiling(F):
 
 
 def _mus_at(F, mesh, pairs, threads=1):
-    """mu at both points of each pair row (``condition._pair_mus``)."""
-    return _pair_mus(mesh, pairs, lambda X: _map_chunks(
-        lambda rows: mu_many(F, rows, f_norm=1.0), X, threads=threads))
-
-
-def _both_points(mesh, pairs):
-    """The ascending full rows of both points of the pair rows, and the
-    positions of their values in ``np.concatenate([plus, minus])``."""
-    rows = np.concatenate(mesh.full_rows(pairs))
-    order = np.argsort(rows)
-    return rows[order], order
+    """mu at the pair points of the pair rows ``pairs``."""
+    return _map_chunks(lambda rows: mu_many(F, rows, f_norm=1.0),
+                       mesh.pair_points[pairs], threads=threads)
 
 
 def _point_data(F, mesh, threads=1):
     """Residual norms per antipodal pair; mu only where it can change the count.
 
     Returns (f_norms, candidates, mus, admissible): ``f_norms`` is |f| at
-    each pair row, ``candidates`` are the ascending full rows with |f|
+    each pair row, ``candidates`` are the ascending pair rows with |f|
     below ``_candidate_ceiling``, and ``mus`` and ``admissible`` hold mu
     and the inclusion test at those rows only.  mu of a row does not
     depend on the other rows of its batch, so every value equals what an
-    exhaustive pass would give.
+    exhaustive pass over the pair points would give.
     """
     f_norms = _residual_norms(F, mesh, threads=threads)
-    pairs = np.nonzero(f_norms < _candidate_ceiling(F))[0]
-    candidates, order = _both_points(mesh, pairs)
-    mus = np.concatenate(_mus_at(F, mesh, pairs, threads))[order]
-    admissible = _admissible(np.tile(f_norms[pairs], 2)[order], mus, F.max_degree)
+    candidates = np.nonzero(f_norms < _candidate_ceiling(F))[0]
+    mus = _mus_at(F, mesh, candidates, threads)
+    admissible = _admissible(f_norms[candidates], mus, F.max_degree)
     return f_norms, candidates, mus, admissible
 
 
 def _kappa_estimate(F, mesh, f_norms, known, known_mus, poles=(), threads=1):
-    """Maximum of kappa over the grid points beyond _KAPPA_POLE_GAP of a pole.
+    """Maximum of kappa over the pair points beyond _KAPPA_POLE_GAP of a pole.
 
     ``f_norms`` is |f| at every pair row of ``mesh`` and ``known_mus`` is
-    mu at the full rows ``known``, which hold both points of their pairs.
-    The known rows outside the pole gap seed the running maximum; since
-    kappa <= 1/|f|, the other pairs are taken in increasing |f| until the
-    bound 1/sqrt(f*f) no longer beats it.  The poles are an antipodal
-    pair, so the gap holds both points of a pair or neither.  The result
-    equals the maximum over the whole sample: inf at a singular zero, or
-    for an empty sample.
+    mu at the pair rows ``known``.  The known rows outside the pole gap
+    seed the running maximum; since kappa <= 1/|f|, the other pairs are
+    taken in increasing |f| until the bound 1/sqrt(f*f) no longer beats
+    it.  The poles are an antipodal pair, so the gap holds both points of
+    a pair or neither.  The result equals the maximum over the whole
+    sample: inf at a singular zero, or for an empty sample.
     """
     bounds = _kappa_bounds(f_norms)
     if poles:
         # a bound of -inf is never visited
         bounds[_map_chunks(lambda block: _pole_distance(block, poles)
                            <= _KAPPA_POLE_GAP, mesh.pair_points)] = -math.inf
-    known_pairs = mesh.pair_rows(known)[0]
-    seen = bounds[known_pairs] > -math.inf
-    best = _kappa_max(f_norms[known_pairs[seen]], known_mus[seen])
-    bounds[known_pairs] = -math.inf
-    best = bounded_max(bounds, lambda idx: max(
-        _kappa_max(f_norms[idx], mus) for mus in _mus_at(F, mesh, idx, threads)),
-        best=best, max_block=_CHUNK)
+    seen = bounds[known] > -math.inf
+    best = _kappa_max(f_norms[known[seen]], known_mus[seen])
+    bounds[known] = -math.inf
+    best = bounded_max(bounds, lambda idx: _kappa_max(
+        f_norms[idx], _mus_at(F, mesh, idx, threads)), best=best, max_block=_CHUNK)
     return best if best > -math.inf else math.inf
 
 
 def _clusters(points, reach):
-    """Link the points within angular distance ``reach`` of each other.
+    """Link the antipodal pairs of the points within ``reach`` of each other.
 
-    ``reach`` is a scalar or a matrix over the pairs.  Returns
-    (components, separation): the connected components as tuples of
-    ascending positions ordered by least member, and the least distance
-    between points of different components (inf when there is at most
-    one).
+    Each row x stands for the pair +-x, so two rows are as far apart as
+    the nearer of the other row and its mirror: the projective distance
+    min(d, pi - d) for the angle d between them.  ``reach`` is a scalar
+    or a matrix over the pairs.  Returns (components, separation): the
+    connected components as tuples of ascending positions ordered by
+    least member, and the least projective distance between points of
+    different components (inf when there is at most one).
     """
     # imported here so that importing the package does not load csgraph
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     dist = pairwise_angular(points)
+    np.minimum(dist, math.pi - dist, out=dist)
     i, j = np.nonzero(np.triu(dist <= reach, 1))
     m = len(points)
     _, labels = connected_components(
@@ -195,7 +195,11 @@ def _clusters(points, reach):
 
 
 def _pole_distance(points, poles):
-    """Angular distance from each row to the nearest pole (inf if none)."""
+    """Angular distance from each row to the nearest pole (inf if none).
+
+    The poles are an antipodal pair, so a row and its mirror are equally
+    far from them.
+    """
     d = np.full(points.shape[0], math.inf)
     for pole in poles:
         d = np.minimum(d, angular_distance_many(points, pole))
@@ -214,10 +218,10 @@ _FAILURE_SHADOW_MAX = 0.6
 _SHADOW_MAX = 0.75
 # the kappa diagnostic leaves out the points within this angle of a pole
 _KAPPA_POLE_GAP = 0.2
-# Largest exclusion-failure set the gate clusters; a level with more
-# failures does not stop.  The cap bounds the dense pair matrix of the
-# clustering at 4000^2 doubles (128 MB).
-_LIFTED_FAILURE_CAP = 4000
+# Largest exclusion-failure set, in antipodal pairs, that the gate clusters;
+# a level with more failures does not stop.  The cap bounds the dense
+# pair matrix of the clustering at 2000^2 doubles (32 MB).
+_LIFTED_FAILURE_CAP = 2000
 
 
 def _level(F, mesh, threads=1, poles=()):
@@ -227,12 +231,12 @@ def _level(F, mesh, threads=1, poles=()):
     """
     f_norms, candidates, mus, admissible = _point_data(F, mesh, threads=threads)
     vertices = candidates[admissible]
-    radii = _inclusion_radius(f_norms[mesh.pair_rows(vertices)[0]], mus[admissible])
-    at_pole = (_pole_distance(mesh.points_at(vertices), poles)
-               <= radii + _CERTIFIER_SLACK)
+    radii = _inclusion_radius(f_norms[vertices], mus[admissible])
+    points = mesh.pair_points[vertices]
+    at_pole = _pole_distance(points, poles) <= radii + _CERTIFIER_SLACK
     vertices, radii = vertices[~at_pole], radii[~at_pole]
     components, separation = _clusters(
-        mesh.points_at(vertices), radii[:, None] + radii[None, :])
+        points[~at_pole], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertices,
@@ -256,18 +260,17 @@ def exclusion_threshold(F, eta):
 
 
 def _exclusion_failures(F, mesh, graph):
-    """Grid points passing neither test: not admissible, |f| <= threshold."""
+    """Pair rows passing neither test: not admissible, |f| <= threshold."""
     low = np.nonzero(graph.f_norms <= exclusion_threshold(F, mesh.eta))[0]
-    low, _ = _both_points(mesh, low)
     return np.setdiff1d(low, graph.candidates[graph.admissible], assume_unique=True)
 
 
 def check_stop(F, mesh, graph, poles=()):
     """The two termination predicates of the counting loop.
 
-    ``separation_ok``: vertices of distinct components are farther apart
-    than 2 eta sqrt(n).  ``exclusion_ok``: the grid points failing both
-    tests are explained by the zeros known in advance (``poles``, as
+    ``separation_ok``: vertices of distinct components are projectively
+    farther apart than 2 eta sqrt(n).  ``exclusion_ok``: the pairs failing
+    both tests are explained by the zeros known in advance (``poles``, as
     given to the graph), so with none there is no such point.  With poles
     the failures cluster around them, failures and certifiers stay within
     the shadow extents, and the vertices keep 2 eta sqrt(n) beyond them.
@@ -279,11 +282,11 @@ def check_stop(F, mesh, graph, poles=()):
     failing = _exclusion_failures(F, mesh, graph)
     shadow_extent = 0.0
     if failing.size:
-        fail_pole_dist = _pole_distance(mesh.points_at(failing), poles)
+        fail_pole_dist = _pole_distance(mesh.pair_points[failing], poles)
         # with no pole in reach, no cluster can reach one
         if float(fail_pole_dist.min()) > link or failing.size > _LIFTED_FAILURE_CAP:
             return stop
-        for comp in _clusters(mesh.points_at(failing), link)[0]:
+        for comp in _clusters(mesh.pair_points[failing], link)[0]:
             comp_dist = fail_pole_dist[list(comp)]
             if float(comp_dist.min()) > link:
                 return stop  # low-residual island away from the poles
@@ -295,11 +298,11 @@ def check_stop(F, mesh, graph, poles=()):
                               graph.vertex_indices)
     if certifiers.size:
         shadow_extent = max(shadow_extent, float(
-            _pole_distance(mesh.points_at(certifiers), poles).max()))
+            _pole_distance(mesh.pair_points[certifiers], poles).max()))
     if shadow_extent > _SHADOW_MAX:
         return stop
     margin = shadow_extent + 2.0 * eta * math.sqrt(n)
-    vertex_dist = _pole_distance(mesh.points_at(graph.vertex_indices), poles)
+    vertex_dist = _pole_distance(mesh.pair_points[graph.vertex_indices], poles)
     stop["exclusion_ok"] = float(vertex_dist.min(initial=math.inf)) > margin
     return stop
 
@@ -358,9 +361,9 @@ def predicted_complexity(F, kappa_estimate):
     }
 
 
-def _component_representatives(graph, mesh):
+def _component_representatives(graph):
     """One vertex per component: smallest residual, ties by vertex order."""
-    f_norms = graph.f_norms[mesh.pair_rows(graph.vertex_indices)[0]]
+    f_norms = graph.f_norms[graph.vertex_indices]
     return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
 
 
@@ -374,18 +377,21 @@ def _run_loop(F, max_t, threads, poles=()):
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t)
         graph = _level(Fn, mesh, threads=threads, poles=poles)
-        evaluations += 2 * mesh.count + 2 * len(graph.vertex_indices)
+        # 2 per grid point and 2 per vertex; a vertex pair holds two vertices
+        evaluations += 2 * mesh.count + 4 * len(graph.vertex_indices)
         stop = check_stop(Fn, mesh, graph, poles)
         stopped = stop["separation_ok"] and stop["exclusion_ok"]
         if stopped:
             break
     zeros = []
     if stopped:
-        reps = graph.vertex_indices[_component_representatives(graph, mesh)]
-        for x in mesh.points_at(reps):
+        reps = graph.vertex_indices[_component_representatives(graph)]
+        for x in mesh.pair_points[reps]:
             z = refine_zero(Fn, x)
-            evaluations += 2 * max(z.newton_steps, 1)
-            zeros.append(z)
+            # the Newton cost is counted once for each reported zero; 0.0 - z
+            # keeps zero coordinates 0.0
+            evaluations += 4 * max(z.newton_steps, 1)
+            zeros += [z, replace(z, zeta=0.0 - z.zeta)]
     for pole in poles:
         zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
                                  final_beta=0.0, converged=True))
@@ -394,7 +400,7 @@ def _run_loop(F, max_t, threads, poles=()):
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
     return CountResult(
-        count=len(graph.components) + len(poles),
+        count=2 * len(graph.components) + len(poles),
         zeros=tuple(zeros),
         final_eta=mesh.eta,
         iterations=t - t0,
@@ -451,7 +457,7 @@ def _probe_zero_conditioning(F, poles, probe):
     from .condition import mu as mu_point
 
     points = probe.points
-    f_norms = _residual_norms(F, probe)[probe.pair_rows(np.arange(probe.count))[0]]
+    f_norms = np.linalg.norm(pl.evaluate_many(F, points), axis=1)
     away = np.nonzero(_pole_distance(points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0

@@ -62,13 +62,10 @@ class SphereMesh:
     """The grid C(eta) on S^n, eta = 2^-t, stored as one point per antipodal pair.
 
     The grid is closed under x -> -x, and ``pair_points`` holds one point
-    of each pair: the +m faces of ``build_mesh`` in order, row p being
-    pair row p.  Rows of the whole grid ("full rows", ``count`` of them)
-    are numbered in facet-major order (see ``build_mesh``), each +m face
-    followed by its -m face; ``pair_rows`` and ``full_rows`` map between
-    the two numberings and ``points_at`` gives the coordinates of any
-    full rows.  ``points`` materializes the whole grid, and ``lattice``,
-    the integer points themselves, is derived from it on demand.
+    of each pair, its pair point: the +m faces of ``build_mesh`` in order.
+    Row p of ``pair_points`` is pair row p, the only index the counting
+    loop uses.  ``points`` materializes the whole grid on request, and
+    ``lattice``, the integer points themselves, is derived from it.
     """
 
     n: int
@@ -77,8 +74,18 @@ class SphereMesh:
 
     @cached_property
     def points(self):
-        """(count, n+1) unit rows in facet-major order, built on first access."""
-        return self.points_at(np.arange(self.count))
+        """(count, n+1) unit rows in facet-major order, built on first access.
+
+        Each +m face is followed by its -m face, which is the +m face read
+        backwards and negated (see ``build_mesh``); adding 0.0 keeps a zero
+        coordinate 0.0, as ``build_mesh`` would write it.
+        """
+        faces, lo = [], 0
+        for size in _face_sizes(self.n, self.t):
+            plus = self.pair_points[lo:lo + size]
+            faces += [plus, -plus[::-1] + 0.0]
+            lo += size
+        return np.concatenate(faces)
 
     @property
     def lattice(self):
@@ -103,55 +110,6 @@ class SphereMesh:
     @property
     def covering_radius_bound(self):
         return self.eta * math.sqrt(self.n) / 2.0
-
-    @property
-    def plus_spans(self):
-        """The full rows [lo, hi) of the +m face of each owning axis, in order.
-
-        They hold exactly half of the points: the -m face follows at rows
-        [hi, 2 hi - lo), and the face's pair rows are [lo/2, hi - lo/2).
-        """
-        spans, lo = [], 0
-        for size in _face_sizes(self.n, self.t):
-            spans.append((lo, lo + size))
-            lo += 2 * size
-        return tuple(spans)
-
-    def _faces(self, pairs):
-        """First pair row and size of the face holding each pair row."""
-        starts = np.cumsum([0] + _face_sizes(self.n, self.t))
-        face = np.searchsorted(starts[1:], pairs, side="right")
-        return starts[face], starts[face + 1] - starts[face]
-
-    def full_rows(self, pairs):
-        """(+m row, -m row): the full rows of both points of each pair row.
-
-        The -m face is the +m face reversed and negated, so pair row p of a
-        face starting at pair row s with z points sits at full rows
-        p + s and 3 s + 2 z - 1 - p.
-        """
-        pairs = np.asarray(pairs, dtype=np.int64)
-        start, size = self._faces(pairs)
-        return pairs + start, 3 * start + 2 * size - 1 - pairs
-
-    def pair_rows(self, rows):
-        """(pair row, on a -m face): the inverse of ``full_rows``."""
-        rows = np.asarray(rows, dtype=np.int64)
-        # a face holding pair rows [s, s + z) holds full rows [2 s, 2 s + 2 z)
-        start, size = self._faces(rows // 2)
-        minus = rows - 2 * start >= size
-        return np.where(minus, 3 * start + 2 * size - 1 - rows, rows - start), minus
-
-    def points_at(self, rows):
-        """The coordinates of the full rows, bit for bit those of ``points``.
-
-        A -m row is -x + 0.0 for its pair point x, so a zero coordinate
-        stays 0.0 as in ``build_mesh``.
-        """
-        pairs, minus = self.pair_rows(rows)
-        X = self.pair_points[pairs]
-        X[minus] = -X[minus] + 0.0
-        return X
 
 
 def _face_sizes(n, t):

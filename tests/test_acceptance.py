@@ -182,6 +182,32 @@ def test_counting_correctness_suite():
     print(f"[acceptance] counting suite (30 systems vs oracle, {elapsed:.1f}s): PASS")
 
 
+def test_suite_zeros_come_in_antipodal_pairs():
+    """Every stopped count reports zeros closed under z -> 0.0 - z, byte for
+    byte, and an even count, once the two lifted poles are set aside."""
+    from spherecount.polynomials import lifted_poles
+
+    checked = 0
+    for kind, name, payload in counting_suite():
+        if kind == "affine":
+            result, _ = count_affine(payload, max_t=9)
+            poles = lifted_poles(len(payload) + 2)
+        else:
+            result = root_count(payload, max_t=13 if payload.n == 1 else 9)
+            poles = ()
+        if not result.stopped:
+            continue
+        checked += 1
+        finite = [z.zeta for z in result.zeros
+                  if not any(np.array_equal(z.zeta, p) for p in poles)]
+        assert len(finite) == result.count - len(poles) == len(result.zeros) - len(poles)
+        zeros = sorted(z.tobytes() for z in finite)
+        assert zeros == sorted((0.0 - z).tobytes() for z in finite), name
+        assert len(finite) % 2 == 0, name
+    assert checked == 30
+    print(f"[acceptance] antipodal zero pairs ({checked} stopped counts): PASS")
+
+
 def test_certification_contraction():
     checked = 0
     for kind, name, payload in counting_suite():
@@ -191,7 +217,7 @@ def test_certification_contraction():
         mesh = build_mesh(payload.n, t)
         graph = build_graph(payload, mesh)
         for pos, idx in enumerate(graph.vertex_indices):
-            x = mesh.points[idx]
+            x = mesh.pair_points[idx]
             z = refine_zero(payload, x)
             if not z.converged:
                 continue

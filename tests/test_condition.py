@@ -145,16 +145,15 @@ MIRROR_CASES += [(2, 4, (1, 4)), (3, 2, (4, 1, 3))]
 
 @pytest.mark.parametrize("n, t, degrees", MIRROR_CASES)
 def test_mu_many_is_mirror_symmetric_off_x0_zero(n, t, degrees):
-    """mu_many at each -m grid row equals its value at the +m row of the same
-    antipodal pair bit for bit, wherever x_0 != 0."""
+    """mu_many at the mirror -x + 0.0 of each pair point x equals its value
+    at x bit for bit, wherever x_0 != 0."""
     F = sample_gaussian_system(n, degrees, 10 * n + sum(degrees))
     mesh = build_mesh(n, t)
-    X = mesh.points
-    plus, minus = mesh.full_rows(np.arange(mesh.count // 2))
-    off = X[plus, 0] != 0.0
+    X = mesh.pair_points
+    off = X[:, 0] != 0.0
     assert 0 < np.count_nonzero(off) < off.size
-    at_plus = mu_many(F, X[plus[off]])
-    assert at_plus.tobytes() == mu_many(F, X[minus[off]]).tobytes()
+    at_plus = mu_many(F, X[off])
+    assert at_plus.tobytes() == mu_many(F, -X[off] + 0.0).tobytes()
 
 
 class TestMuAsDistance:

@@ -71,6 +71,19 @@ def bfs_components(m, pairs):
     return tuple(components)
 
 
+def projective_angular(points):
+    """Angles between the antipodal pairs of the rows: min(d, pi - d)."""
+    dist = pairwise_angular(points)
+    return np.minimum(dist, math.pi - dist)
+
+
+def pair_lattice(mesh):
+    """The integer lattice point of each pair point (see SphereMesh.lattice)."""
+    P = mesh.pair_points
+    scale = 2.0**mesh.t / np.max(np.abs(P), axis=1)
+    return np.rint(P * scale[:, None]).astype(np.int64)
+
+
 def labelled_separation(dist, components):
     """Least distance across components, from hand-built labels."""
     labels = np.empty(dist.shape[0], dtype=int)
@@ -94,7 +107,7 @@ class TestClusters:
         else:
             half = rng.uniform(0.0, scale, (m, m))
             reach = half + half.T
-        dist = pairwise_angular(points)
+        dist = projective_angular(points)
         bound = np.broadcast_to(reach, (m, m))
         expected = tuple((i, j) for i in range(m) for j in range(i + 1, m)
                          if dist[i, j] <= bound[i, j])
@@ -102,15 +115,30 @@ class TestClusters:
         assert components == bfs_components(m, expected)
         assert separation == labelled_separation(dist, components)
 
+    def test_near_antipodes_link(self):
+        # b is 0.01 rad from -a, so a and b are one pair apart by 0.01; c is
+        # pi/2 from a and pi/2 - 0.01 from -b
+        a = np.array([1.0, 0.0])
+        b = -np.array([math.cos(0.01), math.sin(0.01)])
+        c = np.array([0.0, 1.0])
+        assert angular_distance(a, b) > 3.0
+        components, separation = _clusters(np.array([a, b, c]), 0.05)
+        assert components == ((0, 1), (2,))
+        assert separation == pytest.approx(math.pi / 2 - 0.01, abs=1e-12)
+        assert _clusters(np.array([a, c]), 0.05) == (((0,), (1,)), math.pi / 2)
+
 
 class TestBuildGraph:
     def test_vertices_cluster_at_zeros(self):
+        # x1 vanishes at the one antipodal pair +-e0: one component, two zeros
         F = single(2, 1, {(0, 1): 1.0})
         mesh = build_mesh(1, 3)
         g = build_graph(F, mesh)
-        assert len(g.components) == 2
+        assert len(g.components) == 1
+        res = root_count(F, max_t=3)
+        assert res.stopped and res.count == 2
         for idx in g.vertex_indices:
-            x = mesh.points[idx]
+            x = mesh.pair_points[idx]
             assert min(abs(angular_distance(x, np.array([1.0, 0.0]))),
                        abs(angular_distance(x, np.array([-1.0, 0.0])))) < 0.5
 
@@ -126,12 +154,12 @@ class TestBuildGraph:
         F = single(2, 1, {(0, 1): 1.0})
         mesh = build_mesh(1, 5)
         g = build_graph(F, mesh)
-        # vertices split between the two antipodal zeros only, and the
-        # several vertices around each zero chain into a single component
-        assert len(g.components) == 2
+        # the several vertices around the zero pair +-e0 chain into a
+        # single component, and their pair points all lie near +e0
+        assert len(g.components) == 1
         for comp in g.components:
             assert len(comp) >= 2
-            pts = mesh.points[g.vertex_indices[list(comp)]]
+            pts = mesh.pair_points[g.vertex_indices[list(comp)]]
             assert np.ptp(np.sign(pts[:, 0])) == 0.0
 
     def test_components_partition_vertices(self):
@@ -148,7 +176,7 @@ class TestBuildGraph:
         F = linear_product(slopes)
         mesh = build_mesh(1, t)
         g = build_graph(F, mesh)
-        dist = pairwise_angular(mesh.points[g.vertex_indices])
+        dist = projective_angular(mesh.pair_points[g.vertex_indices])
         assert g.separation == labelled_separation(dist, g.components)
 
 
@@ -164,7 +192,7 @@ class TestBuildGraph:
         g = build_graph(F, mesh)
         assert len(g.radii) == len(g.vertex_indices) > 0
         for pos, idx in enumerate(g.vertex_indices):
-            cert = inclusion_test(F, mesh.points[idx])
+            cert = inclusion_test(F, mesh.pair_points[idx])
             assert cert.admissible
             assert g.radii[pos] == pytest.approx(cert.inclusion_radius, rel=1e-10)
 
@@ -268,10 +296,12 @@ class TestRootCount:
         fine = build_mesh(1, 4)
         gc = build_graph(F, coarse)
         gf = build_graph(F, fine)
-        fine_index = {tuple(k): i for i, k in enumerate(fine.lattice)}
+        # a +m face point keeps its owning axis when the lattice doubles, so
+        # coarse pair rows map to fine pair rows
+        fine_index = {tuple(k): i for i, k in enumerate(pair_lattice(fine))}
         coarse_vertices = set(gc.vertex_indices.tolist())
         fine_vertices = set(gf.vertex_indices.tolist())
-        for i, k in enumerate(coarse.lattice):
+        for i, k in enumerate(pair_lattice(coarse)):
             j = fine_index[tuple(2 * np.asarray(k))]
             assert (i in coarse_vertices) == (j in fine_vertices)
 
@@ -282,15 +312,16 @@ class TestRootCount:
         kappa = max(g.mus[g.admissible])
         refined = []
         for comp in g.components:
-            zs = [refine_zero(F, mesh.points[g.vertex_indices[i]]).zeta
+            # a component certifies one zero pair +-zeta
+            zs = [refine_zero(F, mesh.pair_points[g.vertex_indices[i]]).zeta
                   for i in comp]
             for z in zs[1:]:
-                assert np.linalg.norm(z - zs[0]) < 1e-8
+                assert min(np.linalg.norm(z - zs[0]), np.linalg.norm(z + zs[0])) < 1e-8
             refined.append(zs[0])
-        for i in range(len(refined)):
-            for j in range(i + 1, len(refined)):
-                sep = angular_distance(refined[i], refined[j])
-                assert sep > 1.0 / (F.max_degree**1.5 * kappa)
+        assert len(refined) == 2
+        sep = projective_angular(np.array(refined))
+        assert np.all(sep[np.triu_indices(len(refined), 1)]
+                      > 1.0 / (F.max_degree**1.5 * kappa))
 
     def test_determinism_across_threads(self):
         F = linear_product((0.3, -0.7))

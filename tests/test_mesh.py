@@ -85,11 +85,14 @@ class TestBuildMesh:
 
 
 def reference_grid(n, t):
-    """C(2^-t) by the direct route: int64 faces, then float rows / norm."""
+    """C(2^-t) by the direct route: int64 faces, then float rows / norm.
+
+    Returns (lattice, points, plus), ``plus`` marking the rows of +m faces.
+    """
     m = 2**t
     full = np.arange(-m, m + 1, dtype=np.int64)
     interior = np.arange(-(m - 1), m, dtype=np.int64)
-    faces = []
+    faces, plus = [], []
     for axis in range(n + 1):
         for sign in (m, -m):
             ranges = [interior if j < axis else full
@@ -101,10 +104,11 @@ def reference_grid(n, t):
                 face[:, col] = g.reshape(-1)
             face[:, axis] = sign
             faces.append(face)
+            plus.append(np.full(len(face), sign > 0))
     lattice = np.concatenate(faces, axis=0)
     points = lattice.astype(float)
     points /= np.linalg.norm(points, axis=1)[:, None]
-    return lattice, points
+    return lattice, points, np.concatenate(plus)
 
 
 # every t up to grids of about 100k points
@@ -114,8 +118,9 @@ PINNED_GRIDS = [(n, t) for n, top in ((1, 13), (2, 6), (3, 3), (4, 2))
 
 @pytest.mark.parametrize("n,t", PINNED_GRIDS)
 def test_grid_matches_reference_bit_for_bit(n, t):
-    lattice, points = reference_grid(n, t)
+    lattice, points, plus = reference_grid(n, t)
     mesh = build_mesh(n, t)
+    assert mesh.pair_points.tobytes() == points[plus].tobytes()
     assert mesh.points.tobytes() == points.tobytes()
     assert mesh.lattice.dtype == np.int64
     assert np.array_equal(mesh.lattice, lattice)
@@ -127,40 +132,39 @@ MIRROR_GRIDS = [(n, t) for n, top in ((1, 9), (2, 5), (3, 3), (4, 2))
 
 @pytest.mark.parametrize("n,t", MIRROR_GRIDS)
 def test_minus_faces_mirror_plus_faces_bit_for_bit(n, t):
-    mesh = build_mesh(n, t)
-    spans = mesh.plus_spans
-    assert len(spans) == n + 1 and spans[0][0] == 0
-    assert 2 * sum(hi - lo for lo, hi in spans) == mesh.count
-    ends = [2 * hi - lo for lo, hi in spans]
-    assert [lo for lo, _ in spans[1:]] + [mesh.count] == ends
-    for lo, hi in spans:
-        plus = mesh.points[lo:hi]
-        minus = mesh.points[hi:2 * hi - lo]
-        # == on doubles: equal bits, except that a 0.0 mirrors to 0.0, not -0.0
-        assert np.array_equal(-plus, minus[::-1])
+    """In the reference grid each -m face is its +m face read backwards and
+    negated, so the pair points stand for the whole grid."""
+    lattice, points, plus = reference_grid(n, t)
+    # faces alternate +m, -m by owning axis; a -m face follows its +m face
+    starts = np.flatnonzero(np.diff(plus.astype(int), prepend=0) == 1)
+    ends = list(starts[1:]) + [len(plus)]
+    assert len(starts) == n + 1 and 2 * np.count_nonzero(plus) == len(plus)
+    for lo, end in zip(starts, ends):
+        hi = lo + (end - lo) // 2
+        assert plus[lo:hi].all() and not plus[hi:end].any()
+        assert np.array_equal(-lattice[lo:hi], lattice[hi:end][::-1])
+        # -x + 0.0 turns a -0.0 into 0.0, as the division of 0 by |k| gives
+        assert (-points[lo:hi] + 0.0).tobytes() == points[hi:end][::-1].tobytes()
 
 
 @pytest.mark.parametrize("n,t", MIRROR_GRIDS)
 def test_row_accessor_matches_reference_bit_for_bit(n, t):
-    """points_at gives any full rows of the grid, in any order, zero signs
-    included, and pair_rows inverts full_rows."""
-    _, reference = reference_grid(n, t)
+    """Every reference row, zero signs included, is a pair point or the
+    mirror -x + 0.0 of one, and each pair point has exactly one mirror row."""
+    _, reference, _ = reference_grid(n, t)
     mesh = build_mesh(n, t)
-    rows = np.random.default_rng(n + 10 * t).permutation(mesh.count)
-    assert mesh.points_at(rows).tobytes() == reference[rows].tobytes()
-    pairs = np.arange(mesh.count // 2)
-    plus, minus = mesh.full_rows(pairs)
-    assert np.array_equal(np.sort(np.concatenate([plus, minus])), np.arange(mesh.count))
-    assert mesh.pair_points.tobytes() == reference[plus].tobytes()
-    for full, on_minus in ((plus, False), (minus, True)):
-        back, flags = mesh.pair_rows(full)
-        assert np.array_equal(back, pairs)
-        assert np.all(flags == on_minus)
+    rows = {x.tobytes(): p for p, x in enumerate(mesh.pair_points)}
+    mirrors = {(-x + 0.0).tobytes(): p for p, x in enumerate(mesh.pair_points)}
+    assert len(rows) == len(mirrors) == mesh.count // 2
+    found = [(rows.get(x.tobytes()), mirrors.get(x.tobytes())) for x in reference]
+    assert all((p is None) != (q is None) for p, q in found)
+    assert sorted(p for p, _ in found if p is not None) == list(range(mesh.count // 2))
+    assert sorted(q for _, q in found if q is not None) == list(range(mesh.count // 2))
 
 
 def test_counting_never_builds_the_full_grid(monkeypatch):
-    """The counting loop and kappa_grid read the grid through pair_points and
-    points_at; only count_affine's coarse probe grid builds ``points``."""
+    """The counting loop and kappa_grid read the grid through pair_points;
+    only count_affine's coarse probe grid builds ``points``."""
     allowed = []
     build = SphereMesh.points.func
 

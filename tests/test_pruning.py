@@ -38,11 +38,6 @@ def exhaustive(F, points, sample=None):
     return f_norms, mus, admissible, (kappa if kappa > -math.inf else math.inf)
 
 
-def full(mesh, pair_values):
-    """Per-pair values at every full row of the mesh."""
-    return pair_values[mesh.pair_rows(np.arange(mesh.count))[0]]
-
-
 def gaussian(n, degrees, seed):
     return lambda: random_unit_system(n, degrees, seed)
 
@@ -72,7 +67,7 @@ def test_point_data_matches_exhaustive(system, t):
     F = system()
     n = F.n
     mesh = build_mesh(n, t)
-    points = mesh.points
+    points = mesh.pair_points
     f_all, mu_all, adm_all, kappa_all = exhaustive(F, points)
     rows = []
 
@@ -85,7 +80,7 @@ def test_point_data_matches_exhaustive(system, t):
         f_norms, candidates, mus, admissible = _point_data(F, mesh)
         kappa = _kappa_estimate(F, mesh, f_norms, candidates, mus)
     assert f_norms.shape == (mesh.count // 2,)
-    assert np.array_equal(full(mesh, f_norms), f_all)
+    assert np.array_equal(f_norms, f_all)
     assert np.array_equal(candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
     assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
     assert kappa == kappa_all
@@ -103,14 +98,14 @@ def test_build_graph_matches_exhaustive(system, t):
     mesh = build_mesh(F.n, t)
     graph = build_graph(F, mesh)
     Fn = F.normalized()
-    _, mu_all, adm_all, _ = exhaustive(Fn, mesh.points)
+    _, mu_all, adm_all, _ = exhaustive(Fn, mesh.pair_points)
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
     assert list(graph.mus) == list(mu_all[graph.candidates])
     # mu and the inclusion test are kept at the admissibility candidates only
     assert graph.mus.shape == graph.admissible.shape == graph.candidates.shape
     assert np.array_equal(graph.candidates,
-                          np.nonzero(full(mesh, graph.f_norms) < _candidate_ceiling(Fn))[0])
+                          np.nonzero(graph.f_norms < _candidate_ceiling(Fn))[0])
     assert np.array_equal(graph.vertex_indices, graph.candidates[graph.admissible])
 
 
@@ -144,7 +139,7 @@ def test_lifted_loop_matches_exhaustive():
     lifted = _conditioned_lift(polys).normalized()
     t = initial_eta(lifted.n)[1] + res.iterations
     mesh = build_mesh(lifted.n, t)
-    points = mesh.points
+    points = mesh.pair_points
     poles = lifted_poles(lifted.n_vars)
     sample = np.min([angular_distance_many(points, p) for p in poles], axis=0) > 0.2
     _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
@@ -169,16 +164,18 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
         assert kappa_grid(F, mesh)[0] == full
 
 
-# grids whose faces hold 2k to 5k points, so 512-row chunks end inside them
+# grids of 4k to 16k pairs, so 512-row chunks split them into many spans
 @pytest.mark.parametrize("n, degrees, t", [
     *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
 def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
-    """The half-grid pass equals a whole-grid evaluation bit for bit at every
-    full row, for any span and block size and thread count."""
+    """The half-grid pass equals a direct evaluation bit for bit at every pair
+    point and at its mirror, for any span and block size and thread count."""
     F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
     mesh = build_mesh(n, t)
-    direct = np.linalg.norm(evaluate_many(F, mesh.points), axis=1)
+    direct = np.linalg.norm(evaluate_many(F, mesh.pair_points), axis=1)
+    mirrored = np.linalg.norm(evaluate_many(F, -mesh.pair_points + 0.0), axis=1)
+    assert np.array_equal(direct, mirrored)
     for chunk, block in ((condition._CHUNK, condition._BLOCK), (512, condition._BLOCK),
                          (condition._CHUNK, 512), (512, 200)):
         with pytest.MonkeyPatch.context() as mp:
@@ -186,7 +183,7 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
             mp.setattr(condition, "_BLOCK", block)
             for threads in (1, 2):
                 norms = condition._residual_norms(F, mesh, threads)
-                assert np.array_equal(full(mesh, norms), direct)
+                assert np.array_equal(norms, direct)
 
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
