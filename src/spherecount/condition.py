@@ -44,11 +44,9 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
-# rows per thread span when a whole grid is evaluated; also the largest
-# block of positions bounded_max visits at once
-_CHUNK = 1 << 18
-# rows a span evaluates at once: the temporaries of one block of
-# evaluate_many and its norms stay in a 2 MB L2 cache
+# rows a whole-grid pass handles at once, and one task of the thread pool:
+# the temporaries of one block of evaluate_many and its norms stay in a
+# 2 MB L2 cache
 _BLOCK = 1 << 14
 
 
@@ -60,15 +58,19 @@ def _each(fn, items, threads):
     return [fn(s) for s in items]
 
 
-def _spans(rows):
-    """Consecutive [lo, hi) spans of at most ``_CHUNK`` rows over ``rows`` rows."""
-    return [(lo, min(lo + _CHUNK, rows)) for lo in range(0, rows, _CHUNK)]
+def _map_rows(fn, X, threads=1):
+    """fn(X[lo:lo + _BLOCK]) for each block of ``_BLOCK`` rows, in one array.
 
+    ``fn`` gives one float per row of its block.  Each block is one task
+    of a pool of ``threads`` when there are several.
+    """
+    out = np.empty(X.shape[0])
 
-def _map_chunks(fn, rows, threads=1):
-    """fn over consecutive chunks of ``rows`` (at least one), concatenated."""
-    spans = _spans(rows.shape[0]) or [(0, 0)]
-    return np.concatenate(_each(lambda s: fn(rows[s[0]:s[1]]), spans, threads))
+    def work(lo):
+        out[lo:lo + _BLOCK] = fn(X[lo:lo + _BLOCK])
+
+    _each(work, range(0, X.shape[0], _BLOCK), threads)
+    return out
 
 
 def _residual_norms(F, mesh, threads=1):
@@ -76,20 +78,10 @@ def _residual_norms(F, mesh, threads=1):
 
     |f(-x)| = |f(x)| for homogeneous f, and ``pl.evaluate_many`` keeps
     that exactly (its kernel is sign-symmetric), so the norm at a pair
-    point equals a direct evaluation at its mirror bit for bit.  The pair
-    rows are split into thread spans of ``_CHUNK`` rows, each evaluated in
-    blocks of ``_BLOCK`` rows.
+    point equals a direct evaluation at its mirror bit for bit.
     """
-    pts = mesh.pair_points
-    out = np.empty(pts.shape[0])
-
-    def work(span):
-        for lo in range(*span, _BLOCK):
-            hi = min(lo + _BLOCK, span[1])
-            out[lo:hi] = np.linalg.norm(pl.evaluate_many(F, pts[lo:hi]), axis=1)
-
-    _each(work, _spans(pts.shape[0]), threads)
-    return out
+    return _map_rows(lambda X: np.linalg.norm(pl.evaluate_many(F, X), axis=1),
+                     mesh.pair_points, threads)
 
 
 @dataclass(frozen=True)
@@ -308,21 +300,23 @@ def kappa_many(F, X):
 
 
 # positions in the first block bounded_max visits; the block then doubles
+# up to _LAST_BLOCK
 _FIRST_BLOCK = 1 << 10
+_LAST_BLOCK = 1 << 18
 
 
-def bounded_max(bounds, values, best, max_block):
+def bounded_max(bounds, values, best):
     """max(best, values over all positions of ``bounds``), visiting few of them.
 
     ``values(idx)`` returns the maximum of a quantity over the positions
     ``idx`` (sorted), and that quantity is at most ``bounds`` at each
     position.  Positions are visited in blocks of largest bound first, the
-    block doubling each round from ``_FIRST_BLOCK`` up to ``max_block``; a
-    position whose bound does not exceed the running maximum cannot raise
-    it and is never visited, so the result is the maximum over all
+    block doubling each round from ``_FIRST_BLOCK`` up to ``_LAST_BLOCK``;
+    a position whose bound does not exceed the running maximum cannot
+    raise it and is never visited, so the result is the maximum over all
     positions, exactly.
     """
-    block = min(_FIRST_BLOCK, max_block)
+    block = _FIRST_BLOCK
     pending = np.nonzero(bounds > best)[0]
     while pending.size:
         if pending.size > block:
@@ -334,30 +328,51 @@ def bounded_max(bounds, values, best, max_block):
             visit, pending = pending, pending[:0]
         best = max(best, values(visit))
         pending = pending[bounds[pending] > best]
-        block = min(2 * block, max_block)
+        block = min(2 * block, _LAST_BLOCK)
     return best
+
+
+def _kappa_walk(F, points, f_norms, known=(), known_mus=(), skip=None, threads=1):
+    """Maximum of kappa for the unit-norm F over the rows of ``points`` not in ``skip``.
+
+    ``f_norms`` is |f| at every row and ``known_mus`` is mu at the rows
+    ``known``; those outside ``skip`` seed the running maximum.  Since
+    ``_kappa`` never exceeds 1/sqrt(f*f), the other rows are visited
+    through ``bounded_max``, in increasing |f|, until that bound no longer
+    beats the maximum, and mu is computed only there.  The result equals
+    the maximum over every row outside ``skip``: inf at a singular zero,
+    or when ``skip`` leaves no row.
+    """
+    known = np.asarray(known, dtype=np.intp)
+    bounds = _kappa_bounds(f_norms)
+    if skip is not None:
+        bounds[skip] = -math.inf  # a bound of -inf is never visited
+    seen = bounds[known] > -math.inf
+    best = _kappa_max(f_norms[known[seen]], np.asarray(known_mus, float)[seen])
+    bounds[known] = -math.inf
+
+    def visit(idx):
+        mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[idx], threads)
+        return _kappa_max(f_norms[idx], mus)
+
+    best = bounded_max(bounds, visit, best)
+    return best if best > -math.inf else math.inf
 
 
 def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     |f| and mu are projective, so each antipodal pair is sampled at its
-    pair point.  Since ``_kappa`` never exceeds 1/sqrt(f*f), the residual
-    alone bounds kappa: mu is computed only at the pairs, taken in
-    increasing |f|, whose bound 1/sqrt(f*f) still beats the running
-    maximum.  The result equals the maximum over every pair point; it is
-    inf when a singular zero lies on the grid.
+    pair point, and mu is computed only where the residual bound on kappa
+    can still raise the maximum (``_kappa_walk``).  The result equals the
+    maximum over every pair point; it is inf when a singular zero lies on
+    the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
     Fn = F.normalized()
-    f_norms = _residual_norms(Fn, mesh)
-
-    def visit(idx):
-        return _kappa_max(f_norms[idx], mu_many(Fn, mesh.pair_points[idx], f_norm=1.0))
-
-    best = bounded_max(_kappa_bounds(f_norms), visit, best=0.0, max_block=_CHUNK)
+    best = _kappa_walk(Fn, mesh.pair_points, _residual_norms(Fn, mesh))
     return best, mesh.covering_radius_bound
 
 

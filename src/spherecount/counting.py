@@ -36,11 +36,13 @@ void when there are none:
     and with no known zeros every failure is such an island;
   * vertices must keep a separation margin from the known zeros' shadows.
 
-A zero whose entire low-residual neighbourhood stays merged with a pole
-shadow can defer termination until the spacing resolves the gap; the
-lifted count is validated against dense-grid oracles and reports budget
-exhaustion otherwise.  The kappa diagnostic is taken once, on the final
-grid, away from the known zeros.
+This gate is a heuristic, and the lifted count is not certified.  A
+zero whose low-residual neighbourhood stays merged with a pole shadow
+defers termination until the spacing resolves the gap, but a large
+affine root lifts so close to a pole that the gate takes it for part of
+the pole: the loop then stops and drops the root (x - 100 stops with no
+affine root).  The kappa diagnostic is taken once, on the final grid,
+away from the known zeros.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ from . import polynomials as pl
 # chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
-from .condition import (_CHUNK, _kappa_bounds, _kappa_max, _map_chunks,
-                        _residual_norms, bounded_max, mu_many)
+from .condition import _kappa_walk, _map_rows, _residual_norms, mu_many
 from .convergence import ALPHA, r0
 from .mesh import angular_distance_many, build_mesh, pairwise_angular
 
@@ -118,12 +119,6 @@ def _candidate_ceiling(F):
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
 
 
-def _mus_at(F, mesh, pairs, threads=1):
-    """mu at the pair points of the pair rows ``pairs``."""
-    return _map_chunks(lambda rows: mu_many(F, rows, f_norm=1.0),
-                       mesh.pair_points[pairs], threads=threads)
-
-
 def _point_data(F, mesh, threads=1):
     """Residual norms per antipodal pair; mu only where it can change the count.
 
@@ -136,33 +131,10 @@ def _point_data(F, mesh, threads=1):
     """
     f_norms = _residual_norms(F, mesh, threads=threads)
     candidates = np.nonzero(f_norms < _candidate_ceiling(F))[0]
-    mus = _mus_at(F, mesh, candidates, threads)
+    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0),
+                    mesh.pair_points[candidates], threads)
     admissible = _admissible(f_norms[candidates], mus, F.max_degree)
     return f_norms, candidates, mus, admissible
-
-
-def _kappa_estimate(F, mesh, f_norms, known, known_mus, poles=(), threads=1):
-    """Maximum of kappa over the pair points beyond _KAPPA_POLE_GAP of a pole.
-
-    ``f_norms`` is |f| at every pair row of ``mesh`` and ``known_mus`` is
-    mu at the pair rows ``known``.  The known rows outside the pole gap
-    seed the running maximum; since kappa <= 1/|f|, the other pairs are
-    taken in increasing |f| until the bound 1/sqrt(f*f) no longer beats
-    it.  The poles are an antipodal pair, so the gap holds both points of
-    a pair or neither.  The result equals the maximum over the whole
-    sample: inf at a singular zero, or for an empty sample.
-    """
-    bounds = _kappa_bounds(f_norms)
-    if poles:
-        # a bound of -inf is never visited
-        bounds[_map_chunks(lambda block: _pole_distance(block, poles)
-                           <= _KAPPA_POLE_GAP, mesh.pair_points)] = -math.inf
-    seen = bounds[known] > -math.inf
-    best = _kappa_max(f_norms[known[seen]], known_mus[seen])
-    bounds[known] = -math.inf
-    best = bounded_max(bounds, lambda idx: _kappa_max(
-        f_norms[idx], _mus_at(F, mesh, idx, threads)), best=best, max_block=_CHUNK)
-    return best if best > -math.inf else math.inf
 
 
 def _clusters(points, reach):
@@ -395,8 +367,12 @@ def _run_loop(F, max_t, threads, poles=()):
     for pole in poles:
         zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
                                  final_beta=0.0, converged=True))
-    kappa_est = _kappa_estimate(Fn, mesh, graph.f_norms, graph.candidates,
-                                graph.mus, poles=poles, threads=threads)
+    skip = None
+    if poles:
+        skip = _map_rows(lambda X: _pole_distance(X, poles), mesh.pair_points,
+                         threads) <= _KAPPA_POLE_GAP
+    kappa_est = _kappa_walk(Fn, mesh.pair_points, graph.f_norms, graph.candidates,
+                            graph.mus, skip=skip, threads=threads)
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
     return CountResult(
@@ -450,19 +426,20 @@ def _balanced_scaled_lift(affine_polys, aux_scale):
 def _probe_zero_conditioning(F, poles, probe):
     """max mu over finite zeros found from a coarse probe grid.
 
-    Newton multistart from the lowest-residual probe points away from the
-    poles: this is the quantity that drives when the lifted loop can stop.
+    Newton multistart from the 8 lowest-residual antipodal pairs of the
+    probe grid away from the poles: this is the quantity that drives when
+    the lifted loop can stop.
     Returns 1.0 when no finite zero is found (any scale is then as good).
     """
     from .condition import mu as mu_point
 
-    points = probe.points
-    f_norms = np.linalg.norm(pl.evaluate_many(F, points), axis=1)
+    points = probe.pair_points
+    f_norms = _residual_norms(F, probe)
     away = np.nonzero(_pole_distance(points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0
     seen = []
-    for idx in order[:16]:
+    for idx in order[:8]:
         z = refine_zero(F, points[idx])
         if not z.converged or float(_pole_distance(z.zeta[None, :], poles)[0]) < 0.1:
             continue
@@ -492,7 +469,9 @@ def count_affine(affine_polys, max_t=10, threads=1):
     Returns (sphere_result, affine_count) with
     affine_count = sphere_count/2 - 1 when the loop stopped (None
     otherwise).  The loop runs on ``_conditioned_lift`` with the two poles
-    as known zeros.
+    as known zeros.  The count is not certified: a root whose lifted zero
+    lies inside a pole's shadow is taken for part of the pole and dropped
+    from a stopped count (x - 100 gives 0, x^2 - 19x - 20 gives 1).
     """
     lifted = _conditioned_lift(affine_polys)
     poles = pl.lifted_poles(lifted.n_vars)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import spherecount
-from spherecount import counting
 from spherecount.condition import kappa_grid, sample_gaussian_system
 from spherecount.mesh import (MeshSizeError, SphereMesh, angular_distance,
                               angular_distance_many, build_mesh,
@@ -163,27 +162,13 @@ def test_row_accessor_matches_reference_bit_for_bit(n, t):
 
 
 def test_counting_never_builds_the_full_grid(monkeypatch):
-    """The counting loop and kappa_grid read the grid through pair_points;
-    only count_affine's coarse probe grid builds ``points``."""
-    allowed = []
-    build = SphereMesh.points.func
+    """The counting loop, count_affine and kappa_grid read the grid through
+    pair_points only."""
 
     def guarded(mesh):
-        if not allowed:
-            raise AssertionError("SphereMesh.points was built")
-        return build(mesh)
-
-    probe = counting._probe_zero_conditioning
-
-    def probe_with_points(*args):
-        allowed.append(True)
-        try:
-            return probe(*args)
-        finally:
-            allowed.pop()
+        raise AssertionError("SphereMesh.points was built")
 
     monkeypatch.setattr(SphereMesh, "points", property(guarded))
-    monkeypatch.setattr(counting, "_probe_zero_conditioning", probe_with_points)
     with pytest.raises(AssertionError):
         build_mesh(2, 2).points
     stopping = sample_gaussian_system(2, (2, 2), 21)

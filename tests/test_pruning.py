@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from spherecount import condition
 from spherecount import polynomials as pl
 from spherecount.certification import _admissible
-from spherecount.condition import (_kappa_max, _sigma_min_batch, bounded_max,
-                                   kappa_grid, kappa_many, mu, mu_many,
-                                   sample_gaussian_system)
+from spherecount.condition import (_kappa_max, _kappa_walk, _sigma_min_batch,
+                                   bounded_max, kappa_grid, kappa_many, mu,
+                                   mu_many, sample_gaussian_system)
 from spherecount import counting
 from spherecount.counting import (_candidate_ceiling, _conditioned_lift,
-                                  _kappa_estimate, _point_data, build_graph,
-                                  count_affine, initial_eta, root_count)
+                                  _point_data, build_graph, count_affine,
+                                  initial_eta, root_count)
 from spherecount.mesh import angular_distance_many, build_mesh
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, evaluate_many,
@@ -77,8 +77,9 @@ def test_point_data_matches_exhaustive(system, t):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "mu_many", counted_mu_many)
+        mp.setattr(condition, "mu_many", counted_mu_many)
         f_norms, candidates, mus, admissible = _point_data(F, mesh)
-        kappa = _kappa_estimate(F, mesh, f_norms, candidates, mus)
+        kappa = _kappa_walk(F, points, f_norms, candidates, mus)
     assert f_norms.shape == (mesh.count // 2,)
     assert np.array_equal(f_norms, f_all)
     assert np.array_equal(candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
@@ -127,7 +128,7 @@ def test_root_count_takes_kappa_once():
 
     F = random_unit_system(2, (2, 2), 4000)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "bounded_max", counted_bounded_max)
+        mp.setattr(condition, "bounded_max", counted_bounded_max)
         res = root_count(F, max_t=5)
     assert res.iterations >= 3
     assert len(calls) == 1
@@ -145,7 +146,8 @@ def test_lifted_loop_matches_exhaustive():
     _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
     assert res.kappa_grid_estimate == kappa_all
     f_norms, candidates, mus, admissible = _point_data(lifted, mesh)
-    kappa = _kappa_estimate(lifted, mesh, f_norms, candidates, mus, poles)
+    kappa = _kappa_walk(lifted, points, f_norms, candidates, mus,
+                        skip=~sample)
     assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
     assert np.array_equal(admissible, adm_all[candidates])
     assert kappa == kappa_all
@@ -160,30 +162,49 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     full = float(np.max(kappa_many(F, mesh.points)))
     assert kappa_grid(F, mesh)[0] == full
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condition, "_CHUNK", 512)
+        mp.setattr(condition, "_BLOCK", 512)
         assert kappa_grid(F, mesh)[0] == full
 
 
-# grids of 4k to 16k pairs, so 512-row chunks split them into many spans
+# grids of 4k to 16k pairs, so 512- and 200-row blocks split them into many
 @pytest.mark.parametrize("n, degrees, t", [
     *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
 def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
     """The half-grid pass equals a direct evaluation bit for bit at every pair
-    point and at its mirror, for any span and block size and thread count."""
+    point and at its mirror, for any block size and thread count."""
     F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
     mesh = build_mesh(n, t)
     direct = np.linalg.norm(evaluate_many(F, mesh.pair_points), axis=1)
     mirrored = np.linalg.norm(evaluate_many(F, -mesh.pair_points + 0.0), axis=1)
     assert np.array_equal(direct, mirrored)
-    for chunk, block in ((condition._CHUNK, condition._BLOCK), (512, condition._BLOCK),
-                         (condition._CHUNK, 512), (512, 200)):
+    for block in (condition._BLOCK, 512, 200):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(condition, "_CHUNK", chunk)
             mp.setattr(condition, "_BLOCK", block)
             for threads in (1, 2):
                 norms = condition._residual_norms(F, mesh, threads)
                 assert np.array_equal(norms, direct)
+
+
+@pytest.mark.parametrize("rows, blocks", [(0, []), (1, [1]), (1000, [40] + [64] * 15)])
+def test_map_rows_fills_every_block(rows, blocks):
+    """The block map covers empty input, one row and a ragged last block,
+    on one thread and on a pool, with equal results."""
+    X = np.random.default_rng(rows).standard_normal((rows, 3))
+    expected = X[:, 0] * X[:, 1] - X[:, 2]
+    for threads in (1, 2):
+        seen = []
+
+        def fn(B):
+            seen.append(B.shape[0])
+            return B[:, 0] * B[:, 1] - B[:, 2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(condition, "_BLOCK", 64)
+            out = condition._map_rows(fn, X, threads)
+        assert out.shape == (rows,)
+        assert np.array_equal(out, expected)
+        assert sorted(seen) == blocks
 
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
@@ -250,7 +271,8 @@ def test_bounded_max_is_exact(data, block):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_FIRST_BLOCK", block)
-        best = bounded_max(bounds, visit, best=-math.inf, max_block=4 * block)
+        mp.setattr(condition, "_LAST_BLOCK", 4 * block)
+        best = bounded_max(bounds, visit, best=-math.inf)
     assert best == max(values.tolist(), default=-math.inf)
     assert len(visited) == len(set(visited))
     # a position whose bound beats the answer must have been looked at
