@@ -70,7 +70,7 @@ class SphereMesh:
 
     n: int
     t: int
-    pair_points: np.ndarray   # (count/2, n+1) unit rows, the +m faces
+    pair_points: np.ndarray   # (count/2, n+1) unit rows, the +m faces, stored by columns
 
     @cached_property
     def points(self):
@@ -133,7 +133,10 @@ def build_mesh(n, t):
     in sign), and the grid is closed under x -> -x with one point of each
     pair on a +m face.  Only the +m faces are written
     (``SphereMesh.pair_points``); ``count`` and ``eta`` still describe
-    the whole grid.
+    the whole grid.  The rows are stored by columns: each coordinate of
+    every pair point is one contiguous run, so the face divisions write
+    contiguous memory and a block of rows hands ``evaluate_many``
+    contiguous columns.
 
     The squared radius m^2 + sum_j k_j^2 is an exact integer in float64,
     so its sqrt is the correctly rounded |k|, and every coordinate is the
@@ -151,7 +154,7 @@ def build_mesh(n, t):
     m = 2**t
     full = np.arange(-m, m + 1, dtype=float)
     interior = full[1:-1]
-    points = np.empty((sum(_face_sizes(n, t)), n + 1))
+    columns = np.empty((n + 1, sum(_face_sizes(n, t))))
     row = 0
     for axis in range(n + 1):
         cols = [c for c in range(n + 1) if c != axis]
@@ -164,12 +167,12 @@ def build_mesh(n, t):
         for k in ks:
             radius += k * k
         np.sqrt(radius, out=radius)
-        plus = points[row:row + radius.size].reshape(shape + (n + 1,))
+        plus = columns[:, row:row + radius.size].reshape((n + 1,) + shape)
         for c, k in zip(cols, ks):
-            np.divide(k, radius, out=plus[..., c])
-        np.divide(float(m), radius, out=plus[..., axis])
+            np.divide(k, radius, out=plus[c])
+        np.divide(float(m), radius, out=plus[axis])
         row += radius.size
-    return SphereMesh(n=n, t=t, pair_points=points)
+    return SphereMesh(n=n, t=t, pair_points=columns.T)
 
 
 def covering_check(mesh, z):

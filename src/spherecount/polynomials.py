@@ -14,8 +14,9 @@ program, ``(c, ((j, e), ...))`` per term in graded-lex order with zero
 exponents left out, and one program per partial derivative.  ``_run`` is
 the one kernel that evaluates monomials, on Python floats for one point
 and on the columns of a batch as arrays: it forms each ``x_j**e`` once per
-call as ``x_j**(e-1) * x_j``, multiplies a term's factors left to right
-and sums ``c * term`` in term order.  Every step is one correctly rounded
+call as ``x_j**(e-1) * x_j``, multiplies a term's factors left to right,
+once per call for a monomial that several programs share, and sums
+``c * term`` in term order.  Every step is one correctly rounded
 IEEE multiplication or addition, in an order fixed by the program, so one
 point equals the same row of a batch bit for bit, and the kernel is
 sign-symmetric: a homogeneous polynomial of degree d gives exactly
@@ -298,16 +299,20 @@ def _run(program, cols, cache):
     """sum_t c_t * prod_j x_j**e_tj: the one kernel that evaluates monomials.
 
     ``cols[j]`` is variable j, a float for one point or an array for a
-    batch.  ``cache`` maps (j, e) to x_j**e and may be shared by the
-    programs of one call.  A program without a variable term gives a
-    scalar (0.0 when empty), which batch callers broadcast.
+    batch.  ``cache`` maps (j, e) to x_j**e and a term's factors to its
+    monomial, and may be shared by the programs of one call, so each
+    power and each monomial is formed once per call.  A program without
+    a variable term gives a scalar (0.0 when empty), which batch callers
+    broadcast.
     """
     total = 0.0
     for c, factors in program:
-        term = None
-        for j, e in factors:
-            p = _power(cols, cache, j, e)
-            term = p if term is None else term * p
+        term = cache.get(factors)
+        if term is None:
+            for j, e in factors:
+                p = _power(cols, cache, j, e)
+                term = p if term is None else term * p
+            cache[factors] = term
         total += c if term is None else c * term
     return total
 
@@ -352,14 +357,17 @@ def evaluate_many(f, X):
     """Vectorized evaluation at many points.
 
     ``X`` has shape (N, n_vars).  Returns (N,) for a polynomial and
-    (N, n) for a system.
+    (N, n) for a system, stored by columns: column i is one contiguous
+    run of the values of polynomial i.
     """
     N, cols = _columns(f.n_vars, X)
     system = isinstance(f, PolynomialSystem)
+    polys = f.polynomials if system else (f,)
+    out = np.empty((len(polys), N))
     cache = {}
-    out = np.stack([np.broadcast_to(_run(p._program, cols, cache), (N,))
-                    for p in (f.polynomials if system else (f,))], axis=1)
-    return out if system else out[:, 0]
+    for row, p in zip(out, polys):
+        row[...] = _run(p._program, cols, cache)
+    return out.T if system else out[0]
 
 
 def jacobian(F, x):
@@ -534,10 +542,13 @@ def lift_affine(polys):
 
 
 def lifted_poles(n_vars):
-    """The two zeros at infinity shared by every lifted system."""
+    """The two zeros at infinity shared by every lifted system.
+
+    The second is ``0.0 - pole``, so its zero coordinates are 0.0, not -0.0.
+    """
     pole = np.zeros(n_vars)
     pole[-1] = 1.0
-    return pole, -pole
+    return pole, 0.0 - pole
 
 
 # ---------------------------------------------------------------------------

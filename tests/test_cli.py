@@ -178,6 +178,15 @@ class TestDispatch:
         assert doc["count"] == 6
         assert doc["affine_count"] == 2
 
+    def test_count_affine_poles_have_no_negative_zero(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("x0^2 - 2\n"))
+        code = dispatch(["--input", "-", "count", "--affine"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        coords = [v for z in doc["zeros"] for v in z["zeta"]]
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in coords)
+        assert [0.0, 0.0, -1.0] in [z["zeta"] for z in doc["zeros"]]
+
     def test_certify(self, sys_json, capsys):
         code = dispatch(["--input", sys_json, "certify", "--point", "1,0,0"])
         doc = json.loads(capsys.readouterr().out)

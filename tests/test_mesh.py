@@ -125,6 +125,13 @@ def test_grid_matches_reference_bit_for_bit(n, t):
     assert np.array_equal(mesh.lattice, lattice)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_points_are_stored_by_columns(n):
+    """Each coordinate of the pair points is one contiguous column, which the
+    residual pass hands to the evaluation kernel without a copy."""
+    assert build_mesh(n, 2).pair_points.T.flags.c_contiguous
+
+
 MIRROR_GRIDS = [(n, t) for n, top in ((1, 9), (2, 5), (3, 3), (4, 2))
                 for t in range(top + 1)]
 

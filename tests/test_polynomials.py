@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherecount import condition
+from spherecount import polynomials as pl
 from spherecount.condition import sample_gaussian_system
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, apply_tensor,
@@ -137,6 +139,35 @@ class TestEvaluationKernel:
             assert np.array_equal(jacobian_many(F, X[i:i + 1])[0], jacobians[i])
             assert np.array_equal(evaluate(F, x), values[i])
             assert np.array_equal(jacobian(F, x), jacobians[i])
+
+    @pytest.mark.parametrize("degrees", [
+        (1,), (3,), (5,), (2, 2), (3, 1), (5, 4), (2, 2, 2), (1, 2, 3), (4, 3, 5),
+        (2, 2, 2, 2), (3, 1, 2, 3), (2, 2, 2, 2, 2), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("size", [0, 1, 7])
+    def test_shared_monomials_match_programs_run_alone(self, degrees, size):
+        """A call forms each monomial once for all its programs; every
+        polynomial and every partial derivative still equals its program
+        run alone with its own cache, bit for bit."""
+        n = len(degrees)
+        F = sample_gaussian_system(n, degrees, 100 * n + sum(degrees))
+        X = np.random.default_rng(size).standard_normal((size, n + 1))
+        values, jacobians = evaluate_many(F, X), jacobian_many(F, X)
+        for i, p in enumerate(F.polynomials):
+            assert np.array_equal(values[:, i], evaluate_many(p, X))
+            for j, g in enumerate(p._gradient_programs):
+                alone = np.broadcast_to(pl._run(g, list(X.T), {}), (size,))
+                assert np.array_equal(jacobians[:, i, j], alone)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_row_norms_match_numpy_norm(self, n):
+        """The in-order sum of squared value columns equals np.linalg.norm of
+        the values, in either memory order, bit for bit."""
+        F = sample_gaussian_system(n, tuple(range(1, n + 1)), 7 * n)
+        X = np.random.default_rng(n).standard_normal((1000, n + 1))
+        values = evaluate_many(F, X)
+        norms = condition._row_norms(values)
+        assert np.array_equal(norms, np.linalg.norm(values, axis=1))
+        assert np.array_equal(norms, np.linalg.norm(np.ascontiguousarray(values), axis=1))
 
     def test_gradients_derived_once(self, monkeypatch):
         calls = []
