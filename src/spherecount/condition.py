@@ -48,6 +48,12 @@ _SINGULAR_TOL = 1e-14
 # the temporaries of one block of evaluate_many and its norms stay in a
 # 2 MB L2 cache
 _BLOCK = 1 << 14
+# Bytes a streamed pass allocates and frees before its first block.  glibc
+# hands a free heap top over 128 KB back to the system, so the freed
+# temporaries of one block would be faulted in afresh by the next and the
+# pass would run about twice as slow; freeing a mapped block this large
+# raises that trim threshold for good to twice its size.
+_HEAP_WARMUP = 8 << 20
 
 
 def _each(fn, items, threads):
@@ -96,6 +102,39 @@ def _residual_norms(F, mesh, threads=1):
     """
     return _map_rows(lambda X: _row_norms(pl.evaluate_many(F, X)),
                      mesh.pair_points, threads)
+
+
+def _blocks(mesh):
+    """The blocks of at most ``_BLOCK`` rows that every streamed pass walks."""
+    return list(mesh.blocks(_BLOCK))
+
+
+def _block_norms(F, mesh, block):
+    """The pair points of one block of ``mesh`` and |f| at each of them."""
+    X = mesh.block_points(block)
+    return X, _row_norms(pl.evaluate_many(F, X))
+
+
+def _scan(F, mesh, below, threads=1):
+    """One streamed pass over the pair rows of ``mesh`` that keeps only its low rows.
+
+    Each block is generated, evaluated and normed while it is in cache,
+    one task of a pool of ``threads``, so no array spans the grid.
+    Returns (rows, norms, points, least): the ascending pair rows with |f|
+    < ``below``, |f| and the pair point at each (bit for bit those of the
+    built mesh), and per block of ``_blocks(mesh)`` the least |f| of its
+    other rows, inf if there is none.
+    """
+    def scan(block):
+        X, f = _block_norms(F, mesh, block)
+        low = np.flatnonzero(f < below)
+        return (low + block[0].lo, f[low], X[low],
+                np.min(f, where=f >= below, initial=math.inf))
+
+    np.empty(_HEAP_WARMUP // 8)
+    rows, norms, points, least = zip(*_each(scan, _blocks(mesh), threads))
+    return (np.concatenate(rows), np.concatenate(norms), np.concatenate(points),
+            np.array(least))
 
 
 @dataclass(frozen=True)
@@ -346,30 +385,29 @@ def bounded_max(bounds, values, best):
     return best
 
 
-def _kappa_walk(F, points, f_norms, known=(), known_mus=(), skip=None, threads=1):
-    """Maximum of kappa for the unit-norm F over the rows of ``points`` not in ``skip``.
+def _kappa_walk(F, least, block, best=-math.inf, threads=1):
+    """Maximum of kappa for the unit-norm F over ``best`` and blocks of rows.
 
-    ``f_norms`` is |f| at every row and ``known_mus`` is mu at the rows
-    ``known``; those outside ``skip`` seed the running maximum.  Since
-    ``_kappa`` never exceeds 1/sqrt(f*f), the other rows are visited
-    through ``bounded_max``, in increasing |f|, until that bound no longer
-    beats the maximum, and mu is computed only there.  The result equals
-    the maximum over every row outside ``skip``: inf at a singular zero,
-    or when ``skip`` leaves no row.
+    ``block(i)`` returns the points of block i that the walk may have to
+    look at and |f| there, and ``least[i]`` is at most each of those |f|.
+    Since ``_kappa`` never exceeds 1/sqrt(f*f), blocks are visited in
+    increasing ``least`` until that bound no longer beats the running
+    maximum, and the rows of a block through ``bounded_max``, so mu is
+    computed only where it can still raise the maximum.  The result equals
+    the maximum over ``best`` and every row of every block: inf at a
+    singular zero, or when there is nothing to take the maximum of.
     """
-    known = np.asarray(known, dtype=np.intp)
-    bounds = _kappa_bounds(f_norms)
-    if skip is not None:
-        bounds[skip] = -math.inf  # a bound of -inf is never visited
-    seen = bounds[known] > -math.inf
-    best = _kappa_max(f_norms[known[seen]], np.asarray(known_mus, float)[seen])
-    bounds[known] = -math.inf
+    bounds = _kappa_bounds(np.asarray(least, float))
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] <= best:
+            break
+        points, f_norms = block(i)
 
-    def visit(idx):
-        mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[idx], threads)
-        return _kappa_max(f_norms[idx], mus)
+        def visit(idx):
+            mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[idx], threads)
+            return _kappa_max(f_norms[idx], mus)
 
-    best = bounded_max(bounds, visit, best)
+        best = bounded_max(_kappa_bounds(f_norms), visit, best)
     return best if best > -math.inf else math.inf
 
 
@@ -378,15 +416,16 @@ def kappa_grid(F, mesh):
 
     |f| and mu are projective, so each antipodal pair is sampled at its
     pair point, and mu is computed only where the residual bound on kappa
-    can still raise the maximum (``_kappa_walk``).  The result equals the
-    maximum over every pair point; it is inf when a singular zero lies on
-    the grid.
+    can still raise the maximum (``_kappa_walk``, with the built grid as
+    its one block).  The result equals the maximum over every pair point;
+    it is inf when a singular zero lies on the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
     Fn = F.normalized()
-    best = _kappa_walk(Fn, mesh.pair_points, _residual_norms(Fn, mesh))
+    f_norms = _residual_norms(Fn, mesh)
+    best = _kappa_walk(Fn, [0.0], lambda i: (mesh.pair_points, f_norms))
     return best, mesh.covering_radius_bound
 
 

@@ -13,13 +13,19 @@ The spacing is halved until two conditions hold simultaneously:
 The loop counts on projective space.  f is homogeneous, so |f|, mu and
 both tests are invariant under x -> -x, the grid is closed under it, and
 the zeros come in pairs +-zeta.  Every set of the loop therefore holds
-pair rows (``SphereMesh.pair_points``, one point per antipodal pair), and
-distances between pairs are projective: min(d, pi - d) for the angle d
-between their pair points.  A stopped component certifies one pair
-+-zeta, never a zero that is its own antipode, so on termination the
-count is twice the number of components plus the number of zeros known
-in advance; refining one vertex per component locates zeta, and -zeta
-with it.
+pair rows (``SphereMesh``, one point per antipodal pair), and distances
+between pairs are projective: min(d, pi - d) for the angle d between
+their pair points.  A stopped component certifies one pair +-zeta,
+never a zero that is its own antipode, so on termination the count is
+twice the number of components plus the number of zeros known in
+advance; refining one vertex per component locates zeta, and -zeta with
+it.
+
+A level is one streamed pass: each block of the grid is generated,
+evaluated and normed in cache, and only its low rows are kept (the
+candidates, possible exclusion failures and the first rows of the kappa
+walk), so no array of a level spans the grid.  The kappa walk evaluates a
+block again only when its other rows can still raise the maximum.
 
 There is one loop.  The plain count knows no zeros in advance; the
 affine front end knows two, the poles (0, ..., 0, +-1) of a lifted
@@ -56,7 +62,8 @@ from . import polynomials as pl
 # chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
-from .condition import _kappa_walk, _map_rows, _residual_norms, mu_many
+from .condition import (_block_norms, _blocks, _kappa_max, _kappa_walk,
+                        _map_rows, _scan, mu_many)
 from .convergence import ALPHA, r0
 from .mesh import angular_distance_many, build_mesh, pairwise_angular
 
@@ -76,16 +83,19 @@ __all__ = [
 class CertGraph:
     """Admissible antipodal pairs, their inclusion radii, and the proximity graph.
 
-    Every index is a pair row of the mesh (``SphereMesh.pair_points``),
-    which stands for both points of its pair.  ``f_norms`` holds |f| at
-    each pair row; ``candidates`` holds, ascending, the pair rows that
-    could pass the inclusion test (see ``_point_data``); ``mus`` and
-    ``admissible`` are mu (inf if singular) at their pair points and the
-    test's outcome there, which decides both points.  The vertices are the
-    admissible candidates whose cap reaches no known zero.  ``radii``
-    holds the radius r0(alpha_star) mu |f| of each vertex's certified cap
-    (``certification._inclusion_radius``); two vertices are linked when
-    their caps, or the cap of one and the mirror of the other's, meet.
+    Every index is a pair row of the mesh, which stands for both points
+    of its pair.  No array spans the grid: the level keeps its low rows,
+    those with |f| below ``limit`` (``_keep_limit``), with |f| and the
+    pair point at each, and for the kappa walk the least |f| of the other
+    rows of each block of the grid (``condition._blocks``).  ``candidates``
+    holds, ascending, the low rows that could pass the inclusion test;
+    ``mus`` and ``admissible`` are mu (inf if singular) at their pair
+    points and the test's outcome there, which decides both points.  The
+    vertices are the admissible candidates whose cap reaches no known
+    zero.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
+    vertex's certified cap (``certification._inclusion_radius``); two
+    vertices are linked when their caps, or the cap of one and the mirror
+    of the other's, meet.
     ``components`` holds tuples of ascending vertex positions, ordered by
     least member.  ``separation`` is the least projective distance between
     vertices of different components, inf when there is at most one
@@ -97,10 +107,19 @@ class CertGraph:
     radii: np.ndarray            # inclusion radius per vertex
     components: tuple            # tuple of tuples of vertex positions
     separation: float            # least projective distance across components, or inf
-    f_norms: np.ndarray          # residual norm at every pair row
+    limit: float                 # residual norm below which a row is a low row
+    low_rows: np.ndarray         # ascending pair rows with a residual norm below limit
+    low_norms: np.ndarray        # residual norm per low row
+    low_points: np.ndarray       # pair point per low row
     candidates: np.ndarray       # ascending pair rows that may pass inclusion
     mus: np.ndarray              # mu per candidate, inf if singular
     admissible: np.ndarray       # inclusion-test outcome per candidate
+    least: np.ndarray            # per block, least residual norm at or above limit
+
+    def at(self, rows):
+        """(points, residual norms) at ``rows``, which must be low rows."""
+        pos = np.searchsorted(self.low_rows, rows)
+        return self.low_points[pos], self.low_norms[pos]
 
 
 # For a unit-norm system mu >= sqrt(n) at every point (the degree-scaled
@@ -119,22 +138,22 @@ def _candidate_ceiling(F):
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
 
 
-def _point_data(F, mesh, threads=1):
-    """Residual norms per antipodal pair; mu only where it can change the count.
+# Besides its candidates and possible exclusion failures, a level keeps
+# the rows whose bound 1/|f| on kappa beats ``seed``, the kappa maximum at
+# the candidates of the coarser levels (whose grids lie in this one), but
+# at most those below _KEEP_FACTOR candidate ceilings: about 4% of a
+# Gaussian (2,2) grid.  The kappa walk visits them first, and evaluates a
+# block again only when its other rows can still raise the maximum.  It
+# decides what is computed twice, never an answer.
+_KEEP_FACTOR = 2.0
 
-    Returns (f_norms, candidates, mus, admissible): ``f_norms`` is |f| at
-    each pair row, ``candidates`` are the ascending pair rows with |f|
-    below ``_candidate_ceiling``, and ``mus`` and ``admissible`` hold mu
-    and the inclusion test at those rows only.  mu of a row does not
-    depend on the other rows of its batch, so every value equals what an
-    exhaustive pass over the pair points would give.
-    """
-    f_norms = _residual_norms(F, mesh, threads=threads)
-    candidates = np.nonzero(f_norms < _candidate_ceiling(F))[0]
-    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0),
-                    mesh.pair_points[candidates], threads)
-    admissible = _admissible(f_norms[candidates], mus, F.max_degree)
-    return f_norms, candidates, mus, admissible
+
+def _keep_limit(F, eta, seed):
+    """|f| below which a level keeps a row (see _KEEP_FACTOR)."""
+    ceiling = _candidate_ceiling(F)
+    # f < nextafter(threshold) keeps f <= threshold; with no seed, 1/seed is -0.0
+    return max(ceiling, min(_KEEP_FACTOR * ceiling, 1.0 / seed),
+               math.nextafter(exclusion_threshold(F, eta), math.inf))
 
 
 def _clusters(points, reach):
@@ -196,29 +215,41 @@ _KAPPA_POLE_GAP = 0.2
 _LIFTED_FAILURE_CAP = 2000
 
 
-def _level(F, mesh, threads=1, poles=()):
+def _level(F, mesh, threads=1, poles=(), seed=-math.inf):
     """Certify a grid against the normalized F and link nearby caps.
 
-    An admissible point whose cap reaches a pole certifies that pole.
+    One streamed pass keeps the low rows; mu and the inclusion test are
+    taken at the candidates only, with the values of an exhaustive pass
+    (mu of a row does not depend on its batch).  An admissible point whose
+    cap reaches a pole certifies that pole.
     """
-    f_norms, candidates, mus, admissible = _point_data(F, mesh, threads=threads)
+    limit = _keep_limit(F, mesh.eta, seed)
+    rows, norms, points, least = _scan(F, mesh, limit, threads)
+    cand = norms < _candidate_ceiling(F)
+    candidates = rows[cand]
+    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[cand], threads)
+    admissible = _admissible(norms[cand], mus, F.max_degree)
     vertices = candidates[admissible]
-    radii = _inclusion_radius(f_norms[vertices], mus[admissible])
-    points = mesh.pair_points[vertices]
-    at_pole = _pole_distance(points, poles) <= radii + _CERTIFIER_SLACK
+    at = np.searchsorted(rows, vertices)
+    radii = _inclusion_radius(norms[at], mus[admissible])
+    at_pole = _pole_distance(points[at], poles) <= radii + _CERTIFIER_SLACK
     vertices, radii = vertices[~at_pole], radii[~at_pole]
     components, separation = _clusters(
-        points[~at_pole], radii[:, None] + radii[None, :])
+        points[at[~at_pole]], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertices,
         radii=radii,
         components=components,
         separation=separation,
-        f_norms=f_norms,
+        limit=limit,
+        low_rows=rows,
+        low_norms=norms,
+        low_points=points,
         candidates=candidates,
         mus=mus,
         admissible=admissible,
+        least=least,
     )
 
 
@@ -233,7 +264,7 @@ def exclusion_threshold(F, eta):
 
 def _exclusion_failures(F, mesh, graph):
     """Pair rows passing neither test: not admissible, |f| <= threshold."""
-    low = np.nonzero(graph.f_norms <= exclusion_threshold(F, mesh.eta))[0]
+    low = graph.low_rows[graph.low_norms <= exclusion_threshold(F, mesh.eta)]
     return np.setdiff1d(low, graph.candidates[graph.admissible], assume_unique=True)
 
 
@@ -254,11 +285,12 @@ def check_stop(F, mesh, graph, poles=()):
     failing = _exclusion_failures(F, mesh, graph)
     shadow_extent = 0.0
     if failing.size:
-        fail_pole_dist = _pole_distance(mesh.pair_points[failing], poles)
+        fail_points = graph.at(failing)[0]
+        fail_pole_dist = _pole_distance(fail_points, poles)
         # with no pole in reach, no cluster can reach one
         if float(fail_pole_dist.min()) > link or failing.size > _LIFTED_FAILURE_CAP:
             return stop
-        for comp in _clusters(mesh.pair_points[failing], link)[0]:
+        for comp in _clusters(fail_points, link)[0]:
             comp_dist = fail_pole_dist[list(comp)]
             if float(comp_dist.min()) > link:
                 return stop  # low-residual island away from the poles
@@ -270,11 +302,11 @@ def check_stop(F, mesh, graph, poles=()):
                               graph.vertex_indices)
     if certifiers.size:
         shadow_extent = max(shadow_extent, float(
-            _pole_distance(mesh.pair_points[certifiers], poles).max()))
+            _pole_distance(graph.at(certifiers)[0], poles).max()))
     if shadow_extent > _SHADOW_MAX:
         return stop
     margin = shadow_extent + 2.0 * eta * math.sqrt(n)
-    vertex_dist = _pole_distance(mesh.pair_points[graph.vertex_indices], poles)
+    vertex_dist = _pole_distance(graph.at(graph.vertex_indices)[0], poles)
     stop["exclusion_ok"] = float(vertex_dist.min(initial=math.inf)) > margin
     return stop
 
@@ -335,8 +367,43 @@ def predicted_complexity(F, kappa_estimate):
 
 def _component_representatives(graph):
     """One vertex per component: smallest residual, ties by vertex order."""
-    f_norms = graph.f_norms[graph.vertex_indices]
+    f_norms = graph.at(graph.vertex_indices)[1]
     return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
+
+
+def _candidate_kappa(F, graph, poles=()):
+    """Largest kappa over the candidates farther than _KAPPA_POLE_GAP from the poles."""
+    points, f_norms = graph.at(graph.candidates)
+    away = _pole_distance(points, poles) > _KAPPA_POLE_GAP
+    return _kappa_max(f_norms[away], graph.mus[away])
+
+
+def _kappa_estimate(F, mesh, graph, poles=(), threads=1):
+    """The kappa maximum over the pair rows of the level, away from the poles.
+
+    The candidates' kappa seeds the walk (``_kappa_walk``).  Its first
+    block is the other low rows, the rest are the level's blocks, each
+    evaluated again only if its rows that are not low rows can still raise
+    the maximum.  Returns (kappa, rows evaluated again).
+    """
+    blocks = _blocks(mesh)
+    revisited = 0
+
+    def block(i):
+        nonlocal revisited
+        if i == 0:
+            X, f = graph.low_points, graph.low_norms
+            keep = f >= _candidate_ceiling(F)
+        else:
+            X, f = _block_norms(F, mesh, blocks[i - 1])
+            revisited += f.size
+            keep = f >= graph.limit
+        keep &= _pole_distance(X, poles) > _KAPPA_POLE_GAP
+        return X[keep], f[keep]
+
+    least = np.concatenate([[0.0], graph.least])
+    best = _kappa_walk(F, least, block, _candidate_kappa(F, graph, poles), threads)
+    return best, revisited
 
 
 def _run_loop(F, max_t, threads, poles=()):
@@ -345,12 +412,13 @@ def _run_loop(F, max_t, threads, poles=()):
     _, t0 = initial_eta(n)
     if max_t <= t0:
         raise ValueError(f"max_t = {max_t} allows no refinement (initial t = {t0})")
-    evaluations = 0
+    evaluations, seed = 0, -math.inf
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t)
-        graph = _level(Fn, mesh, threads=threads, poles=poles)
-        # 2 per grid point and 2 per vertex; a vertex pair holds two vertices
-        evaluations += 2 * mesh.count + 4 * len(graph.vertex_indices)
+        graph = _level(Fn, mesh, threads=threads, poles=poles, seed=seed)
+        seed = max(seed, _candidate_kappa(Fn, graph, poles))
+        # 1 per pair row and 2 per vertex; a vertex pair holds two vertices
+        evaluations += mesh.count // 2 + 4 * len(graph.vertex_indices)
         stop = check_stop(Fn, mesh, graph, poles)
         stopped = stop["separation_ok"] and stop["exclusion_ok"]
         if stopped:
@@ -358,7 +426,7 @@ def _run_loop(F, max_t, threads, poles=()):
     zeros = []
     if stopped:
         reps = graph.vertex_indices[_component_representatives(graph)]
-        for x in mesh.pair_points[reps]:
+        for x in graph.at(reps)[0]:
             z = refine_zero(Fn, x)
             # the Newton cost is counted once for each reported zero; 0.0 - z
             # keeps zero coordinates 0.0
@@ -367,12 +435,8 @@ def _run_loop(F, max_t, threads, poles=()):
     for pole in poles:
         zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
                                  final_beta=0.0, converged=True))
-    skip = None
-    if poles:
-        skip = _map_rows(lambda X: _pole_distance(X, poles), mesh.pair_points,
-                         threads) <= _KAPPA_POLE_GAP
-    kappa_est = _kappa_walk(Fn, mesh.pair_points, graph.f_norms, graph.candidates,
-                            graph.mus, skip=skip, threads=threads)
+    kappa_est, revisited = _kappa_estimate(Fn, mesh, graph, poles, threads)
+    evaluations += revisited
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
     return CountResult(
@@ -433,8 +497,7 @@ def _probe_zero_conditioning(F, poles, probe):
     """
     from .condition import mu as mu_point
 
-    points = probe.pair_points
-    f_norms = _residual_norms(F, probe)
+    _, f_norms, points, _ = _scan(F, probe, math.inf)
     away = np.nonzero(_pole_distance(points, poles) > 0.25)[0]
     order = away[np.lexsort((away, f_norms[away]))]
     worst = 0.0

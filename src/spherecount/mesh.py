@@ -4,6 +4,8 @@ The grid C(eta), eta = 2^-t, is the radial projection of the points of the
 lattice (eta Z)^(n+1) lying on the cube surface max_i |x_i| = 1.  Its
 covering radius is at most eta sqrt(n)/2, and every sphere point lies in
 the spherical convex hull of its grid neighbours at distance sqrt(n) eta.
+A grid is generated on demand in face-aligned slabs of pair points, so a
+pass over it need not hold it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,11 @@ __all__ = [
     "MESH_POINT_CAP",
 ]
 
-# size cap on a grid: a (20M, n+1) float array is ~0.5 GB for n=2
+# Largest ``mesh_count_bound`` (whole-sphere points) of a grid that a
+# refinement level or a built mesh may have.  A level streams its grid in
+# cache-sized slabs, so the cap bounds the work of one level (its
+# evaluations) rather than its memory; ``count --max-t`` is clamped to the
+# deepest level under it.
 MESH_POINT_CAP = 20_000_000
 
 
@@ -57,20 +64,101 @@ def mesh_count_bound(n, t):
     return 2 * (n + 1) * (1 + 2 ** (t + 1)) ** n
 
 
+class Slab(NamedTuple):
+    """Pair rows ``lo:hi`` on the +m face of ``axis``: the first ``depth``
+    face coordinates, flattened, run over ``first:last``, each index with
+    the whole trailing face of the other coordinates."""
+
+    lo: int
+    hi: int
+    axis: int
+    depth: int
+    first: int
+    last: int
+
+
 @dataclass(frozen=True)
 class SphereMesh:
-    """The grid C(eta) on S^n, eta = 2^-t, stored as one point per antipodal pair.
+    """The grid C(eta) on S^n, eta = 2^-t, as one point per antipodal pair.
 
-    The grid is closed under x -> -x, and ``pair_points`` holds one point
-    of each pair, its pair point: the +m faces of ``build_mesh`` in order.
-    Row p of ``pair_points`` is pair row p, the only index the counting
-    loop uses.  ``points`` materializes the whole grid on request, and
-    ``lattice``, the integer points themselves, is derived from it.
+    The grid is closed under x -> -x, and its pair points are one point of
+    each pair: the +m faces of ``build_mesh`` in order.  Pair row p is the
+    only index the counting loop uses.  A pass walks the grid block by
+    block (``blocks``, ``block_points``) without holding it; a block is a
+    run of face-aligned slabs.  ``pair_points`` and ``points`` (the whole
+    grid) are built on first access, and
+    ``lattice``, the integer points themselves, is derived from them.
     """
 
     n: int
     t: int
-    pair_points: np.ndarray   # (count/2, n+1) unit rows, the +m faces, stored by columns
+
+    def slabs(self, rows):
+        """The slabs of at most ``rows`` pair rows each, in row order.
+
+        ``depth`` is the least for which a trailing face fits in ``rows``,
+        so every slab but a face's last holds about ``rows`` rows.
+        """
+        m, lo = 2**self.t, 0
+        for axis, size in enumerate(_face_sizes(self.n, self.t)):
+            shape = [2 * m - 1] * axis + [2 * m + 1] * (self.n - axis)
+            depth = next(d for d in range(self.n + 1) if math.prod(shape[d:]) <= rows)
+            tail, lead = math.prod(shape[depth:]), math.prod(shape[:depth])
+            step = rows // tail
+            for first in range(0, lead, step):
+                last = min(first + step, lead)
+                yield Slab(lo + first * tail, lo + last * tail, axis, depth, first, last)
+            lo += size
+
+    def blocks(self, rows):
+        """Runs of consecutive slabs of at most ``rows`` pair rows in all."""
+        block = []
+        for slab in self.slabs(rows):
+            if block and slab.hi - block[0].lo > rows:
+                yield tuple(block)
+                block = []
+            block.append(slab)
+        yield tuple(block)
+
+    def block_points(self, block):
+        """The unit pair points of the consecutive slabs ``block``, stored by columns."""
+        lo = block[0].lo
+        columns = np.empty((self.n + 1, block[-1].hi - lo))
+        for slab in block:
+            self._fill(slab, columns[:, slab.lo - lo:slab.hi - lo])
+        return columns.T
+
+    def _fill(self, slab, columns):
+        """Write the pair points of ``slab`` into ``columns``, (n+1, hi - lo).
+
+        The squared radius m^2 + sum_j k_j^2 is an exact integer in float64,
+        so its sqrt is the correctly rounded |k|, and every coordinate is the
+        one rounded quotient k_i / |k|: a row is the same, bit for bit,
+        whatever slab it is built in.
+        """
+        n, m, d = self.n, 2**self.t, slab.depth
+        full = np.arange(-m, m + 1, dtype=float)
+        ranges = [full[1:-1]] * slab.axis + [full] * (n - slab.axis)
+        index = np.arange(slab.first, slab.last)
+        lead = np.unravel_index(index, [r.size for r in ranges[:d]]) if d else ()
+        # slab axis 0 runs over the leading indices, axis q over coordinate d+q-1
+        ks = [r[i].reshape((-1,) + (1,) * (n - d)) for r, i in zip(ranges, lead)]
+        ks += [r.reshape([-1 if e == q else 1 for e in range(n - d + 1)])
+               for q, r in enumerate(ranges[d:], 1)]
+        shape = (index.size,) + tuple(r.size for r in ranges[d:])
+        radius = np.full(shape, float(m * m))
+        for k in ks:
+            radius += k * k
+        np.sqrt(radius, out=radius)
+        cols = [c for c in range(n + 1) if c != slab.axis]
+        for c, k in zip(cols, ks):
+            np.divide(k, radius, out=columns[c].reshape(shape))
+        np.divide(float(m), radius, out=columns[slab.axis].reshape(shape))
+
+    @cached_property
+    def pair_points(self):
+        """(count/2, n+1) pair points, stored by columns: one slab per face."""
+        return self.block_points(tuple(self.slabs(self.count // 2)))
 
     @cached_property
     def points(self):
@@ -105,7 +193,7 @@ class SphereMesh:
 
     @property
     def count(self):
-        return 2 * self.pair_points.shape[0]
+        return 2 * sum(_face_sizes(self.n, self.t))
 
     @property
     def covering_radius_bound(self):
@@ -119,7 +207,7 @@ def _face_sizes(n, t):
 
 
 def build_mesh(n, t):
-    """Enumerate C(2^-t) on S^n, one point of each antipodal pair.
+    """The grid C(2^-t) on S^n, one point of each antipodal pair, built lazily.
 
     Each cube-surface lattice point k, max |k_i| = m = 2^t, is generated
     exactly once: it is owned by the lowest axis on which it attains the
@@ -131,19 +219,15 @@ def build_mesh(n, t):
     coordinate: the -m face read backwards equals the +m face negated,
     exactly (mirror rows share one radius, so their quotients differ only
     in sign), and the grid is closed under x -> -x with one point of each
-    pair on a +m face.  Only the +m faces are written
-    (``SphereMesh.pair_points``); ``count`` and ``eta`` still describe
-    the whole grid.  The rows are stored by columns: each coordinate of
-    every pair point is one contiguous run, so the face divisions write
-    contiguous memory and a block of rows hands ``evaluate_many``
-    contiguous columns.
+    pair on a +m face.  Only the +m faces are generated (the pair points);
+    ``count`` and ``eta`` still describe the whole grid.  The points are
+    stored by columns, so the divisions write contiguous memory and
+    ``evaluate_many`` reads contiguous columns; the rows equal those of
+    normalizing the integer lattice with ``np.linalg.norm``, bit for bit.
 
-    The squared radius m^2 + sum_j k_j^2 is an exact integer in float64,
-    so its sqrt is the correctly rounded |k|, and every coordinate is the
-    one rounded quotient k_i / |k|: the rows equal those of normalizing
-    the integer lattice with ``np.linalg.norm``, bit for bit.  Raises
-    MeshSizeError when the count bound exceeds ``MESH_POINT_CAP``, read
-    at call time; the cap counts the points of the whole grid.
+    No point is built here (see ``SphereMesh``).  Raises MeshSizeError
+    when the count bound exceeds ``MESH_POINT_CAP``, read at call time;
+    the cap counts the points of the whole grid.
     """
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
@@ -151,28 +235,7 @@ def build_mesh(n, t):
         raise MeshSizeError(
             f"mesh for n={n}, t={t} may have up to {mesh_count_bound(n, t)} points "
             f"(cap {MESH_POINT_CAP})")
-    m = 2**t
-    full = np.arange(-m, m + 1, dtype=float)
-    interior = full[1:-1]
-    columns = np.empty((n + 1, sum(_face_sizes(n, t))))
-    row = 0
-    for axis in range(n + 1):
-        cols = [c for c in range(n + 1) if c != axis]
-        ranges = [interior] * axis + [full] * (n - axis)
-        shape = tuple(r.size for r in ranges)
-        # the coordinate of column cols[q], broadcastable over the face grid
-        ks = [r.reshape([-1 if d == q else 1 for d in range(n)])
-              for q, r in enumerate(ranges)]
-        radius = np.full(shape, float(m * m))
-        for k in ks:
-            radius += k * k
-        np.sqrt(radius, out=radius)
-        plus = columns[:, row:row + radius.size].reshape((n + 1,) + shape)
-        for c, k in zip(cols, ks):
-            np.divide(k, radius, out=plus[c])
-        np.divide(float(m), radius, out=plus[axis])
-        row += radius.size
-    return SphereMesh(n=n, t=t, pair_points=columns.T)
+    return SphereMesh(n=n, t=t)
 
 
 def covering_check(mesh, z):

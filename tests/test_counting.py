@@ -282,6 +282,32 @@ class TestRootCount:
         assert res.kappa_grid_estimate == math.inf
         assert res.predicted_eta_threshold is None
 
+    def test_evaluations_count_pair_rows(self):
+        # x1^2 never stops and its kappa is inf at the double zeros, so no
+        # block is evaluated twice: each level evaluates its 4 * 2^t pairs
+        res = root_count(single(2, 2, {(0, 2): 1.0}), max_t=8)
+        assert not res.stopped and res.kappa_grid_estimate == math.inf
+        assert res.evaluations == sum(4 * 2**t for t in range(2, 9))
+        assert res.evaluations == sum(build_mesh(1, t).count // 2 for t in range(2, 9))
+
+    def test_level_ten_streams_in_bounded_memory(self, monkeypatch):
+        # the t=10 grid of an n=2 system has 12,582,913 antipodal pairs: as
+        # (pairs, 3) floats it alone would take 302 MB
+        import tracemalloc
+
+        monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 30_000_000)
+        F = random_unit_system(2, (2, 2), 4001)
+        tracemalloc.start()
+        try:
+            res = root_count(F, max_t=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.stopped and res.count == 4
+        assert initial_eta(2)[1] + res.iterations == 10
+        assert res.count == len(sphere_zeros_oracle(F))
+        assert peak < 50 * 2**20
+
     def test_mesh_guard_propagates(self, monkeypatch):
         monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 100)
         F = coordinate_pair()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spherecount
+from spherecount import condition
 from spherecount.condition import kappa_grid, sample_gaussian_system
 from spherecount.mesh import (MeshSizeError, SphereMesh, angular_distance,
                               angular_distance_many, build_mesh,
@@ -169,24 +170,98 @@ def test_row_accessor_matches_reference_bit_for_bit(n, t):
 
 
 def test_counting_never_builds_the_full_grid(monkeypatch):
-    """The counting loop, count_affine and kappa_grid read the grid through
-    pair_points only."""
+    """The counting loop and count_affine stream every grid slab by slab:
+    neither the whole grid nor the concatenated pair points is built.
+    kappa_grid reads the pair points of the mesh its caller built."""
 
-    def guarded(mesh):
-        raise AssertionError("SphereMesh.points was built")
+    def guarded(name):
+        def fail(mesh):
+            raise AssertionError(f"SphereMesh.{name} was built")
+        return property(fail)
 
-    monkeypatch.setattr(SphereMesh, "points", property(guarded))
-    with pytest.raises(AssertionError):
-        build_mesh(2, 2).points
+    monkeypatch.setattr(SphereMesh, "points", guarded("points"))
     stopping = sample_gaussian_system(2, (2, 2), 21)
-    for threads in (1, 2):
-        assert spherecount.root_count(stopping, max_t=9, threads=threads).stopped
-        assert not spherecount.root_count(sample_gaussian_system(2, (2, 2), 4000),
-                                          max_t=5, threads=threads).stopped
-    result, affine_count = spherecount.count_affine(
-        [AffinePolynomial(1, {(2,): 1.0, (0,): -2.0})], max_t=9)
-    assert result.stopped and affine_count == 2
+    with monkeypatch.context() as mp:
+        mp.setattr(SphereMesh, "pair_points", guarded("pair_points"))
+        for name in ("points", "pair_points"):
+            with pytest.raises(AssertionError, match=name):
+                getattr(build_mesh(2, 2), name)
+        for threads in (1, 2):
+            assert spherecount.root_count(stopping, max_t=9, threads=threads).stopped
+            assert not spherecount.root_count(sample_gaussian_system(2, (2, 2), 4000),
+                                              max_t=5, threads=threads).stopped
+        result, affine_count = spherecount.count_affine(
+            [AffinePolynomial(1, {(2,): 1.0, (0,): -2.0})], max_t=9)
+        assert result.stopped and affine_count == 2
     assert kappa_grid(stopping, build_mesh(2, 5))[0] > 1.0
+
+
+def reference_rows(n, t, lo, hi):
+    """Pair rows lo:hi of one +m face, by decoding each row on its own:
+    int64 lattice rows, then float rows / norm (see ``reference_grid``)."""
+    m = 2**t
+    start = 0
+    for axis in range(n + 1):
+        shape = [2 * m - 1] * axis + [2 * m + 1] * (n - axis)
+        if lo < start + math.prod(shape):
+            break
+        start += math.prod(shape)
+    assert hi <= start + math.prod(shape), "the rows must lie on one face"
+    index = np.unravel_index(np.arange(lo - start, hi - start), shape)
+    lattice = np.empty((hi - lo, n + 1), dtype=np.int64)
+    cols = [c for c in range(n + 1) if c != axis]
+    for col, size, k in zip(cols, shape, index):
+        lattice[:, col] = k - size // 2
+    lattice[:, axis] = m
+    return lattice / np.linalg.norm(lattice.astype(float), axis=1)[:, None]
+
+
+# small grids of every dimension up to 4, one whose faces exceed a block
+# (n=1, t=13: 16,385 and 16,383 rows), and one whose trailing faces exceed
+# a 64-row block (n=3, t=3: 17^2 rows), so its slabs run over two face
+# coordinates
+SLAB_GRIDS = [(1, 0), (1, 6), (1, 13), (2, 0), (2, 1), (2, 5), (3, 2), (3, 3), (4, 2)]
+
+
+@pytest.mark.parametrize("n,t", SLAB_GRIDS)
+def test_blocks_concatenate_to_the_pair_points(n, t):
+    """The slabs and blocks of any size cover the pair rows in order, and
+    the points of the blocks, or of the slabs alone, generated one at a
+    time, are the +m faces of the reference grid byte for byte."""
+    _, reference, plus = reference_grid(n, t)
+    mesh = build_mesh(n, t)
+    rows = mesh.count // 2
+    for size in (condition._BLOCK, 1000, 64, 1):
+        slabs = list(mesh.slabs(size))
+        blocks = list(mesh.blocks(size))
+        assert [s.lo for s in slabs] == [0] + [s.hi for s in slabs[:-1]]
+        assert slabs[-1].hi == rows
+        assert all(0 < s.hi - s.lo <= size for s in slabs)
+        assert [s for b in blocks for s in b] == slabs
+        assert all(b[-1].hi - b[0].lo <= size for b in blocks)
+        # a block ends only where the next slab would not fit
+        assert all(b[-1].hi - b[0].lo + c[0].hi - c[0].lo > size
+                   for b, c in zip(blocks, blocks[1:]))
+        if rows // size > 20_000:
+            continue
+        for runs in (blocks, [(s,) for s in slabs]):
+            points = [mesh.block_points(b) for b in runs]
+            assert all(p.T.flags.c_contiguous for p in points)
+            assert np.concatenate(points).tobytes() == reference[plus].tobytes()
+
+
+def test_slabs_of_a_grid_too_large_to_build():
+    """n=3, t=7 has about 68M pairs, past the cap; its trailing faces of
+    257^2 rows each exceed a block, so its slabs are runs over the first two
+    face coordinates.  Slabs on every face and at face ends match rows
+    decoded one by one."""
+    mesh = SphereMesh(3, 7)
+    slabs = list(mesh.slabs(condition._BLOCK))
+    assert slabs[-1].hi == mesh.count // 2
+    assert all(s.depth == 2 and s.hi - s.lo <= condition._BLOCK for s in slabs)
+    ends = {s.axis: s for s in slabs}   # the last slab of each face
+    for s in [slabs[0], slabs[1], slabs[len(slabs) // 2], *ends.values()]:
+        assert mesh.block_points((s,)).tobytes() == reference_rows(3, 7, s.lo, s.hi).tobytes()
 
 
 class TestCovering:

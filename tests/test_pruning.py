@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from spherecount import condition
 from spherecount import polynomials as pl
 from spherecount.certification import _admissible
-from spherecount.condition import (_kappa_max, _kappa_walk, _sigma_min_batch,
+from spherecount.condition import (_blocks, _kappa_max, _sigma_min_batch,
                                    bounded_max, kappa_grid, kappa_many, mu,
                                    mu_many, sample_gaussian_system)
 from spherecount import counting
 from spherecount.counting import (_candidate_ceiling, _conditioned_lift,
-                                  _point_data, build_graph, count_affine,
-                                  initial_eta, root_count)
+                                  _kappa_estimate, _level, build_graph,
+                                  count_affine, initial_eta, root_count)
 from spherecount.mesh import angular_distance_many, build_mesh
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, evaluate_many,
@@ -62,8 +62,24 @@ CASES = [
 ]
 
 
+def assert_sparse_level(F, mesh, graph, f_all):
+    """The level's low rows, their data and the block minima equal what the
+    residuals at every pair row give, bit for bit."""
+    low = np.nonzero(f_all < graph.limit)[0]
+    assert np.array_equal(graph.low_rows, low)
+    assert graph.low_norms.tobytes() == f_all[low].tobytes()
+    assert graph.low_points.tobytes() == mesh.pair_points[low].tobytes()
+    assert np.array_equal(graph.candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
+    spans = [f_all[b[0].lo:b[-1].hi] for b in _blocks(mesh)]
+    least = [np.min(f, where=f >= graph.limit, initial=math.inf) for f in spans]
+    assert np.array_equal(graph.least, least)
+
+
 @pytest.mark.parametrize("system, t", CASES)
-def test_point_data_matches_exhaustive(system, t):
+@pytest.mark.parametrize("seed", [-math.inf, 3.0, math.inf])
+def test_level_matches_exhaustive(system, t, seed):
+    """Whatever rows the level keeps (``seed`` moves its limit), its sparse
+    outputs and the kappa walk equal an exhaustive pass over the pair points."""
     F = system()
     n = F.n
     mesh = build_mesh(n, t)
@@ -78,15 +94,15 @@ def test_point_data_matches_exhaustive(system, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(counting, "mu_many", counted_mu_many)
         mp.setattr(condition, "mu_many", counted_mu_many)
-        f_norms, candidates, mus, admissible = _point_data(F, mesh)
-        kappa = _kappa_walk(F, points, f_norms, candidates, mus)
-    assert f_norms.shape == (mesh.count // 2,)
-    assert np.array_equal(f_norms, f_all)
-    assert np.array_equal(candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
-    assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
+        graph = _level(F, mesh, seed=seed)
+        kappa, revisited = _kappa_estimate(F, mesh, graph)
+    assert_sparse_level(F, mesh, graph, f_all)
+    assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
+    assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert kappa == kappa_all
-    assert np.array_equal(mus, mu_all[candidates])
-    assert np.all(mus >= math.sqrt(n) * (1.0 - 1e-12))
+    assert np.array_equal(graph.mus, mu_all[graph.candidates])
+    assert np.all(graph.mus >= math.sqrt(n) * (1.0 - 1e-12))
+    assert revisited % 1 == 0 and revisited <= points.shape[0]
     # kappa of a well-conditioned system is near 1 everywhere, so 1/|f|
     # prunes nothing there; elsewhere few points need mu
     if kappa_all > 2.0:
@@ -105,8 +121,7 @@ def test_build_graph_matches_exhaustive(system, t):
     assert list(graph.mus) == list(mu_all[graph.candidates])
     # mu and the inclusion test are kept at the admissibility candidates only
     assert graph.mus.shape == graph.admissible.shape == graph.candidates.shape
-    assert np.array_equal(graph.candidates,
-                          np.nonzero(graph.f_norms < _candidate_ceiling(Fn))[0])
+    assert_sparse_level(Fn, mesh, graph, exhaustive(Fn, mesh.pair_points)[0])
     assert np.array_equal(graph.vertex_indices, graph.candidates[graph.admissible])
 
 
@@ -121,17 +136,48 @@ def test_root_count_kappa_matches_exhaustive(seed):
 
 def test_root_count_takes_kappa_once():
     calls = []
+    walk = counting._kappa_walk
 
-    def counted_bounded_max(*args, **kw):
+    def counted_kappa_walk(*args, **kw):
         calls.append(1)
-        return bounded_max(*args, **kw)
+        return walk(*args, **kw)
 
     F = random_unit_system(2, (2, 2), 4000)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condition, "bounded_max", counted_bounded_max)
+        mp.setattr(counting, "_kappa_walk", counted_kappa_walk)
         res = root_count(F, max_t=5)
     assert res.iterations >= 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [4000, 4001, 4002, 4003])
+def test_streamed_kappa_matches_the_built_grid(seed):
+    """The loop's walk, over blocks generated again, gives kappa_grid's value
+    on the built final grid bit for bit."""
+    F = sample_gaussian_system(2, (2, 2), seed)
+    res = root_count(F, max_t=8)
+    t = initial_eta(2)[1] + res.iterations
+    assert res.kappa_grid_estimate == kappa_grid(F, build_mesh(2, t))[0]
+
+
+@pytest.mark.parametrize("candidates_only", [False, True])
+def test_streamed_walk_matches_kappa_grid_n3(candidates_only):
+    """On 40 Gaussian (2,2,2) systems at t=4 the streamed walk of a level
+    equals kappa_grid's walk over the built grid.  A level that keeps only
+    its candidates leaves most rows to the blocks the walk evaluates again."""
+    mesh = build_mesh(3, 4)
+    revisits = 0
+    with pytest.MonkeyPatch.context() as mp:
+        if candidates_only:
+            mp.setattr(counting, "_keep_limit", lambda F, eta, seed: _candidate_ceiling(F))
+        for seed in range(40):
+            F = sample_gaussian_system(3, (2, 2, 2), seed)
+            Fn = F.normalized()
+            kappa, revisited = _kappa_estimate(Fn, mesh, _level(Fn, mesh))
+            assert kappa == kappa_grid(F, mesh)[0]
+            revisits += revisited > 0
+    if candidates_only:
+        assert revisits > 0
 
 
 def test_lifted_loop_matches_exhaustive():
@@ -143,15 +189,15 @@ def test_lifted_loop_matches_exhaustive():
     points = mesh.pair_points
     poles = lifted_poles(lifted.n_vars)
     sample = np.min([angular_distance_many(points, p) for p in poles], axis=0) > 0.2
-    _, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
+    f_all, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
     assert res.kappa_grid_estimate == kappa_all
-    f_norms, candidates, mus, admissible = _point_data(lifted, mesh)
-    kappa = _kappa_walk(lifted, points, f_norms, candidates, mus,
-                        skip=~sample)
-    assert np.array_equal(candidates[admissible], np.nonzero(adm_all)[0])
-    assert np.array_equal(admissible, adm_all[candidates])
+    graph = _level(lifted, mesh, poles=poles)
+    assert_sparse_level(lifted, mesh, graph, f_all)
+    kappa, _ = _kappa_estimate(lifted, mesh, graph, poles)
+    assert np.array_equal(graph.candidates[graph.admissible], np.nonzero(adm_all)[0])
+    assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert kappa == kappa_all
-    assert np.array_equal(mus, mu_all[candidates])
+    assert np.array_equal(graph.mus, mu_all[graph.candidates])
 
 
 @pytest.mark.parametrize("n, degrees, seed, t", [
@@ -184,6 +230,12 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
             for threads in (1, 2):
                 norms = condition._residual_norms(F, mesh, threads)
                 assert np.array_equal(norms, direct)
+                # the streamed pass keeps every row below an infinite limit
+                rows, streamed, points, least = condition._scan(F, mesh, math.inf, threads)
+                assert np.array_equal(rows, np.arange(mesh.count // 2))
+                assert streamed.tobytes() == direct.tobytes()
+                assert points.tobytes() == mesh.pair_points.tobytes()
+                assert np.all(least == math.inf)
 
 
 @pytest.mark.parametrize("rows, blocks", [(0, []), (1, [1]), (1000, [40] + [64] * 15)])
