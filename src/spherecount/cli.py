@@ -192,10 +192,12 @@ def _load_system(path, affine=False):
 
 
 def _parse_point(text, n_vars):
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != n_vars:
-        raise ValueError(f"expected {n_vars} coordinates, got {len(vals)}")
-    return pl.normalize(np.array(vals))
+    x = np.array([float(v) for v in text.split(",")])
+    if x.size != n_vars:
+        raise ValueError(f"expected {n_vars} coordinates, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ValueError("point coordinates must be finite")
+    return pl.normalize(x)
 
 
 def _emit_json(doc):
@@ -251,7 +253,9 @@ def _build_parser():
                 description="Certified real-zero counting on the unit sphere.")
     p.add_argument("--input", default=None, help="system file (JSON or expressions; - for stdin)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="run the mc-kappa trials on this many threads "
+                        "(count always runs on one)")
     p.add_argument("--output", choices=("json", "csv"), default=None)
     sub = p.add_subparsers(dest="command")
 
@@ -311,6 +315,8 @@ def dispatch(argv):
 
 
 def _run(args):
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     cmd = args.command
     if cmd == "tables":
         rows = _table_rows(args.which)
@@ -367,7 +373,7 @@ def _run(args):
         polys = _load_system(args.input, affine=True)
         # the lift puts n affine equations on S^(n+1)
         max_t = _clamp_max_t(len(polys) + 1, args.max_t)
-        result, affine_count = count_affine(polys, max_t=max_t, threads=args.threads)
+        result, affine_count = count_affine(polys, max_t=max_t)
         doc = result.to_json()
         doc["affine_count"] = affine_count
         if args.stats:
@@ -377,8 +383,7 @@ def _run(args):
 
     F = _load_system(args.input)
     if cmd == "count":
-        result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t),
-                            threads=args.threads)
+        result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t))
         doc = result.to_json()
         if args.stats:
             doc["kappa_grid_estimate"] = result.kappa_grid_estimate

@@ -12,7 +12,6 @@ maximum governs the cost of the counting algorithm.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +43,8 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
-# rows a whole-grid pass handles at once, and one task of the thread pool:
-# the temporaries of one block of evaluate_many and its norms stay in a
-# 2 MB L2 cache
+# rows a whole-grid pass handles at once: the temporaries of one block of
+# evaluate_many and its norms stay in a 2 MB L2 cache
 _BLOCK = 1 << 14
 # Bytes a streamed pass allocates and frees before its first block.  glibc
 # hands a free heap top over 128 KB back to the system, so the freed
@@ -56,26 +54,14 @@ _BLOCK = 1 << 14
 _HEAP_WARMUP = 8 << 20
 
 
-def _each(fn, items, threads):
-    """[fn(s) for s in items], on a pool of ``threads`` when there are several."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(s) for s in items]
-
-
-def _map_rows(fn, X, threads=1):
+def _map_rows(fn, X):
     """fn(X[lo:lo + _BLOCK]) for each block of ``_BLOCK`` rows, in one array.
 
-    ``fn`` gives one float per row of its block.  Each block is one task
-    of a pool of ``threads`` when there are several.
+    ``fn`` gives one float per row of its block.
     """
     out = np.empty(X.shape[0])
-
-    def work(lo):
+    for lo in range(0, X.shape[0], _BLOCK):
         out[lo:lo + _BLOCK] = fn(X[lo:lo + _BLOCK])
-
-    _each(work, range(0, X.shape[0], _BLOCK), threads)
     return out
 
 
@@ -93,7 +79,7 @@ def _row_norms(V):
     return np.sqrt(s, out=s)
 
 
-def _residual_norms(F, mesh, threads=1):
+def _residual_norms(F, mesh):
     """|f| at each pair row of ``mesh``, which stands for both points of its pair.
 
     |f(-x)| = |f(x)| for homogeneous f, and ``pl.evaluate_many`` keeps
@@ -101,7 +87,7 @@ def _residual_norms(F, mesh, threads=1):
     point equals a direct evaluation at its mirror bit for bit.
     """
     return _map_rows(lambda X: _row_norms(pl.evaluate_many(F, X)),
-                     mesh.pair_points, threads)
+                     mesh.pair_points)
 
 
 def _blocks(mesh):
@@ -115,11 +101,11 @@ def _block_norms(F, mesh, block):
     return X, _row_norms(pl.evaluate_many(F, X))
 
 
-def _scan(F, mesh, below, threads=1):
+def _scan(F, mesh, below):
     """One streamed pass over the pair rows of ``mesh`` that keeps only its low rows.
 
     Each block is generated, evaluated and normed while it is in cache,
-    one task of a pool of ``threads``, so no array spans the grid.
+    so no array spans the grid.
     Returns (rows, norms, points, least): the ascending pair rows with |f|
     < ``below``, |f| and the pair point at each (bit for bit those of the
     built mesh), and per block of ``_blocks(mesh)`` the least |f| of its
@@ -132,7 +118,7 @@ def _scan(F, mesh, below, threads=1):
                 np.min(f, where=f >= below, initial=math.inf))
 
     np.empty(_HEAP_WARMUP // 8)
-    rows, norms, points, least = zip(*_each(scan, _blocks(mesh), threads))
+    rows, norms, points, least = zip(*map(scan, _blocks(mesh)))
     return (np.concatenate(rows), np.concatenate(norms), np.concatenate(points),
             np.array(least))
 
@@ -385,7 +371,7 @@ def bounded_max(bounds, values, best):
     return best
 
 
-def _kappa_walk(F, least, block, best=-math.inf, threads=1):
+def _kappa_walk(F, least, block, best=-math.inf):
     """Maximum of kappa for the unit-norm F over ``best`` and blocks of rows.
 
     ``block(i)`` returns the points of block i that the walk may have to
@@ -404,7 +390,7 @@ def _kappa_walk(F, least, block, best=-math.inf, threads=1):
         points, f_norms = block(i)
 
         def visit(idx):
-            mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[idx], threads)
+            mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[idx])
             return _kappa_max(f_norms[idx], mus)
 
         best = bounded_max(_kappa_bounds(f_norms), visit, best)
@@ -549,12 +535,12 @@ def smoothed_ln_kappa_bound(n, degrees, sigma):
 def monte_carlo_ln_kappa(n, degrees, trials, mesh_t, seed, threads=1):
     """Empirical mean of ln(kappa grid estimate) against the closed-form bound.
 
-    Trial i draws its system from seed + i, so results do not depend on the
-    execution schedule.  Returns a dict with the per-trial values, their
-    mean, and the bound (None when n < 3).
+    Trial i draws its system from seed + i, so results do not depend on
+    the ``threads`` that run the trials.  Returns a dict with the per-trial
+    values, their mean, and the bound (None when n < 3).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 1 or threads < 1:
+        raise ValueError("need at least one trial and one thread")
     mesh = build_mesh(n, mesh_t)
 
     def one(i):
@@ -562,7 +548,12 @@ def monte_carlo_ln_kappa(n, degrees, trials, mesh_t, seed, threads=1):
         est, _ = kappa_grid(F, mesh)
         return math.log(est)
 
-    samples = _each(one, range(trials), threads)
+    if threads == 1:
+        samples = [one(i) for i in range(trials)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # kept out of a bare import
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            samples = list(pool.map(one, range(trials)))
     bound = expected_ln_kappa_bound(n, degrees) if n >= 3 else None
     return {
         "samples": samples,

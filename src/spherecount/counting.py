@@ -215,7 +215,7 @@ _KAPPA_POLE_GAP = 0.2
 _LIFTED_FAILURE_CAP = 2000
 
 
-def _level(F, mesh, threads=1, poles=(), seed=-math.inf):
+def _level(F, mesh, poles=(), seed=-math.inf):
     """Certify a grid against the normalized F and link nearby caps.
 
     One streamed pass keeps the low rows; mu and the inclusion test are
@@ -224,10 +224,10 @@ def _level(F, mesh, threads=1, poles=(), seed=-math.inf):
     cap reaches a pole certifies that pole.
     """
     limit = _keep_limit(F, mesh.eta, seed)
-    rows, norms, points, least = _scan(F, mesh, limit, threads)
+    rows, norms, points, least = _scan(F, mesh, limit)
     cand = norms < _candidate_ceiling(F)
     candidates = rows[cand]
-    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[cand], threads)
+    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[cand])
     admissible = _admissible(norms[cand], mus, F.max_degree)
     vertices = candidates[admissible]
     at = np.searchsorted(rows, vertices)
@@ -253,9 +253,9 @@ def _level(F, mesh, threads=1, poles=(), seed=-math.inf):
     )
 
 
-def build_graph(F, mesh, threads=1):
+def build_graph(F, mesh):
     """Certify the grid against the normalized system and link nearby caps."""
-    return _level(F.normalized(), mesh, threads=threads)
+    return _level(F.normalized(), mesh)
 
 
 def exclusion_threshold(F, eta):
@@ -378,7 +378,7 @@ def _candidate_kappa(F, graph, poles=()):
     return _kappa_max(f_norms[away], graph.mus[away])
 
 
-def _kappa_estimate(F, mesh, graph, poles=(), threads=1):
+def _kappa_estimate(F, mesh, graph, poles=()):
     """The kappa maximum over the pair rows of the level, away from the poles.
 
     The candidates' kappa seeds the walk (``_kappa_walk``).  Its first
@@ -402,11 +402,11 @@ def _kappa_estimate(F, mesh, graph, poles=(), threads=1):
         return X[keep], f[keep]
 
     least = np.concatenate([[0.0], graph.least])
-    best = _kappa_walk(F, least, block, _candidate_kappa(F, graph, poles), threads)
+    best = _kappa_walk(F, least, block, _candidate_kappa(F, graph, poles))
     return best, revisited
 
 
-def _run_loop(F, max_t, threads, poles=()):
+def _run_loop(F, max_t, poles=()):
     Fn = F.normalized()
     n = Fn.n
     _, t0 = initial_eta(n)
@@ -415,7 +415,7 @@ def _run_loop(F, max_t, threads, poles=()):
     evaluations, seed = 0, -math.inf
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t)
-        graph = _level(Fn, mesh, threads=threads, poles=poles, seed=seed)
+        graph = _level(Fn, mesh, poles=poles, seed=seed)
         seed = max(seed, _candidate_kappa(Fn, graph, poles))
         # 1 per pair row and 2 per vertex; a vertex pair holds two vertices
         evaluations += mesh.count // 2 + 4 * len(graph.vertex_indices)
@@ -435,7 +435,7 @@ def _run_loop(F, max_t, threads, poles=()):
     for pole in poles:
         zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
                                  final_beta=0.0, converged=True))
-    kappa_est, revisited = _kappa_estimate(Fn, mesh, graph, poles, threads)
+    kappa_est, revisited = _kappa_estimate(Fn, mesh, graph, poles)
     evaluations += revisited
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
@@ -457,8 +457,9 @@ def root_count(F, max_t=10, threads=1):
     Halves the spacing until both stop conditions hold or t exceeds
     ``max_t``; budget exhaustion is reported through ``stopped=False``
     rather than raised.  Grid-size overflow does raise (MeshSizeError).
+    ``threads`` is unused: the loop runs on one thread.
     """
-    return _run_loop(F, max_t=max_t, threads=threads)
+    return _run_loop(F, max_t=max_t)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +536,13 @@ def count_affine(affine_polys, max_t=10, threads=1):
     as known zeros.  The count is not certified: a root whose lifted zero
     lies inside a pole's shadow is taken for part of the pole and dropped
     from a stopped count (x - 100 gives 0, x^2 - 19x - 20 gives 1).
+    ``threads`` is unused: the loop runs on one thread.
     """
     lifted = _conditioned_lift(affine_polys)
     poles = pl.lifted_poles(lifted.n_vars)
     for pole in poles:
         if float(np.linalg.norm(pl.evaluate(lifted, pole))) > 1e-10:
             raise AssertionError("lift invariant violated: pole is not a zero")
-    result = _run_loop(lifted, max_t=max_t, threads=threads, poles=poles)
+    result = _run_loop(lifted, max_t=max_t, poles=poles)
     affine_count = result.count // 2 - 1 if result.stopped else None
     return result, affine_count

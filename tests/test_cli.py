@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -231,6 +232,32 @@ class TestDispatch:
     def test_mesh_rejects_zero_probes(self, capsys):
         assert dispatch(["mesh", "--n", "1", "--t", "1", "--probes", "0"]) == 3
         assert "--probes must be at least 1" in capsys.readouterr().err
+
+    def test_threads_below_one_exit_3_before_any_work(self, sys_json, capsys,
+                                                        monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before --threads was checked")
+
+        monkeypatch.setattr("spherecount.cli.monte_carlo_ln_kappa", no_work)
+        monkeypatch.setattr("spherecount.cli.root_count", no_work)
+        for threads in ("0", "-3"):
+            for argv in (["mc-kappa", "--trials", "3", "--t", "2"],
+                         ["--input", sys_json, "count", "--max-t", "4"]):
+                assert dispatch(["--threads", threads] + argv) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == "error: --threads must be at least 1\n"
+
+    @pytest.mark.parametrize("command, point", [
+        ("certify", "nan,1,0"), ("certify", "1,inf,0"),
+        ("mu", "inf,1,0"), ("mu", "0,1,nan")])
+    def test_non_finite_point_exits_3(self, sys_json, capsys, command, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(["--input", sys_json, command, "--point", point]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: point coordinates must be finite\n"
 
     def test_mc_kappa_rejects_sigma_before_trials(self, capsys, monkeypatch):
         def no_trials(*args, **kwargs):

@@ -363,6 +363,12 @@ class TestMonteCarlo:
         b = monte_carlo_ln_kappa(3, (2, 2, 2), trials=6, mesh_t=2, seed=9, threads=4)
         assert a["samples"] == b["samples"]
 
+    def test_rejects_fewer_than_one_thread(self):
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="one thread"):
+                monte_carlo_ln_kappa(3, (2, 2, 2), trials=2, mesh_t=1, seed=0,
+                                     threads=threads)
+
     def test_smoothed_bound(self):
         n, degrees, sigma = 3, (2, 2, 2), 0.1
         N = 30

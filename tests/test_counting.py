@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ class TestRootCount:
         assert docs[0] == docs[1]
 
     def test_determinism_across_threads_in_chunks(self, monkeypatch):
-        # small blocks split each pass of a level into many tasks of the pool
+        # small blocks split each pass of a level into many blocks
         monkeypatch.setattr(condition, "_BLOCK", 64)
         F = random_unit_system(2, (2, 2), 4000)
         cubic = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]
@@ -370,6 +371,28 @@ class TestRootCount:
                                     lifted.to_json(), lifted.kappa_grid_estimate,
                                     affine_count], sort_keys=True))
         assert docs[0] == docs[1] == docs[2]
+
+    def test_counting_starts_no_thread(self, monkeypatch):
+        # small blocks give every pass of a level many blocks, so any pool
+        # over blocks would start threads
+        monkeypatch.setattr(condition, "_BLOCK", 64)
+        F = random_unit_system(2, (2, 2), 4000)
+        cubic = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]
+
+        def run(threads):
+            res = root_count(F, max_t=5, threads=threads)
+            lifted, affine_count = count_affine(cubic, max_t=6, threads=threads)
+            return json.dumps([res.to_json(), res.kappa_grid_estimate,
+                               lifted.to_json(), lifted.kappa_grid_estimate,
+                               affine_count], sort_keys=True)
+
+        expected = run(1)
+
+        def no_start(thread):
+            raise AssertionError("the counting loop started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        assert run(4) == expected
 
 
 class TestPredictions:

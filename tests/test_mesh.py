@@ -186,10 +186,9 @@ def test_counting_never_builds_the_full_grid(monkeypatch):
         for name in ("points", "pair_points"):
             with pytest.raises(AssertionError, match=name):
                 getattr(build_mesh(2, 2), name)
-        for threads in (1, 2):
-            assert spherecount.root_count(stopping, max_t=9, threads=threads).stopped
-            assert not spherecount.root_count(sample_gaussian_system(2, (2, 2), 4000),
-                                              max_t=5, threads=threads).stopped
+        assert spherecount.root_count(stopping, max_t=9).stopped
+        assert not spherecount.root_count(sample_gaussian_system(2, (2, 2), 4000),
+                                          max_t=5).stopped
         result, affine_count = spherecount.count_affine(
             [AffinePolynomial(1, {(2,): 1.0, (0,): -2.0})], max_t=9)
         assert result.stopped and affine_count == 2
@@ -357,12 +356,13 @@ class TestMeshHullProperty:
             assert sch_membership(x, near)
 
 
-def test_import_loads_neither_scipy_optimize_nor_sparse():
-    # sch_membership and the graph clustering import them when called; a
-    # bare package import must stay cheap
+def test_import_loads_neither_scipy_nor_the_thread_pool():
+    # sch_membership, the graph clustering and the Monte-Carlo trials import
+    # them when called; a bare package import must stay cheap
     src = os.path.dirname(os.path.dirname(spherecount.__file__))
     code = ("import spherecount, sys; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', 'concurrent.futures')"
+            " if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "[]"

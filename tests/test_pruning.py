@@ -218,7 +218,7 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
 def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
     """The half-grid pass equals a direct evaluation bit for bit at every pair
-    point and at its mirror, for any block size and thread count."""
+    point and at its mirror, for any block size."""
     F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
     mesh = build_mesh(n, t)
     direct = np.linalg.norm(evaluate_many(F, mesh.pair_points), axis=1)
@@ -227,36 +227,33 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
     for block in (condition._BLOCK, 512, 200):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
-            for threads in (1, 2):
-                norms = condition._residual_norms(F, mesh, threads)
-                assert np.array_equal(norms, direct)
-                # the streamed pass keeps every row below an infinite limit
-                rows, streamed, points, least = condition._scan(F, mesh, math.inf, threads)
-                assert np.array_equal(rows, np.arange(mesh.count // 2))
-                assert streamed.tobytes() == direct.tobytes()
-                assert points.tobytes() == mesh.pair_points.tobytes()
-                assert np.all(least == math.inf)
+            norms = condition._residual_norms(F, mesh)
+            assert np.array_equal(norms, direct)
+            # the streamed pass keeps every row below an infinite limit
+            rows, streamed, points, least = condition._scan(F, mesh, math.inf)
+            assert np.array_equal(rows, np.arange(mesh.count // 2))
+            assert streamed.tobytes() == direct.tobytes()
+            assert points.tobytes() == mesh.pair_points.tobytes()
+            assert np.all(least == math.inf)
 
 
 @pytest.mark.parametrize("rows, blocks", [(0, []), (1, [1]), (1000, [40] + [64] * 15)])
 def test_map_rows_fills_every_block(rows, blocks):
-    """The block map covers empty input, one row and a ragged last block,
-    on one thread and on a pool, with equal results."""
+    """The block map covers empty input, one row and a ragged last block."""
     X = np.random.default_rng(rows).standard_normal((rows, 3))
     expected = X[:, 0] * X[:, 1] - X[:, 2]
-    for threads in (1, 2):
-        seen = []
+    seen = []
 
-        def fn(B):
-            seen.append(B.shape[0])
-            return B[:, 0] * B[:, 1] - B[:, 2]
+    def fn(B):
+        seen.append(B.shape[0])
+        return B[:, 0] * B[:, 1] - B[:, 2]
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(condition, "_BLOCK", 64)
-            out = condition._map_rows(fn, X, threads)
-        assert out.shape == (rows,)
-        assert np.array_equal(out, expected)
-        assert sorted(seen) == blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condition, "_BLOCK", 64)
+        out = condition._map_rows(fn, X)
+    assert out.shape == (rows,)
+    assert np.array_equal(out, expected)
+    assert sorted(seen) == blocks
 
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
