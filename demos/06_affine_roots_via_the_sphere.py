@@ -1,15 +1,21 @@
-"""Counting real affine roots by counting on a sphere one dimension up.
+"""Counting real affine roots on the sphere.
 
-An affine system of n polynomials in n variables lifts to n+1 homogeneous
-polynomials in n+2 variables: homogenize each equation and add the
+Homogenizing n affine equations in n unknowns gives n homogeneous
+equations in n+1 variables (y_0, y_1, ..., y_n), a system on S^n.  Its
+finite roots are its zeros off the great sphere y_0 = 0, and
+count_affine runs the counting loop on it until, besides separation and
+exclusion, every component has a vertex whose certified cap misses
+y_0 = 0.  Each component is then one affine root.
+
+The result speaks in terms of the paper's lift: n+1 homogeneous
+polynomials in n+2 variables, the homogenized equations and the
 auxiliary quadric y_0 u = y_1^2 + ... + y_n^2.  Every affine root yields
-an antipodal pair of sphere zeros, and exactly one extra pair sits at the
+an antipodal pair of its zeros, and exactly one extra pair sits at the
 poles (0, ..., 0, +-1), so
 
-    #affine roots + 1 = (1/2) #sphere zeros of the lift.
+    #affine roots + 1 = (1/2) #sphere zeros of the lift,
 
-The poles are flat zeros whenever a degree exceeds one, which is why the
-counting loop treats them as known components behind shrinking caps.
+and the reported zeros are the lift's images of the roots, then the poles.
 """
 
 import numpy as np

@@ -262,7 +262,7 @@ def _build_parser():
     c = sub.add_parser("count", help="count zeros on the sphere")
     c.add_argument("--max-t", type=int, default=9)
     c.add_argument("--affine", action="store_true",
-                   help="treat the input as an affine system and count through the lift")
+                   help="treat the input as an affine system and count its real roots")
     c.add_argument("--stats", action="store_true")
 
     ce = sub.add_parser("certify", help="inclusion test at a point")
@@ -294,11 +294,11 @@ def _build_parser():
 
 def dispatch(argv):
     parser = _build_parser()
-    # argparse takes "-0.6,0.8" for an option (only plain numbers are
-    # exempt), so a point with a negative first coordinate joins its flag
+    # argparse takes "-0.6,0.8" or "-inf,1" for an option (only plain
+    # numbers are exempt), so a point value starting with "-" joins its flag
     argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--point" and re.match(r"-[\d.]", argv[i]):
+        if argv[i - 1] == "--point" and argv[i].startswith("-"):
             argv[i - 1:i + 1] = [f"--point={argv[i]}"]
     try:
         args = parser.parse_args(argv)
@@ -371,8 +371,8 @@ def _run(args):
 
     if cmd == "count" and args.affine:
         polys = _load_system(args.input, affine=True)
-        # the lift puts n affine equations on S^(n+1)
-        max_t = _clamp_max_t(len(polys) + 1, args.max_t)
+        # n affine equations are counted on their homogenization on S^n
+        max_t = _clamp_max_t(len(polys), args.max_t)
         result, affine_count = count_affine(polys, max_t=max_t)
         doc = result.to_json()
         doc["affine_count"] = affine_count

@@ -17,9 +17,8 @@ pair rows (``SphereMesh``, one point per antipodal pair), and distances
 between pairs are projective: min(d, pi - d) for the angle d between
 their pair points.  A stopped component certifies one pair +-zeta,
 never a zero that is its own antipode, so on termination the count is
-twice the number of components plus the number of zeros known in
-advance; refining one vertex per component locates zeta, and -zeta with
-it.
+twice the number of components; refining one vertex per component
+locates zeta, and -zeta with it.
 
 A level is one streamed pass: each block of the grid is generated,
 evaluated and normed in cache, and only its low rows are kept (the
@@ -27,28 +26,11 @@ candidates, possible exclusion failures and the first rows of the kappa
 walk), so no array of a level spans the grid.  The kappa walk evaluates a
 block again only when its other rows can still raise the maximum.
 
-There is one loop.  The plain count knows no zeros in advance; the
-affine front end knows two, the poles (0, ..., 0, +-1) of a lifted
-system.  They are degenerate whenever some input degree exceeds one (the
-homogenized equations are flat at y = 0), so exclusion can never clear a
-pole neighbourhood.  Known zeros enter the loop in three places, each
-void when there are none:
-
-  * admissible grid points whose certified ball reaches their nearest
-    known zero certify that zero (the certified zero is constant on the
-    ball), so they join its component instead of seeding a new one;
-  * exclusion failures are clustered at grid scale and each cluster must
-    reach a known zero: a low-residual island elsewhere blocks stopping,
-    and with no known zeros every failure is such an island;
-  * vertices must keep a separation margin from the known zeros' shadows.
-
-This gate is a heuristic, and the lifted count is not certified.  A
-zero whose low-residual neighbourhood stays merged with a pole shadow
-defers termination until the spacing resolves the gap, but a large
-affine root lifts so close to a pole that the gate takes it for part of
-the pole: the loop then stops and drops the root (x - 100 stops with no
-affine root).  The kappa diagnostic is taken once, on the final grid,
-away from the known zeros.
+There is one loop.  The affine front end runs it on the homogenized
+system, whose finite roots are its zeros off the great sphere x_0 = 0,
+and stops only once every component is also certified finite: one of its
+vertices has a cap that misses x_0 = 0.  The kappa diagnostic is taken
+once, on the final grid.
 """
 
 from __future__ import annotations
@@ -65,7 +47,7 @@ from .certification import (RefinedZero, _admissible, _inclusion_radius,
 from .condition import (_block_norms, _blocks, _kappa_max, _kappa_walk,
                         _map_rows, _scan, mu_many)
 from .convergence import ALPHA, r0
-from .mesh import angular_distance_many, build_mesh, pairwise_angular
+from .mesh import build_mesh, pairwise_angular
 
 __all__ = [
     "CertGraph",
@@ -91,8 +73,7 @@ class CertGraph:
     holds, ascending, the low rows that could pass the inclusion test;
     ``mus`` and ``admissible`` are mu (inf if singular) at their pair
     points and the test's outcome there, which decides both points.  The
-    vertices are the admissible candidates whose cap reaches no known
-    zero.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
+    vertices are the admissible candidates.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
     vertex's certified cap (``certification._inclusion_radius``); two
     vertices are linked when their caps, or the cap of one and the mirror
     of the other's, meet.
@@ -185,43 +166,12 @@ def _clusters(points, reach):
     return tuple(tuple(g) for g in groups.values()), float(separation)
 
 
-def _pole_distance(points, poles):
-    """Angular distance from each row to the nearest pole (inf if none).
-
-    The poles are an antipodal pair, so a row and its mirror are equally
-    far from them.
-    """
-    d = np.full(points.shape[0], math.inf)
-    for pole in poles:
-        d = np.minimum(d, angular_distance_many(points, pole))
-    return d
-
-
-# The heuristic gate for zeros known in advance (the lifted poles):
-# a cap that reaches within this angle of a pole certifies the pole
-_CERTIFIER_SLACK = 1e-15
-# exclusion failures within this many eta sqrt(n) of each other belong to
-# one cluster, and a cluster this close to a pole belongs to the pole
-_LINK_FACTOR = 2.5
-# farthest angle from its pole that a failure cluster may reach
-_FAILURE_SHADOW_MAX = 0.6
-# farthest angle from its pole that a failure or a certifier may reach
-_SHADOW_MAX = 0.75
-# the kappa diagnostic leaves out the points within this angle of a pole
-_KAPPA_POLE_GAP = 0.2
-# Largest exclusion-failure set, in antipodal pairs, that the gate clusters;
-# a level with more failures does not stop.  The cap bounds the dense
-# pair matrix of the clustering at 2000^2 doubles (32 MB).
-_LIFTED_FAILURE_CAP = 2000
-
-
-def _level(F, mesh, poles=(), seed=-math.inf):
+def _level(F, mesh, seed=-math.inf):
     """Certify a grid against the normalized F and link nearby caps.
 
     One streamed pass keeps the low rows; mu and the inclusion test are
     taken at the candidates only, with the values of an exhaustive pass
-    (mu of a row does not depend on its batch).  An admissible point whose
-    cap reaches a pole certifies that pole.
+    (mu of a row does not depend on its batch).
     """
     limit = _keep_limit(F, mesh.eta, seed)
     rows, norms, points, least = _scan(F, mesh, limit)
@@ -232,10 +182,7 @@ def _level(F, mesh, poles=(), seed=-math.inf):
     vertices = candidates[admissible]
     at = np.searchsorted(rows, vertices)
     radii = _inclusion_radius(norms[at], mus[admissible])
-    at_pole = _pole_distance(points[at], poles) <= radii + _CERTIFIER_SLACK
-    vertices, radii = vertices[~at_pole], radii[~at_pole]
-    components, separation = _clusters(
-        points[at[~at_pole]], radii[:, None] + radii[None, :])
+    components, separation = _clusters(points[at], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
         vertex_indices=vertices,
@@ -268,47 +215,15 @@ def _exclusion_failures(F, mesh, graph):
     return np.setdiff1d(low, graph.candidates[graph.admissible], assume_unique=True)
 
 
-def check_stop(F, mesh, graph, poles=()):
+def check_stop(F, mesh, graph):
     """The two termination predicates of the counting loop.
 
     ``separation_ok``: vertices of distinct components are projectively
-    farther apart than 2 eta sqrt(n).  ``exclusion_ok``: the pairs failing
-    both tests are explained by the zeros known in advance (``poles``, as
-    given to the graph), so with none there is no such point.  With poles
-    the failures cluster around them, failures and certifiers stay within
-    the shadow extents, and the vertices keep 2 eta sqrt(n) beyond them.
+    farther apart than 2 eta sqrt(n).  ``exclusion_ok``: no pair fails
+    both tests.
     """
-    eta, n = mesh.eta, mesh.n
-    stop = {"separation_ok": graph.separation > 2.0 * eta * math.sqrt(n),
-            "exclusion_ok": False}
-    link = _LINK_FACTOR * eta * math.sqrt(n)
-    failing = _exclusion_failures(F, mesh, graph)
-    shadow_extent = 0.0
-    if failing.size:
-        fail_points = graph.at(failing)[0]
-        fail_pole_dist = _pole_distance(fail_points, poles)
-        # with no pole in reach, no cluster can reach one
-        if float(fail_pole_dist.min()) > link or failing.size > _LIFTED_FAILURE_CAP:
-            return stop
-        for comp in _clusters(fail_points, link)[0]:
-            comp_dist = fail_pole_dist[list(comp)]
-            if float(comp_dist.min()) > link:
-                return stop  # low-residual island away from the poles
-            shadow_extent = max(shadow_extent, float(comp_dist.max()))
-    if shadow_extent > _FAILURE_SHADOW_MAX:
-        return stop
-    # the pole certifiers define how far the pole components reach
-    certifiers = np.setdiff1d(graph.candidates[graph.admissible],
-                              graph.vertex_indices)
-    if certifiers.size:
-        shadow_extent = max(shadow_extent, float(
-            _pole_distance(graph.at(certifiers)[0], poles).max()))
-    if shadow_extent > _SHADOW_MAX:
-        return stop
-    margin = shadow_extent + 2.0 * eta * math.sqrt(n)
-    vertex_dist = _pole_distance(graph.at(graph.vertex_indices)[0], poles)
-    stop["exclusion_ok"] = float(vertex_dist.min(initial=math.inf)) > margin
-    return stop
+    return {"separation_ok": graph.separation > 2.0 * mesh.eta * math.sqrt(mesh.n),
+            "exclusion_ok": _exclusion_failures(F, mesh, graph).size == 0}
 
 
 @dataclass(frozen=True)
@@ -371,15 +286,13 @@ def _component_representatives(graph):
     return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
 
 
-def _candidate_kappa(F, graph, poles=()):
-    """Largest kappa over the candidates farther than _KAPPA_POLE_GAP from the poles."""
-    points, f_norms = graph.at(graph.candidates)
-    away = _pole_distance(points, poles) > _KAPPA_POLE_GAP
-    return _kappa_max(f_norms[away], graph.mus[away])
+def _candidate_kappa(graph):
+    """Largest kappa over the candidates of a level."""
+    return _kappa_max(graph.at(graph.candidates)[1], graph.mus)
 
 
-def _kappa_estimate(F, mesh, graph, poles=()):
-    """The kappa maximum over the pair rows of the level, away from the poles.
+def _kappa_estimate(F, mesh, graph):
+    """The kappa maximum over the pair rows of the level.
 
     The candidates' kappa seeds the walk (``_kappa_walk``).  Its first
     block is the other low rows, the rest are the level's blocks, each
@@ -398,15 +311,31 @@ def _kappa_estimate(F, mesh, graph, poles=()):
             X, f = _block_norms(F, mesh, blocks[i - 1])
             revisited += f.size
             keep = f >= graph.limit
-        keep &= _pole_distance(X, poles) > _KAPPA_POLE_GAP
         return X[keep], f[keep]
 
     least = np.concatenate([[0.0], graph.least])
-    best = _kappa_walk(F, least, block, _candidate_kappa(F, graph, poles))
+    best = _kappa_walk(F, least, block, _candidate_kappa(graph))
     return best, revisited
 
 
-def _run_loop(F, max_t, poles=()):
+# A vertex's cap B(x, r_x) holds its component's zero, and the pair point
+# x lies arcsin|x_0| from the great sphere x_0 = 0, where the zeros at
+# infinity of a homogenized system lie.  _FINITE_MARGIN (radians) absorbs
+# the rounding of arcsin, of r_x and of the pair point, each of relative
+# order 1e-15, so a cap that only touches x_0 = 0 never certifies a zero
+# finite.  It can delay that certificate by a level, never change a count.
+_FINITE_MARGIN = 1e-12
+
+
+def _components_finite(graph):
+    """Whether each component has a vertex whose cap misses x_0 = 0."""
+    x0 = graph.at(graph.vertex_indices)[0][:, 0]
+    clear = np.arcsin(np.abs(x0)) > graph.radii + _FINITE_MARGIN
+    return all(clear[list(comp)].any() for comp in graph.components)
+
+
+def _run_loop(F, max_t, finite=False):
+    """The counting loop; with ``finite`` it stops only on finite components."""
     Fn = F.normalized()
     n = Fn.n
     _, t0 = initial_eta(n)
@@ -415,12 +344,13 @@ def _run_loop(F, max_t, poles=()):
     evaluations, seed = 0, -math.inf
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t)
-        graph = _level(Fn, mesh, poles=poles, seed=seed)
-        seed = max(seed, _candidate_kappa(Fn, graph, poles))
+        graph = _level(Fn, mesh, seed=seed)
+        seed = max(seed, _candidate_kappa(graph))
         # 1 per pair row and 2 per vertex; a vertex pair holds two vertices
         evaluations += mesh.count // 2 + 4 * len(graph.vertex_indices)
-        stop = check_stop(Fn, mesh, graph, poles)
-        stopped = stop["separation_ok"] and stop["exclusion_ok"]
+        stop = check_stop(Fn, mesh, graph)
+        stopped = (stop["separation_ok"] and stop["exclusion_ok"]
+                   and (not finite or _components_finite(graph)))
         if stopped:
             break
     zeros = []
@@ -432,15 +362,12 @@ def _run_loop(F, max_t, poles=()):
             # keeps zero coordinates 0.0
             evaluations += 4 * max(z.newton_steps, 1)
             zeros += [z, replace(z, zeta=0.0 - z.zeta)]
-    for pole in poles:
-        zeros.append(RefinedZero(zeta=np.asarray(pole, float), newton_steps=0,
-                                 final_beta=0.0, converged=True))
-    kappa_est, revisited = _kappa_estimate(Fn, mesh, graph, poles)
+    kappa_est, revisited = _kappa_estimate(Fn, mesh, graph)
     evaluations += revisited
     threshold = (predicted_eta_threshold(Fn, kappa_est)
                  if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
     return CountResult(
-        count=2 * len(graph.components) + len(poles),
+        count=2 * len(graph.components),
         zeros=tuple(zeros),
         final_eta=mesh.eta,
         iterations=t - t0,
@@ -462,87 +389,31 @@ def root_count(F, max_t=10, threads=1):
     return _run_loop(F, max_t=max_t)
 
 
-# ---------------------------------------------------------------------------
-# counting through the affine lift
-
-def _balanced_scaled_lift(affine_polys, aux_scale):
-    """A count-preserving representative of the lift.
-
-    Replaces the auxiliary equation by aux_scale y_0 u - sum y_i^2 (the
-    sphere count relation holds for any positive scale) and rescales every
-    row to unit Weyl norm; both transformations preserve the zero set
-    while often improving the condition number substantially.
-    """
-    lifted = pl.lift_affine(affine_polys)
-    polys = list(lifted.polynomials)
-    g = polys[-1]
-    coeffs = {}
-    for e, c in g.coefficients.items():
-        coeffs[e] = c * aux_scale if e[0] == 1 else c
-    polys[-1] = pl.HomogeneousPolynomial(g.n_vars, g.degree, coeffs)
-    balanced = []
-    for p in polys:
-        nrm = pl.weyl_norm(p)
-        balanced.append(pl.HomogeneousPolynomial(
-            p.n_vars, p.degree, {e: c / nrm for e, c in p.coefficients.items()}))
-    return pl.PolynomialSystem(tuple(balanced)).normalized()
-
-
-def _probe_zero_conditioning(F, poles, probe):
-    """max mu over finite zeros found from a coarse probe grid.
-
-    Newton multistart from the 8 lowest-residual antipodal pairs of the
-    probe grid away from the poles: this is the quantity that drives when
-    the lifted loop can stop.
-    Returns 1.0 when no finite zero is found (any scale is then as good).
-    """
-    from .condition import mu as mu_point
-
-    _, f_norms, points, _ = _scan(F, probe, math.inf)
-    away = np.nonzero(_pole_distance(points, poles) > 0.25)[0]
-    order = away[np.lexsort((away, f_norms[away]))]
-    worst = 0.0
-    seen = []
-    for idx in order[:8]:
-        z = refine_zero(F, points[idx])
-        if not z.converged or float(_pole_distance(z.zeta[None, :], poles)[0]) < 0.1:
-            continue
-        if any(float(np.linalg.norm(z.zeta - s)) < 1e-6 for s in seen):
-            continue
-        seen.append(z.zeta)
-        worst = max(worst, mu_point(F, z.zeta))
-    return worst if seen else 1.0
-
-
-def _conditioned_lift(affine_polys):
-    """The balanced lift whose auxiliary scale best conditions the zeros.
-
-    Tries the scales 1, 2, 4, 8 and 16 and keeps the first whose probed
-    finite zeros have the least worst mu (``_probe_zero_conditioning``).
-    """
-    lifts = [_balanced_scaled_lift(affine_polys, lam)
-             for lam in (1.0, 2.0, 4.0, 8.0, 16.0)]
-    probe = build_mesh(lifts[0].n, 4)
-    poles = pl.lifted_poles(lifts[0].n_vars)
-    return min(lifts, key=lambda F: _probe_zero_conditioning(F, poles, probe))
-
-
 def count_affine(affine_polys, max_t=10, threads=1):
-    """Count real affine roots through the sphere lift.
+    """Count the real roots of n affine equations in n unknowns.
 
-    Returns (sphere_result, affine_count) with
-    affine_count = sphere_count/2 - 1 when the loop stopped (None
-    otherwise).  The loop runs on ``_conditioned_lift`` with the two poles
-    as known zeros.  The count is not certified: a root whose lifted zero
-    lies inside a pole's shadow is taken for part of the pole and dropped
-    from a stopped count (x - 100 gives 0, x^2 - 19x - 20 gives 1).
+    The loop runs on the homogenized system on S^n, whose finite roots are
+    its zeros off x_0 = 0 (Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, ch. 8), and stops only when every component is certified
+    finite as well (``_components_finite``).  A real zero at infinity never
+    is, so the loop then halves to ``max_t`` and reports ``stopped=False``.
+
+    Returns (result, affine_count), affine_count the number of components
+    when the loop stopped (None otherwise).  ``result`` speaks in terms of
+    the lift (``pl.lift_affine``): its count is 2 components + 2, and its
+    zeros are the lift's image normalize(y_0, y, |y|^2/y_0) of each refined
+    zero +-(y_0, y), followed by the two poles (``pl.lifted_poles``).
     ``threads`` is unused: the loop runs on one thread.
     """
-    lifted = _conditioned_lift(affine_polys)
-    poles = pl.lifted_poles(lifted.n_vars)
-    for pole in poles:
-        if float(np.linalg.norm(pl.evaluate(lifted, pole))) > 1e-10:
-            raise AssertionError("lift invariant violated: pole is not a zero")
-    result = _run_loop(lifted, max_t=max_t, poles=poles)
-    affine_count = result.count // 2 - 1 if result.stopped else None
-    return result, affine_count
+    F = pl.PolynomialSystem(tuple(pl.homogenize(p) for p in affine_polys))
+    result = _run_loop(F, max_t=max_t, finite=True)
+    zeros = []
+    for z in result.zeros[::2]:
+        y = z.zeta
+        # + 0.0 turns -0.0 into 0.0, so 0.0 - lifted is its exact antipode
+        lifted = pl.normalize(np.append(y, y[1:] @ y[1:] / y[0])) + 0.0
+        zeros += [replace(z, zeta=lifted), replace(z, zeta=0.0 - lifted)]
+    zeros += [RefinedZero(zeta=pole, newton_steps=0, final_beta=0.0, converged=True)
+              for pole in pl.lifted_poles(F.n_vars + 1)]
+    affine_count = result.count // 2 if result.stopped else None
+    return replace(result, count=result.count + 2, zeros=tuple(zeros)), affine_count

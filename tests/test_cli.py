@@ -146,15 +146,15 @@ class TestDispatch:
         assert code == 2
         assert doc["stopped"] is False and doc["final_eta"] == 2.0**-6
         assert "clamped to 6" in captured.err
-        # the cap holds for every grid, so it must admit the affine path's
-        # t=4 probe grid on S^2 (6534 points); levels then stop at t=4
-        monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 10_000)
+        # an affine system of one equation is counted on S^1, where a
+        # 100-point cap admits grids up to t=3; x^2 - 2 stops at t=5
+        monkeypatch.setattr("spherecount.mesh.MESH_POINT_CAP", 100)
         path.write_text("x0^2 - 2\n")
         code = dispatch(["--input", str(path), "count", "--affine", "--max-t", "9"])
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["affine_count"] is None
-        assert "clamped to 4" in captured.err
+        assert "--max-t 9 clamped to 3" in captured.err and "S^1" in captured.err
 
     def test_oversized_grid_exits_3(self, sys_json, capsys):
         assert dispatch(["mesh", "--n", "3", "--t", "12"]) == 3
@@ -250,7 +250,10 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command, point", [
         ("certify", "nan,1,0"), ("certify", "1,inf,0"),
-        ("mu", "inf,1,0"), ("mu", "0,1,nan")])
+        ("mu", "inf,1,0"), ("mu", "0,1,nan"),
+        # a value starting with "-" is a point, not an option
+        ("mu", "-inf,1,0"), ("mu", "-nan,0,1"), ("certify", "-inf,0,1"),
+        ("certify", "-nan,1,0")])
     def test_non_finite_point_exits_3(self, sys_json, capsys, command, point):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

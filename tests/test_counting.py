@@ -19,7 +19,8 @@ from spherecount.counting import (CountResult, _clusters,
 from spherecount.mesh import (MeshSizeError, angular_distance, build_mesh,
                              pairwise_angular)
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
-                                     PolynomialSystem, normalize)
+                                     PolynomialSystem, evaluate, lift_affine,
+                                     lifted_poles, normalize)
 
 from conftest import random_unit_system
 from oracles import circle_roots, sphere_zeros_oracle
@@ -225,7 +226,7 @@ class TestCheckStop:
     @given(slopes=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
            t=st.integers(2, 6))
     def test_exclusion_without_poles_is_no_failure(self, slopes, t):
-        # with no known zeros the gate for them reduces to plain exclusion
+        # exclusion holds exactly when no pair fails both tests
         F = linear_product(slopes)
         mesh = build_mesh(1, t)
         g = build_graph(F, mesh)
@@ -472,14 +473,59 @@ class TestCountAffine:
             assert abs(np.linalg.norm(z.zeta) - 1.0) < 1e-12
             assert abs(z.zeta[1] / z.zeta[0]) == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
-    # A large root lifts into a pole's shadow (the lifted zero of x = 100
-    # lies 0.01 rad from the pole), where the gate takes it for part of the
-    # pole: the loop stops and drops the root.
-    @pytest.mark.xfail(strict=True, reason="a root inside a pole's shadow is dropped")
+    # Large roots lie near the great circle x_0 = 0 of the zeros at
+    # infinity, so their caps must shrink further before they are
+    # certified finite; x^2 - 400 stops at t=12.
     @pytest.mark.parametrize("coeffs, truth", [
         ({(1,): 1.0, (0,): -100.0}, 1),                   # x - 100
         ({(2,): 1.0, (1,): -19.0, (0,): -20.0}, 2),       # x^2 - 19x - 20
+        ({(1,): 1.0, (0,): -1000.0}, 1),                  # x - 1000
+        ({(2,): 1.0, (0,): -400.0}, 2),                   # x^2 - 400
     ])
     def test_root_near_a_pole_is_not_dropped(self, coeffs, truth):
-        res, affine = count_affine([AffinePolynomial(1, coeffs)], max_t=9)
-        assert not res.stopped or affine == truth
+        res, affine = count_affine([AffinePolynomial(1, coeffs)], max_t=13)
+        assert res.stopped and affine == truth
+
+    def test_zero_at_infinity_never_stops(self):
+        # x0 x1 = 1, x0 = 2 has one root, (2, 1/2), and a real zero at
+        # infinity, (0 : 0 : 1), which no cap certifies finite
+        polys = [AffinePolynomial(2, {(1, 1): 1.0, (0, 0): -1.0}),
+                 AffinePolynomial(2, {(1, 0): 1.0, (0, 0): -2.0})]
+        for max_t in range(2, 10):
+            res, affine = count_affine(polys, max_t=max_t)
+            assert not res.stopped and affine is None, max_t
+        # at t=9 both zeros are resolved: one finite, one at infinity
+        assert res.count == 2 * 2 + 2
+
+    @pytest.mark.parametrize("polys, roots, max_t", [
+        # circle and x - 0.5 y = 0.2
+        ([AffinePolynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}),
+          AffinePolynomial(2, {(1, 0): 1.0, (0, 1): -0.5, (0, 0): -0.2})],
+         [(0.6, 0.8), (-0.28, -0.96)], 9),
+        # the ellipses x^2 + 4 y^2 = 4 and 4 x^2 + y^2 = 4
+        ([AffinePolynomial(2, {(2, 0): 1.0, (0, 2): 4.0, (0, 0): -4.0}),
+          AffinePolynomial(2, {(2, 0): 4.0, (0, 2): 1.0, (0, 0): -4.0})],
+         [(sx * 2 / math.sqrt(5), sy * 2 / math.sqrt(5))
+          for sx in (1, -1) for sy in (1, -1)], 9),
+        # x = 0.5, y = -0.25, z = 0.75
+        ([AffinePolynomial(3, {(1, 0, 0): 1.0, (0, 0, 0): -0.5}),
+          AffinePolynomial(3, {(0, 1, 0): 1.0, (0, 0, 0): 0.25}),
+          AffinePolynomial(3, {(0, 0, 1): 1.0, (0, 0, 0): -0.75})],
+         [(0.5, -0.25, 0.75)], 6),
+    ])
+    def test_roots_match_known_roots(self, polys, roots, max_t):
+        res, affine = count_affine(polys, max_t=max_t)
+        assert res.stopped and affine == len(roots)
+        assert res.count == 2 * len(roots) + 2 == len(res.zeros)
+        lifted = lift_affine(polys)
+        hit = set()
+        for z in res.zeros[:-2]:
+            # each zero is the lift's image of one root, and a lifted zero
+            assert np.linalg.norm(evaluate(lifted, z.zeta)) < 1e-12
+            x = z.zeta[1:-1] / z.zeta[0]
+            dist = [np.abs(x - np.array(r)).max() for r in roots]
+            assert min(dist) < 1e-10
+            hit.add(int(np.argmin(dist)))
+        assert hit == set(range(len(roots)))
+        assert [list(z.zeta) for z in res.zeros[-2:]] == [
+            list(p) for p in lifted_poles(len(polys) + 2)]

@@ -17,24 +17,22 @@ from spherecount.condition import (_blocks, _kappa_max, _sigma_min_batch,
                                    bounded_max, kappa_grid, kappa_many, mu,
                                    mu_many, sample_gaussian_system)
 from spherecount import counting
-from spherecount.counting import (_candidate_ceiling, _conditioned_lift,
-                                  _kappa_estimate, _level, build_graph,
-                                  count_affine, initial_eta, root_count)
-from spherecount.mesh import angular_distance_many, build_mesh
+from spherecount.counting import (_candidate_ceiling, _kappa_estimate, _level,
+                                  build_graph, count_affine, initial_eta,
+                                  root_count)
+from spherecount.mesh import build_mesh
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
-                                     PolynomialSystem, evaluate_many,
-                                     lifted_poles)
+                                     PolynomialSystem, evaluate_many)
 
 from conftest import random_sphere_point, random_unit_system
 
 
-def exhaustive(F, points, sample=None):
+def exhaustive(F, points):
     """Residuals, mu, admissibility and the kappa maximum at every point."""
     f_norms = np.linalg.norm(evaluate_many(F, points), axis=1)
     mus = mu_many(F, points, f_norm=1.0)
     admissible = _admissible(f_norms, mus, F.max_degree)
-    keep = slice(None) if sample is None else sample
-    kappa = _kappa_max(f_norms[keep], mus[keep])
+    kappa = _kappa_max(f_norms, mus)
     return f_norms, mus, admissible, (kappa if kappa > -math.inf else math.inf)
 
 
@@ -180,20 +178,17 @@ def test_streamed_walk_matches_kappa_grid_n3(candidates_only):
         assert revisits > 0
 
 
-def test_lifted_loop_matches_exhaustive():
-    polys = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]   # x^3 - x
-    res, _ = count_affine(polys, max_t=6)
-    lifted = _conditioned_lift(polys).normalized()
-    t = initial_eta(lifted.n)[1] + res.iterations
-    mesh = build_mesh(lifted.n, t)
-    points = mesh.pair_points
-    poles = lifted_poles(lifted.n_vars)
-    sample = np.min([angular_distance_many(points, p) for p in poles], axis=0) > 0.2
-    f_all, mu_all, adm_all, kappa_all = exhaustive(lifted, points, sample)
+def test_affine_loop_matches_exhaustive():
+    cubic = AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})   # x^3 - x
+    res, _ = count_affine([cubic], max_t=6)
+    F = PolynomialSystem((pl.homogenize(cubic),)).normalized()
+    t = initial_eta(F.n)[1] + res.iterations
+    mesh = build_mesh(F.n, t)
+    f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh.pair_points)
     assert res.kappa_grid_estimate == kappa_all
-    graph = _level(lifted, mesh, poles=poles)
-    assert_sparse_level(lifted, mesh, graph, f_all)
-    kappa, _ = _kappa_estimate(lifted, mesh, graph, poles)
+    graph = _level(F, mesh)
+    assert_sparse_level(F, mesh, graph, f_all)
+    kappa, _ = _kappa_estimate(F, mesh, graph)
     assert np.array_equal(graph.candidates[graph.admissible], np.nonzero(adm_all)[0])
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert kappa == kappa_all
