@@ -43,15 +43,9 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
-# rows a whole-grid pass handles at once: the temporaries of one block of
-# evaluate_many and its norms stay in a 2 MB L2 cache
+# rows a whole-grid pass handles at once: the three arrays of one block of
+# _block_norms stay in a 2 MB L2 cache
 _BLOCK = 1 << 14
-# Bytes a streamed pass allocates and frees before its first block.  glibc
-# hands a free heap top over 128 KB back to the system, so the freed
-# temporaries of one block would be faulted in afresh by the next and the
-# pass would run about twice as slow; freeing a mapped block this large
-# raises that trim threshold for good to twice its size.
-_HEAP_WARMUP = 8 << 20
 
 
 def _map_rows(fn, X):
@@ -79,48 +73,88 @@ def _row_norms(V):
     return np.sqrt(s, out=s)
 
 
-def _residual_norms(F, mesh):
-    """|f| at each pair row of ``mesh``, which stands for both points of its pair.
-
-    |f(-x)| = |f(x)| for homogeneous f, and ``pl.evaluate_many`` keeps
-    that exactly (its kernel is sign-symmetric), so the norm at a pair
-    point equals a direct evaluation at its mirror bit for bit.
-    """
-    return _map_rows(lambda X: _row_norms(pl.evaluate_many(F, X)),
-                     mesh.pair_points)
-
-
 def _blocks(mesh):
     """The blocks of at most ``_BLOCK`` rows that every streamed pass walks."""
     return list(mesh.blocks(_BLOCK))
 
 
-def _block_norms(F, mesh, block):
-    """The pair points of one block of ``mesh`` and |f| at each of them."""
-    X = mesh.block_points(block)
-    return X, _row_norms(pl.evaluate_many(F, X))
+def _block_norms(F, mesh, block, work):
+    """|f| at each pair row of one block of ``mesh``: the one residual rule.
+
+    f is homogeneous, so at the pair point k/|k| of a lattice point k,
+    |f| = sqrt(sum_i (f_i(k) / |k|^d_i)^2).  Along a run of a slab only the
+    last face coordinate x moves, so there each f_i is a polynomial of
+    degree d_i in x, whose coefficients come once per run from the other
+    coordinates (``HomogeneousPolynomial._split_programs``); Horner's rule
+    takes it along the run in d_i multiply-adds per point.
+    |k|^2 = m^2 + sum_j k_j^2 is an exact integer in float64, so |k|^d
+    needs a sqrt only for odd d.  Each row's value depends on that row
+    alone, bit for bit, whatever block holds it.
+
+    ``work``, a (3, rows) array for a block of at most that many rows,
+    holds the temporaries and the result, so a pass that hands the same one
+    to every block allocates nothing of a block's size; the result lives in
+    ``work[0]`` until the next call.
+    """
+    lo, n = block[0].lo, mesh.n
+    out, acc, power = work[:, :block[-1].hi - lo]
+    for slab in block:
+        # the lattice point opening each run, as (runs, 1) columns; k_axis = m
+        # is a scalar, so terms in m alone stay scalars, and the split
+        # programs of x never read its column
+        k = list(mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None])
+        k[slab.axis] = float(2**mesh.t)
+        v = n - (slab.axis == n)
+        x = k[v] if slab.row == 1 else k[v][:1] + np.arange(slab.row)
+        radius2, x2 = sum(k[c] * k[c] for c in range(n + 1) if c != v), x * x
+        s = out[slab.lo - lo:slab.hi - lo].reshape(-1, slab.row)
+        a, p = (b[:s.size].reshape(s.shape) for b in (acc, power))
+        s[...] = 0.0
+        cache, degree = {}, None
+        for f in F.polynomials:
+            d = f.degree
+            if d != degree:
+                np.add(radius2, x2, out=a)
+                if d % 2:
+                    np.sqrt(a, out=p)
+                else:
+                    np.copyto(p, a)
+                for _ in range((d - 1) // 2):
+                    p *= a
+                degree = d
+            c = [pl._run(g, k, cache) for g in f._split_programs[v]]
+            np.multiply(c[d], x, out=a)
+            a += c[d - 1]
+            for e in range(d - 2, -1, -1):
+                a *= x
+                a += c[e]
+            a /= p
+            a *= a
+            s += a
+    return np.sqrt(out, out=out)
 
 
 def _scan(F, mesh, below):
     """One streamed pass over the pair rows of ``mesh`` that keeps only its low rows.
 
-    Each block is generated, evaluated and normed while it is in cache,
-    so no array spans the grid.
+    Each block is normed by the one residual rule (``_block_norms``) while
+    it is in cache, and pair points are built for the low rows only, so no
+    array spans the grid.
     Returns (rows, norms, points, least): the ascending pair rows with |f|
     < ``below``, |f| and the pair point at each (bit for bit those of the
     built mesh), and per block of ``_blocks(mesh)`` the least |f| of its
     other rows, inf if there is none.
     """
-    def scan(block):
-        X, f = _block_norms(F, mesh, block)
-        low = np.flatnonzero(f < below)
-        return (low + block[0].lo, f[low], X[low],
-                np.min(f, where=f >= below, initial=math.inf))
+    work = np.empty((3, _BLOCK))
 
-    np.empty(_HEAP_WARMUP // 8)
-    rows, norms, points, least = zip(*map(scan, _blocks(mesh)))
-    return (np.concatenate(rows), np.concatenate(norms), np.concatenate(points),
-            np.array(least))
+    def scan(block):
+        f = _block_norms(F, mesh, block, work)
+        low = np.flatnonzero(f < below)
+        return low + block[0].lo, f[low], np.min(f, where=f >= below, initial=math.inf)
+
+    rows, norms, least = zip(*map(scan, _blocks(mesh)))
+    rows = np.concatenate(rows)
+    return rows, np.concatenate(norms), mesh.points_at(rows), np.array(least)
 
 
 @dataclass(frozen=True)
@@ -306,15 +340,9 @@ def _kappa(f_norms, mus):
 
 
 def _kappa_bounds(f_norms):
-    """1/sqrt(f*f), the bound on ``_kappa`` at each row (inf where f = 0).
-
-    Formed in one new array, so a whole-grid call holds one temporary
-    the size of ``f_norms``, not two.
-    """
-    bounds = f_norms * f_norms
-    np.sqrt(bounds, out=bounds)
+    """1/sqrt(f*f), the bound on ``_kappa`` at each row (inf where f = 0)."""
     with np.errstate(divide="ignore"):
-        return np.divide(1.0, bounds, out=bounds)
+        return 1.0 / np.sqrt(f_norms * f_norms)
 
 
 def _kappa_max(f_norms, mus):
@@ -371,47 +399,51 @@ def bounded_max(bounds, values, best):
     return best
 
 
-def _kappa_walk(F, least, block, best=-math.inf):
-    """Maximum of kappa for the unit-norm F over ``best`` and blocks of rows.
+def _kappa_walk(F, mesh, least, limit, best=-math.inf, low=((), ())):
+    """Maximum of kappa for the unit-norm F over ``best``, the pair rows and
+    their |f| in ``low``, and the rows of ``mesh`` with |f| >= ``limit``.
 
-    ``block(i)`` returns the points of block i that the walk may have to
-    look at and |f| there, and ``least[i]`` is at most each of those |f|.
-    Since ``_kappa`` never exceeds 1/sqrt(f*f), blocks are visited in
-    increasing ``least`` until that bound no longer beats the running
-    maximum, and the rows of a block through ``bounded_max``, so mu is
-    computed only where it can still raise the maximum.  The result equals
-    the maximum over ``best`` and every row of every block: inf at a
+    ``least[i]`` is at most each of those |f| in block i of ``_blocks``.
+    Since ``_kappa`` never exceeds 1/sqrt(f*f), ``low`` is walked first,
+    then the blocks in increasing ``least``, each normed again, until that
+    bound no longer beats the running maximum; the rows go through
+    ``bounded_max``, so points are built and mu is computed only where they
+    can still raise the maximum.  Returns (maximum, rows normed): inf at a
     singular zero, or when there is nothing to take the maximum of.
     """
+    def walk(rows, f_norms, best):
+        def visit(idx):
+            mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), mesh.points_at(rows[idx]))
+            return _kappa_max(f_norms[idx], mus)
+
+        return bounded_max(_kappa_bounds(f_norms), visit, best)
+
+    best = walk(*map(np.asarray, low), best)
+    blocks, work, normed = _blocks(mesh), np.empty((3, _BLOCK)), 0
     bounds = _kappa_bounds(np.asarray(least, float))
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] <= best:
             break
-        points, f_norms = block(i)
-
-        def visit(idx):
-            mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[idx])
-            return _kappa_max(f_norms[idx], mus)
-
-        best = bounded_max(_kappa_bounds(f_norms), visit, best)
-    return best if best > -math.inf else math.inf
+        f = _block_norms(F, mesh, blocks[i], work)
+        keep = np.flatnonzero(f >= limit)
+        best = walk(keep + blocks[i][0].lo, f[keep], best)
+        normed += f.size
+    return (best if best > -math.inf else math.inf), normed
 
 
 def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     |f| and mu are projective, so each antipodal pair is sampled at its
-    pair point, and mu is computed only where the residual bound on kappa
-    can still raise the maximum (``_kappa_walk``, with the built grid as
-    its one block).  The result equals the maximum over every pair point;
-    it is inf when a singular zero lies on the grid.
+    pair point.  One streamed pass norms each block and walks it
+    (``_kappa_walk``), so no array spans the grid and mu is computed only
+    where the residual bound on kappa can still raise the maximum.  It is
+    the maximum over every pair point, inf if a singular zero is on the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
-    Fn = F.normalized()
-    f_norms = _residual_norms(Fn, mesh)
-    best = _kappa_walk(Fn, [0.0], lambda i: (mesh.pair_points, f_norms))
+    best, _ = _kappa_walk(F.normalized(), mesh, np.zeros(len(_blocks(mesh))), 0.0)
     return best, mesh.covering_radius_bound
 
 

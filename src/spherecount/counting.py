@@ -20,11 +20,13 @@ never a zero that is its own antipode, so on termination the count is
 twice the number of components; refining one vertex per component
 locates zeta, and -zeta with it.
 
-A level is one streamed pass: each block of the grid is generated,
-evaluated and normed in cache, and only its low rows are kept (the
-candidates, possible exclusion failures and the first rows of the kappa
-walk), so no array of a level spans the grid.  The kappa walk evaluates a
-block again only when its other rows can still raise the maximum.
+A level is one streamed pass: each block of the grid is normed in cache
+by Horner's rule on the integer lattice (``condition._block_norms``), and
+only its low rows are kept, with their unit points (the candidates,
+possible exclusion failures and the first rows of the kappa walk), so no
+array of a level spans the grid.  The kappa walk norms a block again only
+when its other rows can still raise the maximum, and builds points only
+at the rows it visits.
 
 There is one loop.  The affine front end runs it on the homogenized
 system, whose finite roots are its zeros off the great sphere x_0 = 0,
@@ -44,8 +46,7 @@ from . import polynomials as pl
 # chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
-from .condition import (_block_norms, _blocks, _kappa_max, _kappa_walk,
-                        _map_rows, _scan, mu_many)
+from .condition import _kappa_max, _kappa_walk, _map_rows, _scan, mu_many
 from .convergence import ALPHA, r0
 from .mesh import build_mesh, pairwise_angular
 
@@ -294,28 +295,14 @@ def _candidate_kappa(graph):
 def _kappa_estimate(F, mesh, graph):
     """The kappa maximum over the pair rows of the level.
 
-    The candidates' kappa seeds the walk (``_kappa_walk``).  Its first
-    block is the other low rows, the rest are the level's blocks, each
-    evaluated again only if its rows that are not low rows can still raise
-    the maximum.  Returns (kappa, rows evaluated again).
+    The candidates' kappa seeds the walk (``_kappa_walk``), which takes the
+    other low rows first and norms a block of the level again only if its
+    rows that are not low rows can still raise the maximum.  Returns
+    (kappa, rows normed again).
     """
-    blocks = _blocks(mesh)
-    revisited = 0
-
-    def block(i):
-        nonlocal revisited
-        if i == 0:
-            X, f = graph.low_points, graph.low_norms
-            keep = f >= _candidate_ceiling(F)
-        else:
-            X, f = _block_norms(F, mesh, blocks[i - 1])
-            revisited += f.size
-            keep = f >= graph.limit
-        return X[keep], f[keep]
-
-    least = np.concatenate([[0.0], graph.least])
-    best = _kappa_walk(F, least, block, _candidate_kappa(graph))
-    return best, revisited
+    other = graph.low_norms >= _candidate_ceiling(F)
+    return _kappa_walk(F, mesh, graph.least, graph.limit, _candidate_kappa(graph),
+                       (graph.low_rows[other], graph.low_norms[other]))
 
 
 # A vertex's cap B(x, r_x) holds its component's zero, and the pair point

@@ -4,8 +4,8 @@ The grid C(eta), eta = 2^-t, is the radial projection of the points of the
 lattice (eta Z)^(n+1) lying on the cube surface max_i |x_i| = 1.  Its
 covering radius is at most eta sqrt(n)/2, and every sphere point lies in
 the spherical convex hull of its grid neighbours at distance sqrt(n) eta.
-A grid is generated on demand in face-aligned slabs of pair points, so a
-pass over it need not hold it.
+A pass walks a grid in face-aligned slabs of lattice coordinates and builds
+unit points only for the rows it reads, so it need not hold the grid.
 """
 
 from __future__ import annotations
@@ -65,16 +65,17 @@ def mesh_count_bound(n, t):
 
 
 class Slab(NamedTuple):
-    """Pair rows ``lo:hi`` on the +m face of ``axis``: the first ``depth``
-    face coordinates, flattened, run over ``first:last``, each index with
-    the whole trailing face of the other coordinates."""
+    """Pair rows ``lo:hi`` on the +m face of ``axis``: runs over the first
+    ``depth`` face coordinates, each index with the whole trailing face of
+    the other coordinates.  Within each aligned run of ``row`` pair rows
+    only the last face coordinate moves, over its whole range when
+    ``depth`` < n; ``row`` is 1 when ``depth`` = n."""
 
     lo: int
     hi: int
     axis: int
     depth: int
-    first: int
-    last: int
+    row: int
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,10 @@ class SphereMesh:
     The grid is closed under x -> -x, and its pair points are one point of
     each pair: the +m faces of ``build_mesh`` in order.  Pair row p is the
     only index the counting loop uses.  A pass walks the grid block by
-    block (``blocks``, ``block_points``) without holding it; a block is a
-    run of face-aligned slabs.  ``pair_points`` and ``points`` (the whole
-    grid) are built on first access, and
-    ``lattice``, the integer points themselves, is derived from them.
+    block (``blocks``) without holding it; a block is a run of face-aligned
+    slabs, and a pass builds lattice points (``lattice_at``) and unit
+    points (``points_at``) only for the rows it reads.  ``pair_points``,
+    ``lattice`` and ``points`` (the whole grid) are built on access.
     """
 
     n: int
@@ -99,16 +100,16 @@ class SphereMesh:
         ``depth`` is the least for which a trailing face fits in ``rows``,
         so every slab but a face's last holds about ``rows`` rows.
         """
-        m, lo = 2**self.t, 0
-        for axis, size in enumerate(_face_sizes(self.n, self.t)):
-            shape = [2 * m - 1] * axis + [2 * m + 1] * (self.n - axis)
+        lo = 0
+        for axis, shape in enumerate(_face_shapes(self.n, self.t)):
             depth = next(d for d in range(self.n + 1) if math.prod(shape[d:]) <= rows)
             tail, lead = math.prod(shape[depth:]), math.prod(shape[:depth])
             step = rows // tail
+            row = shape[-1] if depth < self.n else 1
             for first in range(0, lead, step):
                 last = min(first + step, lead)
-                yield Slab(lo + first * tail, lo + last * tail, axis, depth, first, last)
-            lo += size
+                yield Slab(lo + first * tail, lo + last * tail, axis, depth, row)
+            lo += tail * lead
 
     def blocks(self, rows):
         """Runs of consecutive slabs of at most ``rows`` pair rows in all."""
@@ -120,72 +121,42 @@ class SphereMesh:
             block.append(slab)
         yield tuple(block)
 
-    def block_points(self, block):
-        """The unit pair points of the consecutive slabs ``block``, stored by columns."""
-        lo = block[0].lo
-        columns = np.empty((self.n + 1, block[-1].hi - lo))
-        for slab in block:
-            self._fill(slab, columns[:, slab.lo - lo:slab.hi - lo])
-        return columns.T
+    def lattice_at(self, rows):
+        """The lattice points k at the ascending pair rows ``rows``, as exact
+        floats stored by columns: k_axis = m = 2^t on the face of ``axis``."""
+        rows, n, lo = np.asarray(rows, dtype=np.int64), self.n, 0
+        k = np.empty((n + 1, rows.size))
+        for axis, shape in enumerate(_face_shapes(n, self.t)):
+            a, b = np.searchsorted(rows, (lo, lo + math.prod(shape)))
+            if a < b:
+                cols = [c for c in range(n + 1) if c != axis]
+                for c, r, i in zip(cols, shape, np.unravel_index(rows[a:b] - lo, shape)):
+                    k[c, a:b] = i - r // 2
+                k[axis, a:b] = 2**self.t
+            lo += math.prod(shape)
+        return k.T
 
-    def _fill(self, slab, columns):
-        """Write the pair points of ``slab`` into ``columns``, (n+1, hi - lo).
-
-        The squared radius m^2 + sum_j k_j^2 is an exact integer in float64,
-        so its sqrt is the correctly rounded |k|, and every coordinate is the
-        one rounded quotient k_i / |k|: a row is the same, bit for bit,
-        whatever slab it is built in.
-        """
-        n, m, d = self.n, 2**self.t, slab.depth
-        full = np.arange(-m, m + 1, dtype=float)
-        ranges = [full[1:-1]] * slab.axis + [full] * (n - slab.axis)
-        index = np.arange(slab.first, slab.last)
-        lead = np.unravel_index(index, [r.size for r in ranges[:d]]) if d else ()
-        # slab axis 0 runs over the leading indices, axis q over coordinate d+q-1
-        ks = [r[i].reshape((-1,) + (1,) * (n - d)) for r, i in zip(ranges, lead)]
-        ks += [r.reshape([-1 if e == q else 1 for e in range(n - d + 1)])
-               for q, r in enumerate(ranges[d:], 1)]
-        shape = (index.size,) + tuple(r.size for r in ranges[d:])
-        radius = np.full(shape, float(m * m))
-        for k in ks:
-            radius += k * k
-        np.sqrt(radius, out=radius)
-        cols = [c for c in range(n + 1) if c != slab.axis]
-        for c, k in zip(cols, ks):
-            np.divide(k, radius, out=columns[c].reshape(shape))
-        np.divide(float(m), radius, out=columns[slab.axis].reshape(shape))
+    def points_at(self, rows):
+        """The unit pair points at the ascending pair rows ``rows``, stored by columns."""
+        return _unit(self.lattice_at(rows))
 
     @cached_property
     def pair_points(self):
-        """(count/2, n+1) pair points, stored by columns: one slab per face."""
-        return self.block_points(tuple(self.slabs(self.count // 2)))
-
-    @cached_property
-    def points(self):
-        """(count, n+1) unit rows in facet-major order, built on first access.
-
-        Each +m face is followed by its -m face, which is the +m face read
-        backwards and negated (see ``build_mesh``); adding 0.0 keeps a zero
-        coordinate 0.0, as ``build_mesh`` would write it.
-        """
-        faces, lo = [], 0
-        for size in _face_sizes(self.n, self.t):
-            plus = self.pair_points[lo:lo + size]
-            faces += [plus, -plus[::-1] + 0.0]
-            lo += size
-        return np.concatenate(faces)
+        """(count/2, n+1) pair points, stored by columns."""
+        return self.points_at(np.arange(self.count // 2))
 
     @property
     def lattice(self):
-        """(count, n+1) int64 rows k with max |k_i| = 2^t, k/|k| = points.
+        """(count, n+1) int64 rows k with max |k_i| = 2^t, facet-major: each
+        +m face followed by its -m face, read backwards and negated."""
+        k = self.lattice_at(np.arange(self.count // 2))
+        faces = [k[s.lo:s.hi] for s in self.slabs(self.count // 2)]   # one slab a face
+        return np.concatenate([f for p in faces for f in (p, -p[::-1])]).astype(np.int64)
 
-        Each row of ``points`` is k/|k| with every quotient correctly
-        rounded, so scaling it by 2^t / max |k_i/|k|| lands within a few
-        ulp of the integers k and rounding recovers them exactly.
-        """
-        points = self.points
-        scale = 2.0**self.t / np.max(np.abs(points), axis=1)
-        return np.rint(points * scale[:, None]).astype(np.int64)
+    @cached_property
+    def points(self):
+        """(count, n+1) unit rows k/|k| of ``lattice``, built on first access."""
+        return _unit(self.lattice.astype(float))
 
     @property
     def eta(self):
@@ -193,17 +164,29 @@ class SphereMesh:
 
     @property
     def count(self):
-        return 2 * sum(_face_sizes(self.n, self.t))
+        return 2 * sum(map(math.prod, _face_shapes(self.n, self.t)))
 
     @property
     def covering_radius_bound(self):
         return self.eta * math.sqrt(self.n) / 2.0
 
 
-def _face_sizes(n, t):
-    """Points on one face of each owning axis a: (2m-1)^a (2m+1)^(n-a), m = 2^t."""
+def _unit(k):
+    """The rows k/|k| of lattice rows k, stored by columns.
+
+    |k|^2 is an exact integer in float64, so its sqrt is the correctly
+    rounded |k|, and each coordinate is the one rounded quotient k_i / |k|:
+    a point is the same, bit for bit, whatever rows it is built with, and
+    a mirror row -k gives exactly -x."""
+    k = np.asarray(k, float).T
+    return (k / np.sqrt((k * k).sum(axis=0))).T
+
+
+def _face_shapes(n, t):
+    """The ranges of the other coordinates on a face of each owning axis a:
+    2m-1 interior values before a, 2m+1 after it, m = 2^t."""
     m = 2**t
-    return [(2 * m - 1)**a * (2 * m + 1)**(n - a) for a in range(n + 1)]
+    return [[2 * m - 1] * a + [2 * m + 1] * (n - a) for a in range(n + 1)]
 
 
 def build_mesh(n, t):
@@ -221,8 +204,8 @@ def build_mesh(n, t):
     in sign), and the grid is closed under x -> -x with one point of each
     pair on a +m face.  Only the +m faces are generated (the pair points);
     ``count`` and ``eta`` still describe the whole grid.  The points are
-    stored by columns, so the divisions write contiguous memory and
-    ``evaluate_many`` reads contiguous columns; the rows equal those of
+    stored by columns, so the divisions write contiguous memory and the
+    kernels of ``polynomials`` read contiguous columns; the rows equal those of
     normalizing the integer lattice with ``np.linalg.norm``, bit for bit.
 
     No point is built here (see ``SphereMesh``).  Raises MeshSizeError

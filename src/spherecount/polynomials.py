@@ -11,7 +11,9 @@ vector.
 
 Evaluation.  Each polynomial compiles once, on first use, into a term
 program, ``(c, ((j, e), ...))`` per term in graded-lex order with zero
-exponents left out, and one program per partial derivative.  ``_run`` is
+exponents left out, one program per partial derivative, and for each
+variable x_j the programs of the g_e with f = sum_e x_j**e g_e (Horner
+along x_j, in ``condition``).  ``_run`` is
 the one kernel that evaluates monomials, on Python floats for one point
 and on the columns of a batch as arrays: it forms each ``x_j**e`` once per
 call as ``x_j**(e-1) * x_j``, multiplies a term's factors left to right,
@@ -189,6 +191,12 @@ class HomogeneousPolynomial:
     _program = cached_property(lambda self: _compile(self.coefficients))
     _gradient_programs = cached_property(
         lambda self: tuple(_compile(g) for g in self.gradient_polys()))
+    # per variable j, the programs of g_0, ..., g_d with f = sum_e x_j**e g_e
+    _split_programs = cached_property(lambda self: tuple(
+        tuple(_compile({a[:j] + (0,) + a[j + 1:]: c
+                        for a, c in self.coefficients.items() if a[j] == e})
+              for e in range(self.degree + 1))
+        for j in range(self.n_vars)))
 
 
 @dataclass(frozen=True)
@@ -260,16 +268,6 @@ class PolynomialSystem:
     @property
     def weyl_norm(self):
         return math.sqrt(sum(weyl_inner(p, p) for p in self.polynomials))
-
-    @property
-    def coefficient_dimension(self):
-        """dim of the coefficient space: sum_i C(d_i + n, n)."""
-        n = self.n
-        return sum(math.comb(d + n, n) for d in self.degrees)
-
-    @property
-    def bezout_number(self):
-        return math.prod(self.degrees)
 
     def scaled(self, factor):
         return PolynomialSystem(tuple(

@@ -8,7 +8,8 @@ import pytest
 
 import spherecount
 from spherecount import condition
-from spherecount.condition import kappa_grid, sample_gaussian_system
+from spherecount.condition import (kappa_grid, monte_carlo_ln_kappa,
+                                   sample_gaussian_system)
 from spherecount.mesh import (MeshSizeError, SphereMesh, angular_distance,
                               angular_distance_many, build_mesh,
                               convexity_cover_check, covering_check,
@@ -170,9 +171,9 @@ def test_row_accessor_matches_reference_bit_for_bit(n, t):
 
 
 def test_counting_never_builds_the_full_grid(monkeypatch):
-    """The counting loop and count_affine stream every grid slab by slab:
-    neither the whole grid nor the concatenated pair points is built.
-    kappa_grid reads the pair points of the mesh its caller built."""
+    """The counting loop, count_affine, kappa_grid and the Monte-Carlo
+    trials stream every grid slab by slab: neither the whole grid nor the
+    concatenated pair points is built."""
 
     def guarded(name):
         def fail(mesh):
@@ -192,7 +193,8 @@ def test_counting_never_builds_the_full_grid(monkeypatch):
         result, affine_count = spherecount.count_affine(
             [AffinePolynomial(1, {(2,): 1.0, (0,): -2.0})], max_t=9)
         assert result.stopped and affine_count == 2
-    assert kappa_grid(stopping, build_mesh(2, 5))[0] > 1.0
+        assert kappa_grid(stopping, build_mesh(2, 5))[0] > 1.0
+        assert monte_carlo_ln_kappa(3, (2, 2, 2), 1, 2, seed=0)["mean_ln_kappa"] > 0.0
 
 
 def reference_rows(n, t, lo, hi):
@@ -222,12 +224,25 @@ def reference_rows(n, t, lo, hi):
 SLAB_GRIDS = [(1, 0), (1, 6), (1, 13), (2, 0), (2, 1), (2, 5), (3, 2), (3, 3), (4, 2)]
 
 
+def assert_runs(mesh, slab):
+    """Within each run of ``slab.row`` rows only the last face coordinate
+    moves, over its whole range when the slab's depth is below n."""
+    n = mesh.n
+    runs = mesh.lattice_at(np.arange(slab.lo, slab.hi)).reshape(-1, slab.row, n + 1)
+    last = n - (slab.axis == n)
+    fixed = [c for c in range(n + 1) if c != last]
+    assert (runs[:, :, fixed] == runs[:, :1, fixed]).all()
+    if slab.depth < n:
+        assert (runs[:, :, last] == np.arange(slab.row) - slab.row // 2).all()
+
+
 @pytest.mark.parametrize("n,t", SLAB_GRIDS)
 def test_blocks_concatenate_to_the_pair_points(n, t):
-    """The slabs and blocks of any size cover the pair rows in order, and
-    the points of the blocks, or of the slabs alone, generated one at a
-    time, are the +m faces of the reference grid byte for byte."""
-    _, reference, plus = reference_grid(n, t)
+    """The slabs and blocks of any size cover the pair rows in order, in
+    runs on which only the last face coordinate moves; the lattice points
+    of each slab and the points of each block's rows, built one at a time,
+    are the +m faces of the reference grid byte for byte."""
+    lattice, reference, plus = reference_grid(n, t)
     mesh = build_mesh(n, t)
     rows = mesh.count // 2
     for size in (condition._BLOCK, 1000, 64, 1):
@@ -235,7 +250,7 @@ def test_blocks_concatenate_to_the_pair_points(n, t):
         blocks = list(mesh.blocks(size))
         assert [s.lo for s in slabs] == [0] + [s.hi for s in slabs[:-1]]
         assert slabs[-1].hi == rows
-        assert all(0 < s.hi - s.lo <= size for s in slabs)
+        assert all(0 < s.hi - s.lo <= size and (s.hi - s.lo) % s.row == 0 for s in slabs)
         assert [s for b in blocks for s in b] == slabs
         assert all(b[-1].hi - b[0].lo <= size for b in blocks)
         # a block ends only where the next slab would not fit
@@ -243,10 +258,13 @@ def test_blocks_concatenate_to_the_pair_points(n, t):
                    for b, c in zip(blocks, blocks[1:]))
         if rows // size > 20_000:
             continue
-        for runs in (blocks, [(s,) for s in slabs]):
-            points = [mesh.block_points(b) for b in runs]
-            assert all(p.T.flags.c_contiguous for p in points)
-            assert np.concatenate(points).tobytes() == reference[plus].tobytes()
+        for s in slabs:
+            assert_runs(mesh, s)
+        slab_lattice = np.concatenate([mesh.lattice_at(np.arange(s.lo, s.hi)) for s in slabs])
+        assert np.array_equal(slab_lattice, lattice[plus])
+        points = [mesh.points_at(np.arange(b[0].lo, b[-1].hi)) for b in blocks]
+        assert all(p.T.flags.c_contiguous for p in points)
+        assert np.concatenate(points).tobytes() == reference[plus].tobytes()
 
 
 def test_slabs_of_a_grid_too_large_to_build():
@@ -260,7 +278,29 @@ def test_slabs_of_a_grid_too_large_to_build():
     assert all(s.depth == 2 and s.hi - s.lo <= condition._BLOCK for s in slabs)
     ends = {s.axis: s for s in slabs}   # the last slab of each face
     for s in [slabs[0], slabs[1], slabs[len(slabs) // 2], *ends.values()]:
-        assert mesh.block_points((s,)).tobytes() == reference_rows(3, 7, s.lo, s.hi).tobytes()
+        assert_runs(mesh, s)
+        assert (mesh.points_at(np.arange(s.lo, s.hi)).tobytes()
+                == reference_rows(3, 7, s.lo, s.hi).tobytes())
+
+
+@pytest.mark.parametrize("n,t", [(1, 13), (2, 3), (3, 2), (4, 1)])
+def test_points_at_matches_reference_rows(n, t):
+    """``points_at`` builds any pair rows, bit for bit: runs across every
+    face boundary, no rows and one row."""
+    mesh = build_mesh(n, t)
+    m = 2**t
+    ends = np.cumsum([(2 * m - 1)**a * (2 * m + 1)**(n - a) for a in range(n + 1)])
+    for end in ends[:-1]:
+        rows = np.arange(end - 3, end + 4)
+        split = np.searchsorted(rows, end)
+        reference = np.concatenate([reference_rows(n, t, rows[0], end),
+                                    reference_rows(n, t, end, rows[-1] + 1)])
+        assert rows[:split].size and rows[split:].size
+        assert mesh.points_at(rows).tobytes() == reference.tobytes()
+    assert mesh.points_at(np.arange(0)).shape == (0, n + 1)
+    last = mesh.count // 2 - 1
+    assert (mesh.points_at([last]).tobytes()
+            == reference_rows(n, t, last, last + 1).tobytes())
 
 
 class TestCovering:

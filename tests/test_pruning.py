@@ -1,6 +1,8 @@
 """The counting loop and kappa_grid compute mu only where it can change an
 answer; these tests pin that the pruned passes equal exhaustive ones with
-``==``, not approximately.
+``==``, not approximately.  Every residual of a grid comes from the one
+residual rule (``condition._block_norms``), so the exhaustive references
+take it too, over one slab per face.
 """
 
 import math
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 from spherecount import condition
 from spherecount import polynomials as pl
 from spherecount.certification import _admissible
-from spherecount.condition import (_blocks, _kappa_max, _sigma_min_batch,
-                                   bounded_max, kappa_grid, kappa_many, mu,
-                                   mu_many, sample_gaussian_system)
+from spherecount.cli import parse_polynomial
+from spherecount.condition import (_blocks, _kappa_max, _row_norms,
+                                   _sigma_min_batch, bounded_max, kappa_grid,
+                                   kappa_many, mu, mu_many,
+                                   sample_gaussian_system)
 from spherecount import counting
 from spherecount.counting import (_candidate_ceiling, _kappa_estimate, _level,
                                   build_graph, count_affine, initial_eta,
@@ -27,13 +31,31 @@ from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
 from conftest import random_sphere_point, random_unit_system
 
 
-def exhaustive(F, points):
-    """Residuals, mu, admissibility and the kappa maximum at every point."""
-    f_norms = np.linalg.norm(evaluate_many(F, points), axis=1)
-    mus = mu_many(F, points, f_norm=1.0)
+def face_norms(F, mesh):
+    """|f| at the pair rows of each face of ``mesh``, one face per call of the
+    residual rule, so no block boundary of a streamed pass is shared."""
+    return [condition._block_norms(F, mesh, (s,), np.empty((3, s.hi - s.lo)))
+            for s in mesh.slabs(mesh.count // 2)]
+
+
+def exhaustive(F, mesh):
+    """Residuals, mu, admissibility and the kappa maximum at every pair row."""
+    f_norms = np.concatenate(face_norms(F, mesh))
+    mus = mu_many(F, mesh.pair_points, f_norm=1.0)
     admissible = _admissible(f_norms, mus, F.max_degree)
     kappa = _kappa_max(f_norms, mus)
     return f_norms, mus, admissible, (kappa if kappa > -math.inf else math.inf)
+
+
+def whole_grid_kappa(F, mesh):
+    """The kappa maximum over every point of the grid, mirrors included.
+
+    A -m face is its +m face read backwards and negated, and |f| is the
+    same at both points of a pair, so each face's norms serve it read
+    backwards; mu is taken at every point of ``mesh.points``.
+    """
+    f_norms = np.concatenate([np.concatenate([f, f[::-1]]) for f in face_norms(F, mesh)])
+    return _kappa_max(f_norms, mu_many(F, mesh.points, f_norm=1.0))
 
 
 def gaussian(n, degrees, seed):
@@ -82,7 +104,7 @@ def test_level_matches_exhaustive(system, t, seed):
     n = F.n
     mesh = build_mesh(n, t)
     points = mesh.pair_points
-    f_all, mu_all, adm_all, kappa_all = exhaustive(F, points)
+    f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh)
     rows = []
 
     def counted_mu_many(G, X, **kw):
@@ -113,13 +135,13 @@ def test_build_graph_matches_exhaustive(system, t):
     mesh = build_mesh(F.n, t)
     graph = build_graph(F, mesh)
     Fn = F.normalized()
-    _, mu_all, adm_all, _ = exhaustive(Fn, mesh.pair_points)
+    f_all, mu_all, adm_all, _ = exhaustive(Fn, mesh)
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
     assert list(graph.mus) == list(mu_all[graph.candidates])
     # mu and the inclusion test are kept at the admissibility candidates only
     assert graph.mus.shape == graph.admissible.shape == graph.candidates.shape
-    assert_sparse_level(Fn, mesh, graph, exhaustive(Fn, mesh.pair_points)[0])
+    assert_sparse_level(Fn, mesh, graph, f_all)
     assert np.array_equal(graph.vertex_indices, graph.candidates[graph.admissible])
 
 
@@ -128,8 +150,7 @@ def test_root_count_kappa_matches_exhaustive(seed):
     F = random_unit_system(2, (2, 2), seed)
     res = root_count(F, max_t=6)
     t = initial_eta(2)[1] + res.iterations
-    _, _, _, kappa = exhaustive(F.normalized(), build_mesh(2, t).points)
-    assert res.kappa_grid_estimate == kappa
+    assert res.kappa_grid_estimate == whole_grid_kappa(F.normalized(), build_mesh(2, t))
 
 
 def test_root_count_takes_kappa_once():
@@ -150,8 +171,8 @@ def test_root_count_takes_kappa_once():
 
 @pytest.mark.parametrize("seed", [4000, 4001, 4002, 4003])
 def test_streamed_kappa_matches_the_built_grid(seed):
-    """The loop's walk, over blocks generated again, gives kappa_grid's value
-    on the built final grid bit for bit."""
+    """The loop's walk, over blocks normed again, gives kappa_grid's one
+    streamed pass over the final grid bit for bit."""
     F = sample_gaussian_system(2, (2, 2), seed)
     res = root_count(F, max_t=8)
     t = initial_eta(2)[1] + res.iterations
@@ -184,7 +205,7 @@ def test_affine_loop_matches_exhaustive():
     F = PolynomialSystem((pl.homogenize(cubic),)).normalized()
     t = initial_eta(F.n)[1] + res.iterations
     mesh = build_mesh(F.n, t)
-    f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh.pair_points)
+    f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh)
     assert res.kappa_grid_estimate == kappa_all
     graph = _level(F, mesh)
     assert_sparse_level(F, mesh, graph, f_all)
@@ -200,7 +221,7 @@ def test_affine_loop_matches_exhaustive():
 def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     F = sample_gaussian_system(n, degrees, seed)
     mesh = build_mesh(n, t)
-    full = float(np.max(kappa_many(F, mesh.points)))
+    full = whole_grid_kappa(F.normalized(), mesh)
     assert kappa_grid(F, mesh)[0] == full
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_BLOCK", 512)
@@ -212,24 +233,72 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
 def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
-    """The half-grid pass equals a direct evaluation bit for bit at every pair
-    point and at its mirror, for any block size."""
+    """The evaluation kernel is sign-symmetric, and the streamed pass equals
+    the residual rule taken one face at a time bit for bit, for any block
+    size: a row's residual does not depend on the block that holds it."""
     F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
     mesh = build_mesh(n, t)
     direct = np.linalg.norm(evaluate_many(F, mesh.pair_points), axis=1)
     mirrored = np.linalg.norm(evaluate_many(F, -mesh.pair_points + 0.0), axis=1)
     assert np.array_equal(direct, mirrored)
+    faces = np.concatenate(face_norms(F, mesh))
     for block in (condition._BLOCK, 512, 200):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
-            norms = condition._residual_norms(F, mesh)
-            assert np.array_equal(norms, direct)
             # the streamed pass keeps every row below an infinite limit
             rows, streamed, points, least = condition._scan(F, mesh, math.inf)
             assert np.array_equal(rows, np.arange(mesh.count // 2))
-            assert streamed.tobytes() == direct.tobytes()
+            assert streamed.tobytes() == faces.tobytes()
             assert points.tobytes() == mesh.pair_points.tobytes()
             assert np.all(least == math.inf)
+
+
+def rounding_scale(F, X):
+    """sum_i sum_a |c_ia| |x^a| at each row of X, the scale of the rounding
+    error of evaluating f at x in floating point (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 5)."""
+    absolute = PolynomialSystem(tuple(
+        HomogeneousPolynomial(p.n_vars, p.degree, {e: abs(c) for e, c in p.coefficients.items()})
+        for p in F.polynomials))
+    return evaluate_many(absolute, np.abs(X)).sum(axis=1)
+
+
+def ci_n3():
+    """The n=3 system of degrees 2, 3, 2 with the cubic cross monomial x0*x1*x3."""
+    return PolynomialSystem(tuple(parse_polynomial(text, 4) for text in (
+        "x1^2 - x0*x2", "x2^3 - x0*x1*x3 + 0.3*x3^3", "x3^2 - x1*x2 + 0.1*x0^2")))
+
+
+@pytest.mark.parametrize("system, t", [
+    # 2m+1 = 16,385 > _BLOCK: one slab holds part of a face, depth == n, and
+    # the Horner variable is the slab's leading index
+    (gaussian(1, (3,), 1), 13),
+    (gaussian(2, (3, 2), 2), 6),      # mixed degrees
+    (gaussian(2, (1, 2), 3), 6),      # a degree-1 equation
+    (ci_n3, 3),
+])
+def test_horner_residuals_are_within_the_rounding_bound(system, t):
+    """Horner's |f| on the lattice and the kernel's |f| at the rounded pair
+    point differ by at most (3D + T + n + 2) eps sum_i sum_a |c_ia| |x^a|.
+
+    Each evaluation errs by at most gamma_k times that scale (Higham ch. 5):
+    the kernel with k = 3D + T (two roundings per coordinate of k/|k|, D - 1
+    products, one product by c, T - 1 sums), Horner with k = T + 3D + 2 (T
+    roundings per coefficient, 2D along the row, D/2 + 2 for |k|^D and the
+    quotient), and each norm with n + 2 more; gamma_k is about k eps / 2.
+    Near a zero both cancel, so no relative tolerance would hold there.
+    """
+    F = system()
+    mesh = build_mesh(F.n, t)
+    blocks = _blocks(mesh)
+    if F.n == 1:
+        assert any(s.depth == F.n for b in blocks for s in b)
+    work = np.empty((3, condition._BLOCK))
+    horner = np.concatenate([condition._block_norms(F, mesh, b, work).copy() for b in blocks])
+    direct = _row_norms(evaluate_many(F, mesh.pair_points))
+    terms = max(len(p.coefficients) for p in F.polynomials)
+    bound = (3 * F.max_degree + terms + F.n + 2) * np.finfo(float).eps
+    assert np.all(np.abs(horner - direct) <= bound * rounding_scale(F, mesh.pair_points))
 
 
 @pytest.mark.parametrize("rows, blocks", [(0, []), (1, [1]), (1000, [40] + [64] * 15)])
@@ -253,20 +322,27 @@ def test_map_rows_fills_every_block(rows, blocks):
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
 def test_level_evaluates_half_the_grid(n, degrees, t):
-    """A level evaluates f at one point of each antipodal pair."""
-    rows = []
-    evaluate = pl.evaluate_many
+    """A level takes the residual rule at one point of each antipodal pair,
+    and no grid row goes through the evaluation kernel."""
+    rows, kernel_rows = [], []
+    block_norms, evaluate = condition._block_norms, pl.evaluate_many
+
+    def counted_block_norms(F, mesh, block, work):
+        rows.append(block[-1].hi - block[0].lo)
+        return block_norms(F, mesh, block, work)
 
     def counted_evaluate_many(f, X):
-        rows.append(X.shape[0])
+        kernel_rows.append(X.shape[0])
         return evaluate(f, X)
 
     F = random_unit_system(n, degrees, 5)
     mesh = build_mesh(n, t)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condition, "_block_norms", counted_block_norms)
         mp.setattr(pl, "evaluate_many", counted_evaluate_many)
         counting._level(F, mesh)
     assert sum(rows) == mesh.count // 2
+    assert sum(kernel_rows) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
