@@ -228,7 +228,9 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
         assert kappa_grid(F, mesh)[0] == full
 
 
-# grids of 4k to 16k pairs, so 512- and 200-row blocks split them into many
+# grids of 4k to 16k pairs, so 512- and 200-row blocks split them into many;
+# 16-row slabs are shorter than a lattice row of every grid, so their runs
+# are single rows (depth = n)
 @pytest.mark.parametrize("n, degrees, t", [
     *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
@@ -242,7 +244,7 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
     mirrored = np.linalg.norm(evaluate_many(F, -mesh.pair_points + 0.0), axis=1)
     assert np.array_equal(direct, mirrored)
     faces = np.concatenate(face_norms(F, mesh))
-    for block in (condition._BLOCK, 512, 200):
+    for block in (condition._BLOCK, 512, 200, 16):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
             # the streamed pass keeps every row below an infinite limit
