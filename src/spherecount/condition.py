@@ -88,24 +88,24 @@ def _block_norms(F, mesh, block, work):
     coordinates (``HomogeneousPolynomial._split_programs``); Horner's rule
     takes it along the run in d_i multiply-adds per point.
     |k|^2 = m^2 + sum_j k_j^2 is an exact integer in float64, so |k|^d
-    needs a sqrt only for odd d.  Each row's value depends on that row
-    alone, bit for bit, whatever block holds it.
+    needs a sqrt only for odd d; k is taken over m = 2^t, which is exact,
+    so |k|^d cannot overflow.  A row's value depends on that row alone,
+    bit for bit, whatever block holds it.
 
     ``work``, a (3, rows) array for a block of at most that many rows,
     holds the temporaries and the result, so a pass that hands the same one
     to every block allocates nothing of a block's size; the result lives in
     ``work[0]`` until the next call.
     """
-    lo, n = block[0].lo, mesh.n
+    lo, n, m = block[0].lo, mesh.n, 2.0**mesh.t
     out, acc, power = work[:, :block[-1].hi - lo]
     for slab in block:
-        # the lattice point opening each run, as (runs, 1) columns; k_axis = m
-        # is a scalar, so terms in m alone stay scalars, and the split
-        # programs of x never read its column
-        k = list(mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None])
-        k[slab.axis] = float(2**mesh.t)
+        # each run's first lattice point over m, as (runs, 1) columns; k_axis/m
+        # = 1 stays a scalar, and the split programs of x never read its column
+        k = list(mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None] / m)
+        k[slab.axis] = 1.0
         v = n - (slab.axis == n)
-        x = k[v] if slab.row == 1 else k[v][:1] + np.arange(slab.row)
+        x = k[v] if slab.row == 1 else k[v][:1] + np.arange(slab.row) / m
         radius2, x2 = sum(k[c] * k[c] for c in range(n + 1) if c != v), x * x
         s = out[slab.lo - lo:slab.hi - lo].reshape(-1, slab.row)
         a, p = (b[:s.size].reshape(s.shape) for b in (acc, power))

@@ -278,6 +278,8 @@ def ci_n3():
     (gaussian(2, (3, 2), 2), 6),      # mixed degrees
     (gaussian(2, (1, 2), 3), 6),      # a degree-1 equation
     (ci_n3, 3),
+    # |k|^80 and the monomials of k overflow on the lattice itself, not over m
+    (gaussian(1, (80,), 5), 13),
 ])
 def test_horner_residuals_are_within_the_rounding_bound(system, t):
     """Horner's |f| on the lattice and the kernel's |f| at the rounded pair
@@ -296,7 +298,9 @@ def test_horner_residuals_are_within_the_rounding_bound(system, t):
     if F.n == 1:
         assert any(s.depth == F.n for b in blocks for s in b)
     work = np.empty((3, condition._BLOCK))
-    horner = np.concatenate([condition._block_norms(F, mesh, b, work).copy() for b in blocks])
+    with np.errstate(over="raise", invalid="raise"):
+        horner = np.concatenate([condition._block_norms(F, mesh, b, work).copy()
+                                 for b in blocks])
     direct = _row_norms(evaluate_many(F, mesh.pair_points))
     terms = max(len(p.coefficients) for p in F.polynomials)
     bound = (3 * F.max_degree + terms + F.n + 2) * np.finfo(float).eps
