@@ -402,7 +402,7 @@ def _run(args):
 
     if cmd == "kappa":
         mesh = build_mesh(F.n, args.t)
-        est, cover = kappa_grid(F.normalized(), mesh)
+        est, cover = kappa_grid(F, mesh)
         _emit_json({"kappa_grid": est, "t": args.t,
                     "covering_radius_bound": cover, "mesh_count": mesh.count})
         return 0

@@ -6,7 +6,9 @@ the degree-scaled Jacobian restricted to the tangent space x-perp; 1/mu is
 the distance from f to the systems whose restricted Jacobian at x is
 singular (an Eckart-Young statement lifted through the reproducing-kernel
 basis).  kappa(f, x) combines mu with the residual norm and its sphere
-maximum governs the cost of the counting algorithm.
+maximum governs the cost of the counting algorithm.  Its grid maximum is
+taken inside the one streamed pass over a grid (``_scan``), which norms
+each block once, for ``kappa_grid`` and each counting level alike.
 """
 
 from __future__ import annotations
@@ -134,27 +136,39 @@ def _block_norms(F, mesh, block, work):
     return np.sqrt(out, out=out)
 
 
-def _scan(F, mesh, below):
-    """One streamed pass over the pair rows of ``mesh`` that keeps only its low rows.
+def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf):
+    """One streamed pass over the pair rows of ``mesh``: its low rows and kappa.
 
     Each block is normed by the one residual rule (``_block_norms``) while
-    it is in cache, and pair points are built for the low rows only, so no
-    array spans the grid.
-    Returns (rows, norms, points, least): the ascending pair rows with |f|
-    < ``below``, |f| and the pair point at each (bit for bit those of the
-    built mesh), and per block of ``_blocks(mesh)`` the least |f| of its
-    other rows, inf if there is none.
+    it is in cache, so no array spans the grid.  The rows with |f| >=
+    ``ceiling`` raise ``best`` to their kappa maximum for the unit-norm F:
+    since ``_kappa`` never exceeds 1/sqrt(f*f), they go through
+    ``bounded_max``, which builds pair points and takes mu only where that
+    bound beats the running maximum.  Returns (rows, norms, best): the
+    ascending pair rows with |f| < ``below``, |f| at each (bit for bit that
+    of the built mesh), and the maximum of ``best`` and the kappa of those
+    rows, inf at a singular zero.
     """
-    work = np.empty((3, _BLOCK))
-
-    def scan(block):
+    work, rows, norms = np.empty((3, _BLOCK)), [], []
+    for block in _blocks(mesh):
         f = _block_norms(F, mesh, block, work)
         low = np.flatnonzero(f < below)
-        return low + block[0].lo, f[low], np.min(f, where=f >= below, initial=math.inf)
+        rows.append(low + block[0].lo)
+        norms.append(f[low])
+        # 1/sqrt(f*f) > best needs about f < 1/best: the 2 leaves room for
+        # rounding, and bounded_max compares the exact bounds
+        top = 2.0 / best if best > -math.inf else math.inf
+        contend = np.flatnonzero(f < top)
+        contend = contend[f[contend] >= ceiling]
+        if contend.size:
+            at, f_norms = contend + block[0].lo, f[contend]
 
-    rows, norms, least = zip(*map(scan, _blocks(mesh)))
-    rows = np.concatenate(rows)
-    return rows, np.concatenate(norms), mesh.points_at(rows), np.array(least)
+            def visit(idx):
+                mus = mu_many(F, mesh.points_at(at[idx]), f_norm=1.0)
+                return _kappa_max(f_norms[idx], mus)
+
+            best = bounded_max(_kappa_bounds(f_norms), visit, best)
+    return np.concatenate(rows), np.concatenate(norms), best
 
 
 @dataclass(frozen=True)
@@ -367,9 +381,7 @@ def kappa_many(F, X):
 
 
 # positions in the first block bounded_max visits; the block then doubles
-# up to _LAST_BLOCK
 _FIRST_BLOCK = 1 << 10
-_LAST_BLOCK = 1 << 18
 
 
 def bounded_max(bounds, values, best):
@@ -378,7 +390,7 @@ def bounded_max(bounds, values, best):
     ``values(idx)`` returns the maximum of a quantity over the positions
     ``idx`` (sorted), and that quantity is at most ``bounds`` at each
     position.  Positions are visited in blocks of largest bound first, the
-    block doubling each round from ``_FIRST_BLOCK`` up to ``_LAST_BLOCK``;
+    block doubling each round from ``_FIRST_BLOCK``;
     a position whose bound does not exceed the running maximum cannot
     raise it and is never visited, so the result is the maximum over all
     positions, exactly.
@@ -395,56 +407,23 @@ def bounded_max(bounds, values, best):
             visit, pending = pending, pending[:0]
         best = max(best, values(visit))
         pending = pending[bounds[pending] > best]
-        block = min(2 * block, _LAST_BLOCK)
+        block *= 2
     return best
-
-
-def _kappa_walk(F, mesh, least, limit, best=-math.inf, low=((), ())):
-    """Maximum of kappa for the unit-norm F over ``best``, the pair rows and
-    their |f| in ``low``, and the rows of ``mesh`` with |f| >= ``limit``.
-
-    ``least[i]`` is at most each of those |f| in block i of ``_blocks``.
-    Since ``_kappa`` never exceeds 1/sqrt(f*f), ``low`` is walked first,
-    then the blocks in increasing ``least``, each normed again, until that
-    bound no longer beats the running maximum; the rows go through
-    ``bounded_max``, so points are built and mu is computed only where they
-    can still raise the maximum.  Returns (maximum, rows normed): inf at a
-    singular zero, or when there is nothing to take the maximum of.
-    """
-    def walk(rows, f_norms, best):
-        def visit(idx):
-            mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), mesh.points_at(rows[idx]))
-            return _kappa_max(f_norms[idx], mus)
-
-        return bounded_max(_kappa_bounds(f_norms), visit, best)
-
-    best = walk(*map(np.asarray, low), best)
-    blocks, work, normed = _blocks(mesh), np.empty((3, _BLOCK)), 0
-    bounds = _kappa_bounds(np.asarray(least, float))
-    for i in np.argsort(-bounds, kind="stable"):
-        if bounds[i] <= best:
-            break
-        f = _block_norms(F, mesh, blocks[i], work)
-        keep = np.flatnonzero(f >= limit)
-        best = walk(keep + blocks[i][0].lo, f[keep], best)
-        normed += f.size
-    return (best if best > -math.inf else math.inf), normed
 
 
 def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     |f| and mu are projective, so each antipodal pair is sampled at its
-    pair point.  One streamed pass norms each block and walks it
-    (``_kappa_walk``), so no array spans the grid and mu is computed only
+    pair point.  One streamed pass (``_scan``) norms each block once and
+    keeps no rows, so no array spans the grid, and mu is computed only
     where the residual bound on kappa can still raise the maximum.  It is
     the maximum over every pair point, inf if a singular zero is on the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
-    best, _ = _kappa_walk(F.normalized(), mesh, np.zeros(len(_blocks(mesh))), 0.0)
-    return best, mesh.covering_radius_bound
+    return _scan(F.normalized(), mesh)[2], mesh.covering_radius_bound
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,19 @@ never a zero that is its own antipode, so on termination the count is
 twice the number of components; refining one vertex per component
 locates zeta, and -zeta with it.
 
-A level is one streamed pass: each block of the grid is normed in cache
-by Horner's rule on the integer lattice (``condition._block_norms``), and
-only its low rows are kept, with their unit points (the candidates,
-possible exclusion failures and the first rows of the kappa walk), so no
-array of a level spans the grid.  The kappa walk norms a block again only
-when its other rows can still raise the maximum, and builds points only
-at the rows it visits.
+A level is one streamed pass: each block of the grid is normed once, in
+cache, by Horner's rule on the integer lattice (``condition._block_norms``),
+and only its low rows are kept (the candidates and the possible exclusion
+failures), so no array of a level spans the grid.  The same pass takes the
+level's kappa maximum, building points only at the rows where the residual
+bound on kappa can still raise it.  Each grid lies in the next, with the
+same |f| and pair point at each of its rows, so a level's maximum seeds the
+next level's, and the final level's is the kappa diagnostic.
 
 There is one loop.  The affine front end runs it on the homogenized
 system, whose finite roots are its zeros off the great sphere x_0 = 0,
 and stops only once every component is also certified finite: one of its
-vertices has a cap that misses x_0 = 0.  The kappa diagnostic is taken
-once, on the final grid.
+vertices has a cap that misses x_0 = 0.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from . import polynomials as pl
 # chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
-from .condition import _kappa_max, _kappa_walk, _map_rows, _scan, mu_many
+from .condition import _kappa_max, _map_rows, _scan, mu_many
 from .convergence import ALPHA, r0
 from .mesh import build_mesh, pairwise_angular
 
@@ -68,20 +68,20 @@ class CertGraph:
 
     Every index is a pair row of the mesh, which stands for both points
     of its pair.  No array spans the grid: the level keeps its low rows,
-    those with |f| below ``limit`` (``_keep_limit``), with |f| and the
-    pair point at each, and for the kappa walk the least |f| of the other
-    rows of each block of the grid (``condition._blocks``).  ``candidates``
-    holds, ascending, the low rows that could pass the inclusion test;
-    ``mus`` and ``admissible`` are mu (inf if singular) at their pair
-    points and the test's outcome there, which decides both points.  The
-    vertices are the admissible candidates.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
+    the candidates and the possible exclusion failures, with |f| at each.
+    ``candidates`` holds, ascending, the low rows that could pass the
+    inclusion test; ``points``, ``mus`` and ``admissible`` are their pair
+    points, mu (inf if singular) there and the test's outcome there,
+    which decides both points.  The vertices are the admissible
+    candidates.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
     vertex's certified cap (``certification._inclusion_radius``); two
     vertices are linked when their caps, or the cap of one and the mirror
     of the other's, meet.
     ``components`` holds tuples of ascending vertex positions, ordered by
     least member.  ``separation`` is the least projective distance between
     vertices of different components, inf when there is at most one
-    component.
+    component.  ``kappa`` is the kappa maximum over the pair rows of the
+    grid and the seed the level was given.
     """
 
     eta: float
@@ -89,19 +89,18 @@ class CertGraph:
     radii: np.ndarray            # inclusion radius per vertex
     components: tuple            # tuple of tuples of vertex positions
     separation: float            # least projective distance across components, or inf
-    limit: float                 # residual norm below which a row is a low row
-    low_rows: np.ndarray         # ascending pair rows with a residual norm below limit
+    low_rows: np.ndarray         # ascending candidates and possible exclusion failures
     low_norms: np.ndarray        # residual norm per low row
-    low_points: np.ndarray       # pair point per low row
     candidates: np.ndarray       # ascending pair rows that may pass inclusion
+    points: np.ndarray           # pair point per candidate
     mus: np.ndarray              # mu per candidate, inf if singular
     admissible: np.ndarray       # inclusion-test outcome per candidate
-    least: np.ndarray            # per block, least residual norm at or above limit
+    kappa: float                 # kappa maximum over the grid and the seed
 
     def at(self, rows):
-        """(points, residual norms) at ``rows``, which must be low rows."""
-        pos = np.searchsorted(self.low_rows, rows)
-        return self.low_points[pos], self.low_norms[pos]
+        """(points, residual norms) at ``rows``, which must be candidates."""
+        return (self.points[np.searchsorted(self.candidates, rows)],
+                self.low_norms[np.searchsorted(self.low_rows, rows)])
 
 
 # For a unit-norm system mu >= sqrt(n) at every point (the degree-scaled
@@ -118,24 +117,6 @@ C_SLACK = 2.0
 def _candidate_ceiling(F):
     """Residual below which a point may pass the inclusion test."""
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
-
-
-# Besides its candidates and possible exclusion failures, a level keeps
-# the rows whose bound 1/|f| on kappa beats ``seed``, the kappa maximum at
-# the candidates of the coarser levels (whose grids lie in this one), but
-# at most those below _KEEP_FACTOR candidate ceilings: about 4% of a
-# Gaussian (2,2) grid.  The kappa walk visits them first, and evaluates a
-# block again only when its other rows can still raise the maximum.  It
-# decides what is computed twice, never an answer.
-_KEEP_FACTOR = 2.0
-
-
-def _keep_limit(F, eta, seed):
-    """|f| below which a level keeps a row (see _KEEP_FACTOR)."""
-    ceiling = _candidate_ceiling(F)
-    # f < nextafter(threshold) keeps f <= threshold; with no seed, 1/seed is -0.0
-    return max(ceiling, min(_KEEP_FACTOR * ceiling, 1.0 / seed),
-               math.nextafter(exclusion_threshold(F, eta), math.inf))
 
 
 def _clusters(points, reach):
@@ -170,34 +151,37 @@ def _clusters(points, reach):
 def _level(F, mesh, seed=-math.inf):
     """Certify a grid against the normalized F and link nearby caps.
 
-    One streamed pass keeps the low rows; mu and the inclusion test are
-    taken at the candidates only, with the values of an exhaustive pass
-    (mu of a row does not depend on its batch).
+    One streamed pass keeps the low rows and takes the kappa maximum over
+    ``seed`` and the rows that are not candidates; mu and the inclusion
+    test are then taken at the candidates, with the values of an
+    exhaustive pass (mu of a row does not depend on its batch), and their
+    kappa completes the maximum.
     """
-    limit = _keep_limit(F, mesh.eta, seed)
-    rows, norms, points, least = _scan(F, mesh, limit)
-    cand = norms < _candidate_ceiling(F)
-    candidates = rows[cand]
-    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points[cand])
-    admissible = _admissible(norms[cand], mus, F.max_degree)
-    vertices = candidates[admissible]
-    at = np.searchsorted(rows, vertices)
-    radii = _inclusion_radius(norms[at], mus[admissible])
-    components, separation = _clusters(points[at], radii[:, None] + radii[None, :])
+    ceiling = _candidate_ceiling(F)
+    # the low rows are the candidates and the possible exclusion failures;
+    # f < nextafter(threshold) keeps f <= threshold
+    below = max(ceiling, math.nextafter(exclusion_threshold(F, mesh.eta), math.inf))
+    rows, norms, best = _scan(F, mesh, below, ceiling, seed)
+    cand = norms < ceiling
+    candidates, f_norms = rows[cand], norms[cand]
+    points = mesh.points_at(candidates)
+    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points)
+    admissible = _admissible(f_norms, mus, F.max_degree)
+    radii = _inclusion_radius(f_norms[admissible], mus[admissible])
+    components, separation = _clusters(points[admissible], radii[:, None] + radii[None, :])
     return CertGraph(
         eta=mesh.eta,
-        vertex_indices=vertices,
+        vertex_indices=candidates[admissible],
         radii=radii,
         components=components,
         separation=separation,
-        limit=limit,
         low_rows=rows,
         low_norms=norms,
-        low_points=points,
         candidates=candidates,
+        points=points,
         mus=mus,
         admissible=admissible,
-        least=least,
+        kappa=max(best, _kappa_max(f_norms, mus)),
     )
 
 
@@ -287,24 +271,6 @@ def _component_representatives(graph):
     return [comp[int(np.argmin(f_norms[list(comp)]))] for comp in graph.components]
 
 
-def _candidate_kappa(graph):
-    """Largest kappa over the candidates of a level."""
-    return _kappa_max(graph.at(graph.candidates)[1], graph.mus)
-
-
-def _kappa_estimate(F, mesh, graph):
-    """The kappa maximum over the pair rows of the level.
-
-    The candidates' kappa seeds the walk (``_kappa_walk``), which takes the
-    other low rows first and norms a block of the level again only if its
-    rows that are not low rows can still raise the maximum.  Returns
-    (kappa, rows normed again).
-    """
-    other = graph.low_norms >= _candidate_ceiling(F)
-    return _kappa_walk(F, mesh, graph.least, graph.limit, _candidate_kappa(graph),
-                       (graph.low_rows[other], graph.low_norms[other]))
-
-
 # A vertex's cap B(x, r_x) holds its component's zero, and the pair point
 # x lies arcsin|x_0| from the great sphere x_0 = 0, where the zeros at
 # infinity of a homogenized system lie.  _FINITE_MARGIN (radians) absorbs
@@ -328,11 +294,12 @@ def _run_loop(F, max_t, finite=False):
     _, t0 = initial_eta(n)
     if max_t <= t0:
         raise ValueError(f"max_t = {max_t} allows no refinement (initial t = {t0})")
-    evaluations, seed = 0, -math.inf
+    evaluations, kappa = 0, -math.inf
     for t in range(t0 + 1, max_t + 1):
         mesh = build_mesh(n, t)
-        graph = _level(Fn, mesh, seed=seed)
-        seed = max(seed, _candidate_kappa(graph))
+        # each grid lies in the next, so a level's kappa maximum seeds the next
+        graph = _level(Fn, mesh, seed=kappa)
+        kappa = graph.kappa
         # 1 per pair row and 2 per vertex; a vertex pair holds two vertices
         evaluations += mesh.count // 2 + 4 * len(graph.vertex_indices)
         stop = check_stop(Fn, mesh, graph)
@@ -349,10 +316,8 @@ def _run_loop(F, max_t, finite=False):
             # keeps zero coordinates 0.0
             evaluations += 4 * max(z.newton_steps, 1)
             zeros += [z, replace(z, zeta=0.0 - z.zeta)]
-    kappa_est, revisited = _kappa_estimate(Fn, mesh, graph)
-    evaluations += revisited
-    threshold = (predicted_eta_threshold(Fn, kappa_est)
-                 if math.isfinite(kappa_est) and kappa_est >= 1.0 else None)
+    threshold = (predicted_eta_threshold(Fn, kappa)
+                 if math.isfinite(kappa) and kappa >= 1.0 else None)
     return CountResult(
         count=2 * len(graph.components),
         zeros=tuple(zeros),
@@ -361,7 +326,7 @@ def _run_loop(F, max_t, finite=False):
         evaluations=evaluations,
         stopped=stopped,
         predicted_eta_threshold=threshold,
-        kappa_grid_estimate=kappa_est,
+        kappa_grid_estimate=kappa,
     )
 
 

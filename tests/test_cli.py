@@ -7,6 +7,7 @@ import pytest
 
 from spherecount.cli import (ParseError, dispatch, format_polynomial,
                              parse_affine, parse_polynomial)
+from spherecount.condition import sample_gaussian_system
 from spherecount.polynomials import (HomogeneousPolynomial, PolynomialSystem,
                                      system_to_json)
 
@@ -221,6 +222,19 @@ class TestDispatch:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["kappa_grid"] >= 1.0
+
+    def test_kappa_matches_the_count_estimate(self, tmp_path, capsys):
+        # the Gaussian (2,2) system of seed 4002 stops at t=3; kappa takes the
+        # grid maximum for the system once normalized, as the loop does
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(system_to_json(sample_gaussian_system(2, (2, 2), 4002))))
+        assert dispatch(["--input", str(path), "count", "--stats"]) == 0
+        count = json.loads(capsys.readouterr().out)
+        t = round(-math.log2(count["final_eta"]))
+        assert t == 3
+        assert dispatch(["--input", str(path), "kappa", "--t", str(t)]) == 0
+        kappa = json.loads(capsys.readouterr().out)
+        assert kappa["kappa_grid"] == count["kappa_grid_estimate"]
 
     def test_mesh(self, capsys):
         code = dispatch(["mesh", "--n", "1", "--t", "1"])

@@ -285,8 +285,8 @@ class TestRootCount:
         assert res.predicted_eta_threshold is None
 
     def test_evaluations_count_pair_rows(self):
-        # x1^2 never stops and its kappa is inf at the double zeros, so no
-        # block is evaluated twice: each level evaluates its 4 * 2^t pairs
+        # x1^2 never stops, and its double zeros are singular, so no level
+        # has a vertex: each level evaluates its 4 * 2^t pairs once
         res = root_count(single(2, 2, {(0, 2): 1.0}), max_t=8)
         assert not res.stopped and res.kappa_grid_estimate == math.inf
         assert res.evaluations == sum(4 * 2**t for t in range(2, 9))

@@ -21,9 +21,9 @@ from spherecount.condition import (_blocks, _kappa_max, _row_norms,
                                    kappa_many, mu, mu_many,
                                    sample_gaussian_system)
 from spherecount import counting
-from spherecount.counting import (_candidate_ceiling, _kappa_estimate, _level,
-                                  build_graph, count_affine, initial_eta,
-                                  root_count)
+from spherecount.counting import (_candidate_ceiling, _level, build_graph,
+                                  count_affine, exclusion_threshold,
+                                  initial_eta, root_count)
 from spherecount.mesh import build_mesh
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, evaluate_many)
@@ -83,23 +83,22 @@ CASES = [
 
 
 def assert_sparse_level(F, mesh, graph, f_all):
-    """The level's low rows, their data and the block minima equal what the
-    residuals at every pair row give, bit for bit."""
-    low = np.nonzero(f_all < graph.limit)[0]
+    """The level keeps its candidates and its possible exclusion failures,
+    with the residuals and candidate points that every pair row gives, bit
+    for bit."""
+    cand = f_all < _candidate_ceiling(F)
+    low = np.nonzero(cand | (f_all <= exclusion_threshold(F, mesh.eta)))[0]
     assert np.array_equal(graph.low_rows, low)
     assert graph.low_norms.tobytes() == f_all[low].tobytes()
-    assert graph.low_points.tobytes() == mesh.pair_points[low].tobytes()
-    assert np.array_equal(graph.candidates, np.nonzero(f_all < _candidate_ceiling(F))[0])
-    spans = [f_all[b[0].lo:b[-1].hi] for b in _blocks(mesh)]
-    least = [np.min(f, where=f >= graph.limit, initial=math.inf) for f in spans]
-    assert np.array_equal(graph.least, least)
+    assert np.array_equal(graph.candidates, np.nonzero(cand)[0])
+    assert graph.points.tobytes() == mesh.pair_points[cand].tobytes()
 
 
 @pytest.mark.parametrize("system, t", CASES)
 @pytest.mark.parametrize("seed", [-math.inf, 3.0, math.inf])
 def test_level_matches_exhaustive(system, t, seed):
-    """Whatever rows the level keeps (``seed`` moves its limit), its sparse
-    outputs and the kappa walk equal an exhaustive pass over the pair points."""
+    """The level's sparse outputs equal an exhaustive pass over the pair
+    points, and its kappa is the exhaustive maximum raised to ``seed``."""
     F = system()
     n = F.n
     mesh = build_mesh(n, t)
@@ -115,14 +114,12 @@ def test_level_matches_exhaustive(system, t, seed):
         mp.setattr(counting, "mu_many", counted_mu_many)
         mp.setattr(condition, "mu_many", counted_mu_many)
         graph = _level(F, mesh, seed=seed)
-        kappa, revisited = _kappa_estimate(F, mesh, graph)
     assert_sparse_level(F, mesh, graph, f_all)
     assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
-    assert kappa == kappa_all
+    assert graph.kappa == max(kappa_all, seed)
     assert np.array_equal(graph.mus, mu_all[graph.candidates])
     assert np.all(graph.mus >= math.sqrt(n) * (1.0 - 1e-12))
-    assert revisited % 1 == 0 and revisited <= points.shape[0]
     # kappa of a well-conditioned system is near 1 everywhere, so 1/|f|
     # prunes nothing there; elsewhere few points need mu
     if kappa_all > 2.0:
@@ -153,25 +150,52 @@ def test_root_count_kappa_matches_exhaustive(seed):
     assert res.kappa_grid_estimate == whole_grid_kappa(F.normalized(), build_mesh(2, t))
 
 
-def test_root_count_takes_kappa_once():
-    calls = []
-    walk = counting._kappa_walk
+def levels_of(run):
+    """``run()``'s result and the (mesh, graph) of each level it certified."""
+    levels = []
 
-    def counted_kappa_walk(*args, **kw):
-        calls.append(1)
-        return walk(*args, **kw)
+    def recorded_level(F, mesh, seed=-math.inf):
+        levels.append((mesh, _level(F, mesh, seed=seed)))
+        return levels[-1][1]
 
-    F = random_unit_system(2, (2, 2), 4000)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_kappa_walk", counted_kappa_walk)
-        res = root_count(F, max_t=5)
-    assert res.iterations >= 3
-    assert len(calls) == 1
+        mp.setattr(counting, "_level", recorded_level)
+        return run(), levels
+
+
+def test_every_level_kappa_is_its_grid_maximum():
+    """Each grid lies in the next with the same |f| and pair point at each of
+    its rows, so the seed a level is given never exceeds its own maximum:
+    every level's kappa is exactly the maximum over its whole grid."""
+    F = random_unit_system(2, (2, 2), 4000)
+    res, levels = levels_of(lambda: root_count(F, max_t=6))
+    assert [mesh.t for mesh, _ in levels] == [2, 3, 4, 5, 6]
+    for mesh, graph in levels:
+        assert graph.kappa == whole_grid_kappa(F, mesh)
+    assert res.kappa_grid_estimate == levels[-1][1].kappa
+
+
+def test_root_count_norms_each_pair_row_once():
+    """No block of a level is normed twice: the rows through the residual
+    rule are the pair rows of the levels (seed 4002 stops at t=3)."""
+    normed = []
+    block_norms = condition._block_norms
+
+    def counted_block_norms(F, mesh, block, work):
+        normed.append(block[-1].hi - block[0].lo)
+        return block_norms(F, mesh, block, work)
+
+    F = sample_gaussian_system(2, (2, 2), 4002)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condition, "_block_norms", counted_block_norms)
+        res, levels = levels_of(lambda: root_count(F, max_t=6))
+    assert res.stopped and len(levels) == 2
+    assert sum(normed) == sum(mesh.count // 2 for mesh, _ in levels) == 962
 
 
 @pytest.mark.parametrize("seed", [4000, 4001, 4002, 4003])
 def test_streamed_kappa_matches_the_built_grid(seed):
-    """The loop's walk, over blocks normed again, gives kappa_grid's one
+    """The loop's kappa, carried from level to level, equals kappa_grid's one
     streamed pass over the final grid bit for bit."""
     F = sample_gaussian_system(2, (2, 2), seed)
     res = root_count(F, max_t=8)
@@ -179,24 +203,13 @@ def test_streamed_kappa_matches_the_built_grid(seed):
     assert res.kappa_grid_estimate == kappa_grid(F, build_mesh(2, t))[0]
 
 
-@pytest.mark.parametrize("candidates_only", [False, True])
-def test_streamed_walk_matches_kappa_grid_n3(candidates_only):
-    """On 40 Gaussian (2,2,2) systems at t=4 the streamed walk of a level
-    equals kappa_grid's walk over the built grid.  A level that keeps only
-    its candidates leaves most rows to the blocks the walk evaluates again."""
+def test_streamed_walk_matches_kappa_grid_n3():
+    """On 40 Gaussian (2,2,2) systems at t=4 the kappa a level takes, its
+    candidates last, equals kappa_grid's pass over every row."""
     mesh = build_mesh(3, 4)
-    revisits = 0
-    with pytest.MonkeyPatch.context() as mp:
-        if candidates_only:
-            mp.setattr(counting, "_keep_limit", lambda F, eta, seed: _candidate_ceiling(F))
-        for seed in range(40):
-            F = sample_gaussian_system(3, (2, 2, 2), seed)
-            Fn = F.normalized()
-            kappa, revisited = _kappa_estimate(Fn, mesh, _level(Fn, mesh))
-            assert kappa == kappa_grid(F, mesh)[0]
-            revisits += revisited > 0
-    if candidates_only:
-        assert revisits > 0
+    for seed in range(40):
+        F = sample_gaussian_system(3, (2, 2, 2), seed)
+        assert _level(F.normalized(), mesh).kappa == kappa_grid(F, mesh)[0]
 
 
 def test_affine_loop_matches_exhaustive():
@@ -209,10 +222,9 @@ def test_affine_loop_matches_exhaustive():
     assert res.kappa_grid_estimate == kappa_all
     graph = _level(F, mesh)
     assert_sparse_level(F, mesh, graph, f_all)
-    kappa, _ = _kappa_estimate(F, mesh, graph)
     assert np.array_equal(graph.candidates[graph.admissible], np.nonzero(adm_all)[0])
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
-    assert kappa == kappa_all
+    assert graph.kappa == kappa_all
     assert np.array_equal(graph.mus, mu_all[graph.candidates])
 
 
@@ -247,12 +259,12 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
     for block in (condition._BLOCK, 512, 200, 16):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
-            # the streamed pass keeps every row below an infinite limit
-            rows, streamed, points, least = condition._scan(F, mesh, math.inf)
+            # the streamed pass keeps every row below an infinite limit, and
+            # none is at or above an infinite ceiling, so it takes no kappa
+            rows, streamed, best = condition._scan(F, mesh, math.inf, math.inf)
             assert np.array_equal(rows, np.arange(mesh.count // 2))
             assert streamed.tobytes() == faces.tobytes()
-            assert points.tobytes() == mesh.pair_points.tobytes()
-            assert np.all(least == math.inf)
+            assert best == -math.inf
 
 
 def rounding_scale(F, X):
@@ -397,7 +409,6 @@ def test_bounded_max_is_exact(data, block):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_FIRST_BLOCK", block)
-        mp.setattr(condition, "_LAST_BLOCK", 4 * block)
         best = bounded_max(bounds, visit, best=-math.inf)
     assert best == max(values.tolist(), default=-math.inf)
     assert len(visited) == len(set(visited))
