@@ -7,8 +7,33 @@ the distance from f to the systems whose restricted Jacobian at x is
 singular (an Eckart-Young statement lifted through the reproducing-kernel
 basis).  kappa(f, x) combines mu with the residual norm and its sphere
 maximum governs the cost of the counting algorithm.  Its grid maximum is
-taken inside the one streamed pass over a grid (``_scan``), which norms
-each block once, for ``kappa_grid`` and each counting level alike.
+taken inside the one streamed pass over a grid (``_scan``), for
+``kappa_grid`` and each counting level alike.
+
+A pass reads |f| at three kinds of row only: the rows under its cut
+``below`` (candidates and possible exclusion failures) and the kappa
+contenders, whose bound 1/|f| beats the running maximum ``best``.  A row
+with |f| >= cut = max(below, (1/best)(1 + delta)) is none of them, and
+``best`` only rises during a pass, so a cut taken earlier in it stays
+sound.  A pass given a kappa seed therefore screens its grid by tile
+centres, in the cell-exclusion pattern of Plantinga and Vegter (SGP 2004):
+
+* |f| is sqrt(D) |F|_W-Lipschitz on S^n, D the largest degree: the
+  derivative of f_i along the sphere has norm at most sqrt(d_i) |f_i|_W at
+  a unit point, which is the bound behind the exclusion lemma of Cucker,
+  Krick, Malajovich and Wschebor (A numerical algorithm for zero counting I).
+* A tile is ``TILE`` consecutive rows of one run, whose lattice points k
+  differ in the moving coordinate only.  Its centre c lies half a step
+  between rows, so every row is at most h = (TILE - 1)/2 steps from it and
+  |k/m - c/m| <= h/m.  Both points have |.| >= 1, since their face
+  coordinate is m, and radial projection from outside the unit ball is
+  1-Lipschitz, so their unit points lie at most the chord h/m apart, an
+  angle of at most 2 asin(h/(2m)).
+* The computed |f| of any point errs by less than half of
+  ``_rounding_margin`` (the Horner rule's pinned rounding bound), so every
+  row of the tile has computed |f| >= |f(c)| - sqrt(D) |F|_W 2 asin(h/(2m))
+  - margin, rounding of that bound itself included.  A tile whose bound is
+  at least the cut is never normed; no output reads its rows.
 """
 
 from __future__ import annotations
@@ -45,20 +70,6 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
-# rows a whole-grid pass handles at once: the three arrays of one block of
-# _block_norms stay in a 2 MB L2 cache
-_BLOCK = 1 << 14
-
-
-def _map_rows(fn, X):
-    """fn(X[lo:lo + _BLOCK]) for each block of ``_BLOCK`` rows, in one array.
-
-    ``fn`` gives one float per row of its block.
-    """
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], _BLOCK):
-        out[lo:lo + _BLOCK] = fn(X[lo:lo + _BLOCK])
-    return out
 
 
 def _row_norms(V):
@@ -73,102 +84,6 @@ def _row_norms(V):
     for j in range(1, V.shape[1]):
         s += V[:, j] * V[:, j]
     return np.sqrt(s, out=s)
-
-
-def _blocks(mesh):
-    """The blocks of at most ``_BLOCK`` rows that every streamed pass walks."""
-    return list(mesh.blocks(_BLOCK))
-
-
-def _block_norms(F, mesh, block, work):
-    """|f| at each pair row of one block of ``mesh``: the one residual rule.
-
-    f is homogeneous, so at the pair point k/|k| of a lattice point k,
-    |f| = sqrt(sum_i (f_i(k) / |k|^d_i)^2).  Along a run of a slab only the
-    last face coordinate x moves, so there each f_i is a polynomial of
-    degree d_i in x, whose coefficients come once per run from the other
-    coordinates (``HomogeneousPolynomial._split_programs``); Horner's rule
-    takes it along the run in d_i multiply-adds per point.
-    |k|^2 = m^2 + sum_j k_j^2 is an exact integer in float64, so |k|^d
-    needs a sqrt only for odd d; k is taken over m = 2^t, which is exact,
-    so |k|^d cannot overflow.  A row's value depends on that row alone,
-    bit for bit, whatever block holds it.
-
-    ``work``, a (3, rows) array for a block of at most that many rows,
-    holds the temporaries and the result, so a pass that hands the same one
-    to every block allocates nothing of a block's size; the result lives in
-    ``work[0]`` until the next call.
-    """
-    lo, n, m = block[0].lo, mesh.n, 2.0**mesh.t
-    out, acc, power = work[:, :block[-1].hi - lo]
-    for slab in block:
-        # each run's first lattice point over m, as (runs, 1) columns; k_axis/m
-        # = 1 stays a scalar, and the split programs of x never read its column
-        k = list(mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None] / m)
-        k[slab.axis] = 1.0
-        v = n - (slab.axis == n)
-        x = k[v] if slab.row == 1 else k[v][:1] + np.arange(slab.row) / m
-        radius2, x2 = sum(k[c] * k[c] for c in range(n + 1) if c != v), x * x
-        s = out[slab.lo - lo:slab.hi - lo].reshape(-1, slab.row)
-        a, p = (b[:s.size].reshape(s.shape) for b in (acc, power))
-        s[...] = 0.0
-        cache, degree = {}, None
-        for f in F.polynomials:
-            d = f.degree
-            if d != degree:
-                np.add(radius2, x2, out=a)
-                if d % 2:
-                    np.sqrt(a, out=p)
-                else:
-                    np.copyto(p, a)
-                for _ in range((d - 1) // 2):
-                    p *= a
-                degree = d
-            c = [pl._run(g, k, cache) for g in f._split_programs[v]]
-            np.multiply(c[d], x, out=a)
-            a += c[d - 1]
-            for e in range(d - 2, -1, -1):
-                a *= x
-                a += c[e]
-            a /= p
-            a *= a
-            s += a
-    return np.sqrt(out, out=out)
-
-
-def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf):
-    """One streamed pass over the pair rows of ``mesh``: its low rows and kappa.
-
-    Each block is normed by the one residual rule (``_block_norms``) while
-    it is in cache, so no array spans the grid.  The rows with |f| >=
-    ``ceiling`` raise ``best`` to their kappa maximum for the unit-norm F:
-    since ``_kappa`` never exceeds 1/sqrt(f*f), they go through
-    ``bounded_max``, which builds pair points and takes mu only where that
-    bound beats the running maximum.  Returns (rows, norms, best): the
-    ascending pair rows with |f| < ``below``, |f| at each (bit for bit that
-    of the built mesh), and the maximum of ``best`` and the kappa of those
-    rows, inf at a singular zero.
-    """
-    work, rows, norms = np.empty((3, _BLOCK)), [], []
-    for block in _blocks(mesh):
-        f = _block_norms(F, mesh, block, work)
-        low = np.flatnonzero(f < below)
-        rows.append(low + block[0].lo)
-        norms.append(f[low])
-        # 1/sqrt(f*f) > best needs about f < 1/best: the 2 leaves room for
-        # rounding, and bounded_max compares the exact bounds
-        top = 2.0 / best if best > -math.inf else math.inf
-        contend = np.flatnonzero(f < top)
-        contend = contend[f[contend] >= ceiling]
-        if contend.size:
-            at, f_norms = contend + block[0].lo, f[contend]
-
-            def visit(idx):
-                mus = mu_many(F, mesh.points_at(at[idx]), f_norm=1.0)
-                return _kappa_max(f_norms[idx], mus)
-
-            best = bounded_max(_kappa_bounds(f_norms), visit, best)
-    return np.concatenate(rows), np.concatenate(norms), best
 
 
 @dataclass(frozen=True)
@@ -411,6 +326,239 @@ def bounded_max(bounds, values, best):
     return best
 
 
+# ---------------------------------------------------------------------------
+# the streamed pass over a grid: the one residual rule and the tile screen
+
+# rows a whole-grid pass handles at once: the three arrays of one block of
+# the residual rule stay in a 2 MB L2 cache
+_BLOCK = 1 << 14
+# positions along a run that one tile centre screens.  16 keeps the
+# centres at 1/16 of a run while the shift sqrt(D) 2 asin(7.5/(2m)) stays
+# under the kappa cut of a deep level: four Gaussian (2,2) systems counted
+# to t=9 norm 1.39M rows in all with 16, 1.95M with 8 and 1.54M with 32
+TILE = 16
+# relative slack of the kappa cut (1/best)(1 + _KAPPA_SLACK): a row with
+# |f| at or above it has a computed bound 1/sqrt(f*f) of at most best, since
+# the three roundings of that bound and the two of the cut move it by a few
+# ulps, far below 2^-40
+_KAPPA_SLACK = 2.0**-40
+
+
+def _blocks(mesh):
+    """The blocks of at most ``_BLOCK`` rows that every dense pass walks."""
+    return list(mesh.blocks(_BLOCK))
+
+
+def _runs(F, mesh, slab):
+    """Horner's data for the runs of one slab, each run one value of each.
+
+    Returns (coefficients, radius2, first): per polynomial f of degree d
+    the coefficients of x^0, ..., x^d of f along each run, |k/m|^2 less the
+    moving coordinate's square, both as (runs, 1) columns (a coefficient
+    without a variable term is a scalar), and the moving coordinate of each
+    run's first row.  k is taken over m = 2^t, which is exact, so no power
+    of |k| overflows.
+    """
+    n, m = mesh.n, 2.0**mesh.t
+    # each run's first lattice point over m, as (runs, 1) columns; k_axis/m
+    # = 1 stays a scalar, and the split programs of x never read its column
+    k = list(mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None] / m)
+    k[slab.axis] = 1.0
+    v = n - (slab.axis == n)
+    cache = {}
+    coeffs = [[pl._run(g, k, cache) for g in f._split_programs[v]] for f in F.polynomials]
+    # a scalar for n = 1, where the axis is the one other coordinate
+    radius2 = np.broadcast_to(sum(k[c] * k[c] for c in range(n + 1) if c != v), k[v].shape)
+    return coeffs, radius2, (k[v] if slab.row == 1 else k[v][:1])
+
+
+def _horner(F, coeffs, radius2, x, out):
+    """|f| at the positions x along runs: the one residual rule.
+
+    f is homogeneous, so at the pair point k/|k| of a lattice point k,
+    |f| = sqrt(sum_i (f_i(k) / |k|^d_i)^2).  Along a run of a slab only the
+    last face coordinate x moves, so there each f_i is a polynomial of
+    degree d_i in x whose coefficients (``_runs``) come once per run from
+    the other coordinates; Horner's rule takes it along the run in d_i
+    multiply-adds per position.  |k/m|^2 = ``radius2`` + x^2 is exact in
+    float64, so |k|^d needs a sqrt only for odd d.  ``coeffs`` and
+    ``radius2`` hold one row per run and x the positions over m, broadcast
+    against them; every step is elementwise, so a row's value depends on
+    that row alone, bit for bit, whatever the layout that holds it.
+    ``out`` is a (3, ...) array of the broadcast shape for the result and
+    two temporaries; the result is ``out[0]``.
+    """
+    s, a, p = out
+    x2 = x * x
+    s[...] = 0.0
+    degree = None
+    for f, c in zip(F.polynomials, coeffs):
+        d = f.degree
+        if d != degree:
+            np.add(radius2, x2, out=a)
+            if d % 2:
+                np.sqrt(a, out=p)
+            else:
+                np.copyto(p, a)
+            for _ in range((d - 1) // 2):
+                p *= a
+            degree = d
+        np.multiply(c[d], x, out=a)
+        a += c[d - 1]
+        for e in range(d - 2, -1, -1):
+            a *= x
+            a += c[e]
+        a /= p
+        a *= a
+        s += a
+    return np.sqrt(s, out=s)
+
+
+def _block_norms(F, mesh, block, work):
+    """|f| at each pair row of one block of ``mesh``, by the residual rule.
+
+    ``work``, a (3, rows) array for a block of at most that many rows,
+    holds the temporaries and the result, so a pass that hands the same one
+    to every block allocates nothing of a block's size; the result lives in
+    ``work[0]`` until the next call.
+    """
+    lo, m = block[0].lo, 2.0**mesh.t
+    for slab in block:
+        coeffs, radius2, first = _runs(F, mesh, slab)
+        _horner(F, coeffs, radius2, first + np.arange(slab.row) / m,
+                work[:, slab.lo - lo:slab.hi - lo].reshape(3, -1, slab.row))
+    return work[0, :block[-1].hi - lo]
+
+
+def _dense(F, mesh):
+    """(rows, |f|) of every block of the pair rows of ``mesh``, in row order."""
+    work = np.empty((3, _BLOCK))
+    for block in _blocks(mesh):
+        yield np.arange(block[0].lo, block[-1].hi), _block_norms(F, mesh, block, work)
+
+
+def _rounding_margin(F):
+    """The screen's absolute rounding margin: twice the bound on the gap
+    between two computed residuals that the Horner rule is pinned to,
+    (3D + T + n + 2) eps sum_i sum_a |c_ia| |x^a|, with that sum at most
+    sqrt(n) |F|_W at a unit point (Cauchy-Schwarz in the Weyl inner
+    product).  T is the most terms of a polynomial of F."""
+    terms = max(len(f.coefficients) for f in F.polynomials)
+    return (2.0 * (3 * F.max_degree + terms + F.n + 2) * np.finfo(float).eps
+            * math.sqrt(F.n) * F.weyl_norm)
+
+
+def _take_runs(coeffs, runs):
+    """The coefficients of the runs ``runs`` (an index or a slice)."""
+    return [[c if np.ndim(c) == 0 else c[runs] for c in cs] for cs in coeffs]
+
+
+def _screened(F, mesh, cut):
+    """(rows, |f|) of the pair rows whose tile the centres cannot rule out.
+
+    One slab per face; its runs are cut into tiles of ``TILE`` positions,
+    and each tile is normed at its centre, which lies half a lattice step
+    off the rows.  Every row of a tile whose centre's |f| less ``reach`` is
+    at least ``cut()`` has |f| >= ``cut()`` (see the module docstring), so
+    only the rows of the other tiles are normed, each once, by the same
+    rule as a dense pass and bit for bit its values.  ``cut()`` is read
+    again before each chunk of at most ``_BLOCK`` rows; it may only fall.
+    """
+    m, h = 2.0**mesh.t, (TILE - 1) / 2
+    reach = (math.sqrt(F.max_degree) * F.weyl_norm * 2.0 * math.asin(h / (2.0 * m))
+             + _rounding_margin(F))
+    work, span, per_chunk = np.empty((3, _BLOCK)), np.arange(TILE), _BLOCK // TILE
+    for slab in mesh.slabs(mesh.count // 2):
+        coeffs, radius2, first = _runs(F, mesh, slab)
+        row = slab.row
+        tiles = -(-row // TILE)
+        centres = first + (np.arange(tiles) * TILE + h) / m
+        step = max(1, _BLOCK // tiles)
+        for r0 in range(0, radius2.shape[0], step):
+            part = slice(r0, r0 + step)
+            c_part, r_part = _take_runs(coeffs, part), radius2[part]
+            # a run of more than _BLOCK tiles has its centres taken in pieces
+            for t0 in range(0, tiles, _BLOCK):
+                x = centres[:, t0:t0 + _BLOCK]
+                shape = (r_part.shape[0], x.shape[1])
+                lower = _horner(F, c_part, r_part, x,
+                                work[:, :shape[0] * shape[1]].reshape(3, *shape)) - reach
+                runs, tile = np.nonzero(lower < cut())
+                lower, runs, tile = lower[runs, tile], runs + r0, tile + t0
+                for j in range(0, runs.size, per_chunk):
+                    keep = lower[j:j + per_chunk] < cut()
+                    r, pos = runs[j:j + per_chunk][keep], tile[j:j + per_chunk][keep]
+                    if not r.size:
+                        continue
+                    pos = pos[:, None] * TILE + span
+                    f = _horner(F, _take_runs(coeffs, r), radius2[r], first + pos / m,
+                                work[:, :pos.size].reshape(3, *pos.shape))
+                    valid = pos < row
+                    yield (slab.lo + r[:, None] * row + pos)[valid], f[valid]
+
+
+def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, candidate_mu=mu_many):
+    """One streamed pass over the pair rows of ``mesh``: its low rows and kappa.
+
+    Rows come in chunks of at most ``_BLOCK``, each normed by the one
+    residual rule while it is in cache, so no array spans the grid.  Of
+    each chunk the pass keeps the rows with |f| < ``below`` (``ceiling``
+    <= ``below``); at those with |f| < ``ceiling``, the candidates, it
+    takes mu by ``candidate_mu`` and folds their kappa into ``best``; then
+    the rows with |f| >= ``ceiling`` raise ``best`` to their kappa
+    maximum for the unit-norm F: since ``_kappa``
+    never exceeds 1/sqrt(f*f), they go through ``bounded_max``, which
+    builds pair points and takes mu only where that bound beats the
+    running maximum.  A row with |f| >= (1/best)(1 + ``_KAPPA_SLACK``)
+    cannot beat it.
+
+    A pass given a kappa seed (``best`` > -inf) on a grid whose runs hold
+    at least two tiles is screened (``_screened``): its rows with |f| at
+    least max(``below``, that kappa cut) are never normed, since none of
+    them changes a result.  Other passes norm every row (``_dense``).
+
+    Returns (rows, norms, points, mus, best): the ascending pair rows with
+    |f| < ``below``, |f| at each (bit for bit that of the built mesh), the
+    pair points and mu of the candidates among them, and the maximum of
+    ``best`` and the kappa of every row, inf at a singular zero.
+    """
+    rows, norms = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    points, mus = [np.empty((0, mesh.n + 1))], [np.empty(0)]
+
+    def kappa_cut():
+        return math.inf if best == -math.inf else (1.0 / best) * (1.0 + _KAPPA_SLACK)
+
+    def take(at, f):
+        nonlocal best
+        low = np.flatnonzero(f < below)
+        rows.append(at[low])
+        norms.append(f[low])
+        cand = norms[-1] < ceiling
+        if cand.any():
+            points.append(mesh.points_at(rows[-1][cand]))
+            mus.append(candidate_mu(F, points[-1], f_norm=1.0))
+            best = max(best, _kappa_max(norms[-1][cand], mus[-1]))
+        contend = np.flatnonzero(f < kappa_cut())
+        contend = contend[f[contend] >= ceiling]
+        if contend.size:
+            at, f_norms = at[contend], f[contend]
+
+            def visit(idx):
+                mus = mu_many(F, mesh.points_at(at[idx]), f_norm=1.0)
+                return _kappa_max(f_norms[idx], mus)
+
+            best = bounded_max(_kappa_bounds(f_norms), visit, best)
+
+    if best > -math.inf and 2**(mesh.t + 1) - 1 >= 2 * TILE:
+        chunks = _screened(F, mesh, lambda: max(below, kappa_cut()))
+    else:
+        chunks = _dense(F, mesh)
+    for at, f in chunks:
+        take(at, f)
+    return (np.concatenate(rows), np.concatenate(norms), np.concatenate(points),
+            np.concatenate(mus), best)
+
+
 def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
@@ -423,7 +571,7 @@ def kappa_grid(F, mesh):
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
-    return _scan(F.normalized(), mesh)[2], mesh.covering_radius_bound
+    return _scan(F.normalized(), mesh)[-1], mesh.covering_radius_bound
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,18 @@ never a zero that is its own antipode, so on termination the count is
 twice the number of components; refining one vertex per component
 locates zeta, and -zeta with it.
 
-A level is one streamed pass: each block of the grid is normed once, in
-cache, by Horner's rule on the integer lattice (``condition._block_norms``),
-and only its low rows are kept (the candidates and the possible exclusion
-failures), so no array of a level spans the grid.  The same pass takes the
-level's kappa maximum, building points only at the rows where the residual
-bound on kappa can still raise it.  Each grid lies in the next, with the
-same |f| and pair point at each of its rows, so a level's maximum seeds the
-next level's, and the final level's is the kappa diagnostic.
+A level is one streamed pass: chunks of the grid are normed in cache by
+Horner's rule on the integer lattice (``condition._horner``), and only
+their low rows are kept (the candidates and the possible exclusion
+failures), so no array of a level spans the grid.  The same pass takes mu
+at each chunk's candidates and the level's kappa maximum, building points
+only at the rows where the residual bound on kappa can still raise it.
+Each grid lies in the next, with the same |f| and pair point at each of
+its rows, so a level's maximum seeds the next level's, and the final
+level's is the kappa diagnostic.  That seed sets a cut on |f| above which
+a row changes no output, so every level after the first norms only the
+tiles of rows that their centres cannot show to lie above it
+(``condition._screened``): about one pair row in nine on a deep level.
 
 There is one loop.  The affine front end runs it on the homogenized
 system, whose finite roots are its zeros off the great sphere x_0 = 0,
@@ -46,7 +50,7 @@ from . import polynomials as pl
 # chart_beta is not called here; the benchmark's tracer wraps counting.chart_beta
 from .certification import (RefinedZero, _admissible, _inclusion_radius,
                             chart_beta, refine_zero)
-from .condition import _kappa_max, _map_rows, _scan, mu_many
+from .condition import _scan, mu_many
 from .convergence import ALPHA, r0
 from .mesh import build_mesh, pairwise_angular
 
@@ -130,42 +134,56 @@ def _clusters(points, reach):
     least member, and the least projective distance between points of
     different components (inf when there is at most one).
     """
-    # imported here so that importing the package does not load csgraph
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     dist = pairwise_angular(points)
     np.minimum(dist, math.pi - dist, out=dist)
     i, j = np.nonzero(np.triu(dist <= reach, 1))
-    m = len(points)
-    _, labels = connected_components(
-        coo_matrix((np.ones(i.size), (i, j)), shape=(m, m)), directed=False)
-    groups = {}
-    for v, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(v)
+    labels = _component_labels(len(points), i, j)
+    # each component's positions, ascending, ordered by its least member
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    components = tuple(tuple(g.tolist()) for g in np.split(order, starts)[1:])
     separation = np.min(dist, initial=math.inf,
                         where=labels[:, None] != labels[None, :])
-    return tuple(tuple(g) for g in groups.values()), float(separation)
+    return components, float(separation)
+
+
+def _component_labels(m, i, j):
+    """The least member of each vertex's connected component, by label
+    propagation over the edges (i, j): each round a vertex takes the least
+    label of itself and its neighbours, then follows labels to their own
+    until none moves (pointer jumping).  A label is always a vertex of the
+    same component and never grows, so the rounds end with each component
+    labelled by its least member."""
+    labels = np.arange(m)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, i, labels[j])
+        np.minimum.at(new, j, labels[i])
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def _level(F, mesh, seed=-math.inf):
     """Certify a grid against the normalized F and link nearby caps.
 
-    One streamed pass keeps the low rows and takes the kappa maximum over
-    ``seed`` and the rows that are not candidates; mu and the inclusion
-    test are then taken at the candidates, with the values of an
-    exhaustive pass (mu of a row does not depend on its batch), and their
-    kappa completes the maximum.
+    One streamed pass keeps the low rows, takes mu and the inclusion test
+    at the candidates among them, with the values of an exhaustive pass
+    (mu of a row does not depend on its batch), and takes the kappa
+    maximum over ``seed`` and every row.  A level given a seed is screened
+    by the kappa cut that seed sets (``condition._scan``).
     """
     ceiling = _candidate_ceiling(F)
     # the low rows are the candidates and the possible exclusion failures;
     # f < nextafter(threshold) keeps f <= threshold
     below = max(ceiling, math.nextafter(exclusion_threshold(F, mesh.eta), math.inf))
-    rows, norms, best = _scan(F, mesh, below, ceiling, seed)
+    # mu_many is looked up here, so a tracer of counting.mu_many counts the
+    # candidates' rows
+    rows, norms, points, mus, kappa = _scan(F, mesh, below, ceiling, seed, mu_many)
     cand = norms < ceiling
     candidates, f_norms = rows[cand], norms[cand]
-    points = mesh.points_at(candidates)
-    mus = _map_rows(lambda X: mu_many(F, X, f_norm=1.0), points)
     admissible = _admissible(f_norms, mus, F.max_degree)
     radii = _inclusion_radius(f_norms[admissible], mus[admissible])
     components, separation = _clusters(points[admissible], radii[:, None] + radii[None, :])
@@ -181,7 +199,7 @@ def _level(F, mesh, seed=-math.inf):
         points=points,
         mus=mus,
         admissible=admissible,
-        kappa=max(best, _kappa_max(f_norms, mus)),
+        kappa=kappa,
     )
 
 

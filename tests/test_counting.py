@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spherecount
 from spherecount import condition
 from spherecount.certification import inclusion_test, refine_zero
 from spherecount.condition import kappa_grid
@@ -128,6 +132,18 @@ class TestClusters:
         assert components == ((0, 1), (2,))
         assert separation == pytest.approx(math.pi / 2 - 0.01, abs=1e-12)
         assert _clusters(np.array([a, c]), 0.05) == (((0,), (1,)), math.pi / 2)
+
+
+def test_count_leaves_scipy_sparse_unloaded():
+    """The graph's components come from numpy alone, so a count that links
+    many vertices (Gaussian (2,2) seed 4000 to t=6) never loads scipy.sparse."""
+    src = os.path.dirname(os.path.dirname(spherecount.__file__))
+    code = ("import sys; from spherecount import root_count, sample_gaussian_system; "
+            "res = root_count(sample_gaussian_system(2, (2, 2), 4000), max_t=6); "
+            "print(res.iterations, 'scipy.sparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["5", "False"]
 
 
 class TestBuildGraph:

@@ -397,8 +397,8 @@ class TestMeshHullProperty:
 
 
 def test_import_loads_neither_scipy_nor_the_thread_pool():
-    # sch_membership, the graph clustering and the Monte-Carlo trials import
-    # them when called; a bare package import must stay cheap
+    # sch_membership and the Monte-Carlo trials import them when called; a
+    # bare package import must stay cheap
     src = os.path.dirname(os.path.dirname(spherecount.__file__))
     code = ("import spherecount, sys; "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse', 'concurrent.futures')"

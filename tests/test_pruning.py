@@ -1,11 +1,12 @@
-"""The counting loop and kappa_grid compute mu only where it can change an
-answer; these tests pin that the pruned passes equal exhaustive ones with
-``==``, not approximately.  Every residual of a grid comes from the one
-residual rule (``condition._block_norms``), so the exhaustive references
-take it too, over one slab per face.
+"""The counting loop and kappa_grid compute mu, and a seeded level norms
+rows, only where it can change an answer; these tests pin that the pruned
+passes equal exhaustive ones with ``==``, not approximately.  Every
+residual of a grid comes from the one residual rule (``condition._horner``),
+so the exhaustive references take it too, over one slab per face.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,21 +177,48 @@ def test_every_level_kappa_is_its_grid_maximum():
 
 
 def test_root_count_norms_each_pair_row_once():
-    """No block of a level is normed twice: the rows through the residual
-    rule are the pair rows of the levels (seed 4002 stops at t=3)."""
-    normed = []
-    block_norms = condition._block_norms
+    """No pair row of a level is normed twice, an unseeded or small level
+    norms exactly its pair rows, and the screened t=8 level of seed 4000
+    norms at most a fifth of them, its tile centres included."""
+    normed, handed = [0], []
+    horner, screened, dense = condition._horner, condition._screened, condition._dense
 
-    def counted_block_norms(F, mesh, block, work):
-        normed.append(block[-1].hi - block[0].lo)
-        return block_norms(F, mesh, block, work)
+    def counted_horner(F, coeffs, radius2, x, out):
+        normed[0] += out[0].size
+        return horner(F, coeffs, radius2, x, out)
 
-    F = sample_gaussian_system(2, (2, 2), 4002)
+    def recorded(chunks):
+        def walk(*args):
+            for rows, f in chunks(*args):
+                handed[-1].append(rows)
+                yield rows, f
+        return walk
+
+    def level(F, mesh, seed=-math.inf):
+        normed[0] = 0
+        handed.append([])
+        graph = _level(F, mesh, seed=seed)
+        levels.append((mesh, normed[0], np.concatenate(handed[-1])))
+        return graph
+
+    levels = []
+    F = sample_gaussian_system(2, (2, 2), 4000)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condition, "_block_norms", counted_block_norms)
-        res, levels = levels_of(lambda: root_count(F, max_t=6))
-    assert res.stopped and len(levels) == 2
-    assert sum(normed) == sum(mesh.count // 2 for mesh, _ in levels) == 962
+        mp.setattr(condition, "_horner", counted_horner)
+        mp.setattr(condition, "_screened", recorded(screened))
+        mp.setattr(condition, "_dense", recorded(dense))
+        mp.setattr(counting, "_level", level)
+        res = root_count(F, max_t=8)
+    assert not res.stopped and [mesh.t for mesh, _, _ in levels] == [2, 3, 4, 5, 6, 7, 8]
+    for mesh, rows_normed, rows in levels:
+        pairs = mesh.count // 2
+        assert np.all(np.diff(rows) > 0) and rows[-1] < pairs
+        if 2 ** (mesh.t + 1) - 1 < 2 * condition.TILE:
+            assert rows_normed == rows.size == pairs
+        else:
+            assert rows.size < rows_normed < pairs
+    mesh, rows_normed, _ = levels[-1]
+    assert rows_normed <= mesh.count // 2 // 5
 
 
 @pytest.mark.parametrize("seed", [4000, 4001, 4002, 4003])
@@ -259,12 +287,13 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
     for block in (condition._BLOCK, 512, 200, 16):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
-            # the streamed pass keeps every row below an infinite limit, and
-            # none is at or above an infinite ceiling, so it takes no kappa
-            rows, streamed, best = condition._scan(F, mesh, math.inf, math.inf)
-            assert np.array_equal(rows, np.arange(mesh.count // 2))
-            assert streamed.tobytes() == faces.tobytes()
-            assert best == -math.inf
+            # the dense pass, and the screened one under an infinite cut,
+            # which keeps every tile
+            for chunks in (condition._dense(F, mesh),
+                           condition._screened(F, mesh, lambda: math.inf)):
+                rows, streamed = zip(*((r, f.copy()) for r, f in chunks))
+                assert np.array_equal(np.concatenate(rows), np.arange(mesh.count // 2))
+                assert np.concatenate(streamed).tobytes() == faces.tobytes()
 
 
 def rounding_scale(F, X):
@@ -319,23 +348,128 @@ def test_horner_residuals_are_within_the_rounding_bound(system, t):
     assert np.all(np.abs(horner - direct) <= bound * rounding_scale(F, mesh.pair_points))
 
 
-@pytest.mark.parametrize("rows, blocks", [(0, []), (1, [1]), (1000, [40] + [64] * 15)])
-def test_map_rows_fills_every_block(rows, blocks):
-    """The block map covers empty input, one row and a ragged last block."""
-    X = np.random.default_rng(rows).standard_normal((rows, 3))
-    expected = X[:, 0] * X[:, 1] - X[:, 2]
-    seen = []
+def low_cut(F, mesh):
+    """A level's (below, ceiling): its low rows are under ``below``."""
+    ceiling = _candidate_ceiling(F)
+    return max(ceiling, math.nextafter(exclusion_threshold(F, mesh.eta), math.inf)), ceiling
 
-    def fn(B):
-        seen.append(B.shape[0])
-        return B[:, 0] * B[:, 1] - B[:, 2]
 
+# n = 1..3, degrees 1..7 and mixed; the n=3 grids take 4-position tiles, so
+# that grids of 20k pairs are screened
+@pytest.mark.parametrize("n, degrees, t, tile", [
+    *[(n, (d,) * n, t, tile) for n, t, tile in ((1, 10, 16), (2, 5, 16), (3, 3, 4))
+      for d in range(1, 8)],
+    (2, (4, 5), 5, 16), (2, (3, 2), 5, 16), (2, (1, 7), 5, 16), (3, (2, 3, 4), 3, 4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_seeded_scan_matches_the_dense_pass(n, degrees, t, tile, seed):
+    """A seeded pass is screened, and its rows, norms, candidate points and
+    mu, and kappa equal the dense pass filtered to its low rows, bit for
+    bit, whether the seed is below the grid's maximum (so the cut falls
+    during the pass), at it, or infinite."""
+    F = random_unit_system(n, degrees, 100 * seed + 10 * n + sum(degrees))
+    mesh = build_mesh(n, t)
+    f_all, mu_all, _, kappa_all = exhaustive(F, mesh)
+    below, ceiling = low_cut(F, mesh)
+    low = np.flatnonzero(f_all < below)
+    cand = low[f_all[low] < ceiling]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condition, "_BLOCK", 64)
-        out = condition._map_rows(fn, X)
-    assert out.shape == (rows,)
-    assert np.array_equal(out, expected)
-    assert sorted(seen) == blocks
+        mp.setattr(condition, "TILE", tile)
+        for kappa_seed in (1.0, kappa_all / 2, kappa_all, math.inf):
+            rows, norms, points, mus, best = condition._scan(F, mesh, below, ceiling,
+                                                             kappa_seed)
+            assert np.array_equal(rows, low)
+            assert norms.tobytes() == f_all[low].tobytes()
+            assert points.tobytes() == mesh.pair_points[cand].tobytes()
+            assert mus.tobytes() == mu_all[cand].tobytes()
+            assert best == max(kappa_seed, kappa_all)
+
+
+@pytest.mark.parametrize("n, t", [(1, 9), (2, 5)])
+def test_kappa_cut_keeps_rows_an_ulp_under_it(n, t):
+    """|x|^2 in every equation has a singular restricted Jacobian at every
+    point, so kappa = 1/sqrt(f*f) exactly, and |f| = 1/sqrt(n + 1) up to
+    the rounding of each row.  Seeded an ulp under the grid's maximum, the
+    screened pass must still norm and visit the row that attains it."""
+    sphere = {tuple(2 * (j == i) for j in range(n + 1)): 1.0 for i in range(n + 1)}
+    F = PolynomialSystem((HomogeneousPolynomial(n + 1, 2, sphere),) * n).normalized()
+    mesh = build_mesh(n, t)
+    f_all = np.concatenate(face_norms(F, mesh))
+    kappa_all = float(condition._kappa_bounds(f_all).max())
+    assert f_all.min() < f_all.max()
+    for seed in (math.nextafter(kappa_all, 0.0), kappa_all):
+        assert condition._scan(F, mesh, 0.0, 0.0, seed)[-1] == kappa_all
+
+
+def tile_edge_zeros(m):
+    """Lattice points k on +m faces of the n=2 grid at an edge of their tile:
+    the first and last positions of a tile, the lone row of a run's last
+    tile (axis 0, whose runs hold 2m+1 rows) and the last row of a short
+    last tile (axis 2, 2m-1 rows).  A tile's centre is 7.5 steps away."""
+    edges = [(m, k1, pos - m) for k1 in (0, 5, 1 - m) for pos in (0, 15, 16, 31, 2 * m)]
+    return edges + [(k0, pos - (m - 1), m) for k0 in (0, -3) for pos in (0, 15, 16, 2 * m - 2)]
+
+
+@pytest.mark.parametrize("k", tile_edge_zeros(64))
+def test_zero_on_a_tile_edge_is_kept(k):
+    """A linear system whose zero pair sits on a grid row at a tile's edge,
+    not at its centre: the seeded level keeps that row, and equals the
+    exhaustive pass, for a low seed and for the level's own maximum."""
+    m = 64
+    F = linear(3, [{(0, 1, 0): float(k[2]), (0, 0, 1): -float(k[1])},
+                   {(1, 0, 0): float(k[2]), (0, 0, 1): -float(k[0])}])()
+    mesh = build_mesh(2, 6)
+    f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh)
+    row = np.flatnonzero(np.all(mesh.lattice_at(np.arange(mesh.count // 2)) == k, axis=1))[0]
+    assert f_all[row] < 1e-15 and 2**mesh.t == m
+    for seed in (1.0, kappa_all):
+        graph = _level(F, mesh, seed=seed)
+        assert row in graph.low_rows
+        assert_sparse_level(F, mesh, graph, f_all)
+        assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
+        assert np.array_equal(graph.mus, mu_all[graph.candidates])
+        assert graph.kappa == max(seed, kappa_all)
+
+
+def exact_norm2(F, k):
+    """|f|^2 at the pair point of the integer lattice point k, exactly."""
+    k = [int(v) for v in k]
+    radius2 = sum(v * v for v in k)
+    total = Fraction(0)
+    for f in F.polynomials:
+        value = sum(Fraction(c) * math.prod(v**e for v, e in zip(k, a))
+                    for a, c in f.coefficients.items())
+        total += value * value / Fraction(radius2) ** f.degree
+    return total
+
+
+@pytest.mark.parametrize("n, degrees, t, seed, tile", [
+    (1, (3,), 9, 0, 16), (1, (7,), 9, 1, 16), (2, (2, 2), 5, 2, 16), (2, (3, 2), 6, 3, 16),
+    (3, (2, 2, 2), 4, 4, 4)])
+def test_screen_skips_only_rows_at_or_above_the_cut(n, degrees, t, seed, tile, monkeypatch):
+    """Every row the screen does not norm has |f| >= the cut, by the residual
+    rule and exactly; a row just under the cut is normed, wherever it sits
+    in its tile."""
+    monkeypatch.setattr(condition, "TILE", tile)
+    F = random_unit_system(n, degrees, seed)
+    mesh = build_mesh(n, t)
+    f_all = np.concatenate(face_norms(F, mesh))
+
+    def kept(cut):
+        return np.concatenate([r for r, _ in condition._screened(F, mesh, lambda: cut)])
+
+    for cut in np.quantile(f_all, [0.02, 0.2]):
+        skipped = np.setdiff1d(np.arange(f_all.size), kept(cut))
+        assert skipped.size and np.all(f_all[skipped] >= cut)
+        closest = np.sort(skipped[np.argsort(f_all[skipped])[:50]])
+        assert all(exact_norm2(F, k) >= Fraction(cut) ** 2 for k in mesh.lattice_at(closest))
+    # per position in a tile, the row whose |f| falls most steeply to it
+    faces = mesh.slabs(mesh.count // 2)
+    positions = np.concatenate([(np.arange(s.lo, s.hi) - s.lo) % s.row for s in faces])
+    steep = np.abs(np.diff(f_all, prepend=f_all[0])) * (positions > 0)
+    for offset in range(tile):
+        at = np.flatnonzero(positions % tile == offset)
+        row = at[np.argmax(steep[at])]
+        assert row in kept(math.nextafter(f_all[row], math.inf))
 
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
