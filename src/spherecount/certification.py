@@ -74,7 +74,7 @@ def _newton_step(F, point, basis):
     under the rule that also decides where mu is infinite.
     """
     M = pl.jacobian(F, point) @ basis
-    if not _nonsingular(M, min_singular_value(M)):
+    if not _nonsingular(min_singular_value(M), np.abs(M).max()):
         return None
     return np.linalg.solve(M, pl.evaluate(F, point))
 

@@ -8,7 +8,10 @@ singular (an Eckart-Young statement lifted through the reproducing-kernel
 basis).  kappa(f, x) combines mu with the residual norm and its sphere
 maximum governs the cost of the counting algorithm.  Its grid maximum is
 taken inside the one streamed pass over a grid (``_scan``), for
-``kappa_grid`` and each counting level alike.
+``kappa_grid`` and each counting level alike.  mu has one kernel,
+``mu_many``, that holds each entry of the restricted Jacobian and of its
+Gram as a contiguous column and sums them in a fixed order; scalar ``mu``
+is its one-row case.
 
 A pass reads |f| at three kinds of row only: the rows under its cut
 ``below`` (candidates and possible exclusion failures) and the kappa
@@ -72,6 +75,15 @@ _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
 
 
+def _sum_products(a, b):
+    """a[0]*b[0] + a[1]*b[1] + ... over two sequences of (N,) columns, summed
+    left to right: the one order of every sum over a few columns."""
+    s = a[0] * b[0]
+    for u, w in zip(a[1:], b[1:]):
+        s += u * w
+    return s
+
+
 def _row_norms(V):
     """The Euclidean norm of each row of V: v0*v0 + v1*v1 + ... in column order.
 
@@ -80,9 +92,7 @@ def _row_norms(V):
     in order too, so this equals ``np.linalg.norm(V, axis=1)`` bit for bit
     on the few columns of a system.
     """
-    s = V[:, 0] * V[:, 0]
-    for j in range(1, V.shape[1]):
-        s += V[:, j] * V[:, j]
+    s = _sum_products(V.T, V.T)
     return np.sqrt(s, out=s)
 
 
@@ -132,19 +142,16 @@ def eckart_young_correction(A):
     return -s[k] * np.outer(U[:, k], Vt[k, :])
 
 
-def distance_to_rank_deficient(A):
-    """Frobenius distance to the rank-deficient matrices: sigma_min(A)."""
-    return min_singular_value(A)
+# the Frobenius distance to the rank-deficient matrices (Eckart-Young)
+distance_to_rank_deficient = min_singular_value
 
 
-def _nonsingular(M, smin):
-    """The one singularity rule: M (or each matrix of a stack) is singular
-    when its least singular value ``smin`` is at most _SINGULAR_TOL max|M|.
-
-    The rule is relative to the matrix, so it does not depend on the scale
-    of f; an all-zero matrix is singular.
-    """
-    return smin > _SINGULAR_TOL * np.abs(M).max(axis=(-2, -1))
+def _nonsingular(smin, largest):
+    """The one singularity rule: a matrix (or each of many) is singular when
+    its least singular value ``smin`` is at most _SINGULAR_TOL ``largest``,
+    its largest |entry|.  Relative to the matrix, the rule does not depend
+    on the scale of f; an all-zero matrix is singular."""
+    return smin > _SINGULAR_TOL * largest
 
 
 # ---------------------------------------------------------------------------
@@ -172,71 +179,57 @@ def tangent_basis(x):
     return U
 
 
-def _degree_scaling(degrees, x_norm=1.0):
-    d = np.asarray(degrees, float)
-    return d ** -0.5 * x_norm ** (1.0 - d)
+def _degree_scaling(degrees):
+    return np.asarray(degrees, float) ** -0.5
 
 
 def scaled_restricted_jacobian(F, x, basis=None):
-    x = np.asarray(x, float)
-    nrm = float(np.linalg.norm(x))
-    if basis is None:
-        basis = tangent_basis(x / nrm)
-    M = pl.jacobian(F, x) @ basis
-    return _degree_scaling(F.degrees, nrm)[:, None] * M
+    """diag(d_i^-1/2) Df on x-perp at x/|x|, in ``basis`` (``tangent_basis``)."""
+    x = pl.normalize(x)
+    M = pl.jacobian(F, x) @ (tangent_basis(x) if basis is None else basis)
+    return _degree_scaling(F.degrees)[:, None] * M
 
 
 def mu(F, x):
     """The normalized condition number; numpy.inf at singular points.
 
-    Scale invariant in f; at least sqrt(n) everywhere; for unit f equal to
-    the inverse distance to the systems with singular restricted Jacobian
-    at x (see minimal_singular_perturbation).
+    The row of ``mu_many`` at x/|x|, as mu is scale invariant in f and x;
+    at least sqrt(n) everywhere; for unit f the inverse distance to the
+    systems with singular restricted Jacobian at x (see
+    minimal_singular_perturbation).
     """
-    M = scaled_restricted_jacobian(F, x)
-    smin = min_singular_value(M)
-    if not _nonsingular(M, smin):
-        return math.inf
-    return F.weyl_norm / smin
+    return float(mu_many(F, pl.normalize(x)[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # batched evaluation over many sphere points
 
-def _sigma_min_batch(M):
-    """Smallest singular value of each matrix in a (N, n, n) stack, N >= 0."""
-    n = M.shape[-1]
+def _sigma_min_columns(cols):
+    """sigma_min of each n x n matrix M of a batch, ``cols[k][i]`` the (N,)
+    column of the M_ik: |M| for n = 1, else from the column Gram M^T M (summed
+    over i in order) by its closed form (n = 2) or by ``eigvalsh``."""
+    n = len(cols)
     if n == 1:
-        return np.abs(M[:, 0, 0])
+        return np.abs(cols[0][0])
     if n == 2:
-        # closed form from the 2x2 Gram matrix
-        a = M[:, :, 0]
-        b = M[:, :, 1]
-        aa = np.einsum("ij,ij->i", a, a)
-        bb = np.einsum("ij,ij->i", b, b)
-        ab = np.einsum("ij,ij->i", a, b)
+        a, b = cols
+        aa, bb, ab = _sum_products(a, a), _sum_products(b, b), _sum_products(a, b)
         tr = aa + bb
         disc = np.sqrt(np.maximum((aa - bb) ** 2 + 4.0 * ab * ab, 0.0))
         return np.sqrt(np.maximum(0.5 * (tr - disc), 0.0))
-    g = np.einsum("nij,nik->njk", M, M)
-    w = np.linalg.eigvalsh(g)
+    g = np.array([[_sum_products(cj, ck) for ck in cols] for cj in cols])
+    w = np.linalg.eigvalsh(g.transpose(2, 0, 1))
     return np.sqrt(np.maximum(w[:, 0], 0.0))
-
-
-def _restricted_jacobians_batch(F, X):
-    """Scaled restricted Jacobians at many unit points: (N, n, n)."""
-    J = pl.jacobian_many(F, X)
-    s = np.where(X[:, 0] >= 0.0, 1.0, -1.0)
-    v = X.copy()
-    v[:, 0] += s
-    denom = (1.0 + np.abs(X[:, 0]))[:, None, None]
-    Jv = np.einsum("nij,nj->ni", J, v)
-    M = J[:, :, 1:] - Jv[:, :, None] * v[:, None, 1:] / denom
-    return _degree_scaling(F.degrees)[None, :, None] * M
 
 
 def mu_many(F, X, f_norm=None):
     """Vectorized mu at many unit points (rows of X; none is fine).
+
+    Every array is a contiguous (N,) column, J's too (``pl.jacobian_many``).
+    With the Householder vector v = x + sign(x_0) e_0 (+1 at x_0 = 0) and
+    c = 1 + |x_0|, each entry M_ik = d_i^-1/2 (J_ik - (J_i . v) v_k / c),
+    k = 1..n, of the restricted Jacobian is one column; every sum runs left
+    to right (``_sum_products``), and max|M| is an elementwise maximum.
 
     Each row's value depends on that row alone, bit for bit, so mu on a
     subset of the rows equals the same subset of mu on all of them.  At
@@ -245,15 +238,24 @@ def mu_many(F, X, f_norm=None):
     rows only change sign.  Where x_0 = 0 both points take the same
     reflection (x_0 >= 0 for both), and the two values may differ.
     """
-    X = np.asarray(X, float)
     if f_norm is None:
         f_norm = F.weyl_norm
-    M = _restricted_jacobians_batch(F, X)
-    smin = _sigma_min_batch(M)
-    out = np.full(X.shape[0], np.inf)
-    ok = _nonsingular(M, smin)
+    x = np.ascontiguousarray(np.asarray(X, float).T)
+    J = pl.jacobian_many(F, x.T).transpose(1, 2, 0)
+    v = [x[0] + np.where(x[0] >= 0.0, 1.0, -1.0), *x[1:]]
+    c = 1.0 + np.abs(x[0])
+    cols = [[] for _ in range(F.n)]
+    for Ji, scale in zip(J, _degree_scaling(F.degrees)):
+        Jv = _sum_products(Ji, v)
+        for k, col in enumerate(cols, 1):
+            col.append((Ji[k] - Jv * v[k] / c) * scale)
+    smin = _sigma_min_columns(cols)
+    largest = np.abs(cols[0][0])
+    for m in (m for col in cols for m in col):
+        np.maximum(largest, np.abs(m), out=largest)
+    out = np.full(x.shape[1], np.inf)
     with np.errstate(over="ignore"):  # a subnormal smin gives mu = inf
-        out[ok] = f_norm / smin[ok]
+        np.divide(f_norm, smin, out=out, where=_nonsingular(smin, largest))
     return out
 
 
@@ -282,10 +284,7 @@ def _kappa_max(f_norms, mus):
 
 def kappa_point(F, x):
     """kappa(f, x) for the normalized system at the unit point x."""
-    Fn = F.normalized()
-    x = pl.sphere_point(x, tol=1e-9)
-    fv = np.linalg.norm(pl.evaluate(Fn, x))
-    return float(_kappa(fv, mu(Fn, x)))
+    return float(kappa_many(F, pl.sphere_point(x, tol=1e-9)[None])[0])
 
 
 def kappa_many(F, X):
@@ -596,7 +595,7 @@ def minimal_singular_perturbation(F, x):
     x = pl.sphere_point(x, tol=1e-9)
     basis = tangent_basis(x)
     M = scaled_restricted_jacobian(F, x, basis)
-    if not _nonsingular(M, min_singular_value(M)):
+    if not _nonsingular(min_singular_value(M), np.abs(M).max()):
         return F
     B = eckart_young_correction(M)
     polys = []

@@ -377,14 +377,15 @@ def jacobian(F, x):
 
 
 def jacobian_many(F, X):
-    """Vectorized Jacobians: shape (N, n, n_vars)."""
+    """Vectorized Jacobians: shape (N, n, n_vars), stored by columns like
+    ``evaluate_many``: a view of an (n, n_vars, N) array."""
     N, cols = _columns(F.n_vars, X)
-    out = np.empty((N, F.n, F.n_vars))
+    out = np.empty((F.n, F.n_vars, N))
     cache = {}
-    for i, p in enumerate(F.polynomials):
-        for j, g in enumerate(p._gradient_programs):
-            out[:, i, j] = _run(g, cols, cache)
-    return out
+    for row, p in zip(out, F.polynomials):
+        for col, g in zip(row, p._gradient_programs):
+            col[...] = _run(g, cols, cache)
+    return out.transpose(2, 0, 1)
 
 
 _TENSOR_MAX_VARS = 5

@@ -206,3 +206,37 @@ def system_combination(F, G, a=1.0, b=1.0):
                   for k in keys}
         polys.append(HomogeneousPolynomial(p.n_vars, p.degree, coeffs))
     return PolynomialSystem(tuple(polys))
+
+
+def jacobian_by_terms(F, X):
+    """Df at the rows of X, summed term by term from the coefficients:
+    (N, n, n + 1), without the library's compiled monomial programs."""
+    X = np.asarray(X, float)
+    J = np.zeros((X.shape[0], F.n, F.n_vars))
+    for i, p in enumerate(F.polynomials):
+        for expo, c in p.coefficients.items():
+            for j, e in enumerate(expo):
+                if e:
+                    lowered = np.array(expo)
+                    lowered[j] -= 1
+                    J[:, i, j] += c * e * np.prod(X**lowered, axis=1)
+    return J
+
+
+def mu_svd(F, X):
+    """mu at the unit rows of X by the SVD of diag(d^-1/2) J(x) (I - x x^T).
+
+    The projector replaces the library's Householder frame, the SVD its
+    Gram matrices, and |F|_W is summed from the coefficients; inf where the
+    n-th singular value is 0.
+    """
+    X = np.asarray(X, float)
+    weyl = math.sqrt(sum(
+        c * c * math.prod(math.factorial(e) for e in expo) / math.factorial(p.degree)
+        for p in F.polynomials for expo, c in p.coefficients.items()))
+    scale = np.asarray(F.degrees, float) ** -0.5
+    P = np.eye(X.shape[1])[None] - X[:, :, None] * X[:, None, :]
+    J = jacobian_by_terms(F, X) * scale[None, :, None]
+    smin = np.linalg.svd(J @ P, compute_uv=False)[:, F.n - 1]
+    with np.errstate(divide="ignore"):
+        return weyl / smin

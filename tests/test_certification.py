@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spherecount.certification import (chart_beta, exclusion_radius,
+from spherecount.certification import (_newton_step, chart_beta, exclusion_radius,
                                        gamma_bound, inclusion_test,
                                        refine_zero, robust_certify,
                                        tangent_frame)
-from spherecount.condition import mu, mu_many
+from spherecount.condition import mu, mu_many, tangent_basis
 from spherecount.convergence import ALPHA, gamma_error_sequence
 from spherecount.mesh import angular_distance
 from spherecount.polynomials import (HomogeneousPolynomial, PolynomialSystem,
@@ -83,6 +83,35 @@ class TestChartBeta:
         z = refine_zero(F, x)
         assert z.converged is False
         assert z.final_beta == math.inf
+
+
+# squares of coordinates: x1^2 has a zero Jacobian at (1, 0); x1^2, x2^2 has
+# one at e0 and one of rank 1 at (0.6, 0, 0.8), but not at (0.6, 0.64, 0.48)
+SQUARE_1 = single(2, 2, {(0, 2): 1.0})
+SQUARES_2 = PolynomialSystem((HomogeneousPolynomial(3, 2, {(0, 2, 0): 1.0}),
+                              HomogeneousPolynomial(3, 2, {(0, 0, 2): 1.0})))
+
+
+@pytest.mark.parametrize("F, points, singular", [
+    (SQUARE_1, [[1.0, 0.0]], [True]),
+    (SQUARES_2, [[1.0, 0.0, 0.0]], [True]),
+    (SQUARES_2, [[0.6, 0.0, 0.8]], [True]),
+    (SQUARE_1, [[1.0, 0.0], [0.6, 0.8], [-1.0, 0.0], [0.8, -0.6]],
+     [True, False, True, False]),
+    (SQUARES_2, [[0.6, 0.64, 0.48], [1.0, 0.0, 0.0], [0.6, 0.0, 0.8], [-0.6, 0.64, 0.48]],
+     [False, True, True, False]),
+])
+def test_singular_inputs_agree(F, points, singular):
+    """A singular restricted Jacobian gives inf through mu_many, scalar mu
+    and the chart's Newton step alike, in a batch of its own or mixed."""
+    X = np.array(points)
+    mus = mu_many(F, X)
+    assert list(np.isinf(mus)) == singular
+    for x, m, s in zip(X, mus, singular):
+        assert math.isinf(mu(F, x)) == s
+        assert (_newton_step(F, x, tangent_basis(x)) is None) == s
+        if not s:
+            assert mu(F, x) == pytest.approx(m, rel=1e-12)
 
 
 class TestScaleInvariance:

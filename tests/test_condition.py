@@ -20,7 +20,7 @@ from spherecount.polynomials import (HomogeneousPolynomial, PolynomialSystem,
                                      evaluate, weyl_norm)
 
 from conftest import random_sphere_point, random_unit_system
-from oracles import system_combination, weyl_distance
+from oracles import mu_svd, system_combination, weyl_distance
 
 
 def coordinate_system(n):
@@ -133,9 +133,10 @@ class TestMu:
     def test_mu_many_matches_pointwise(self, rng):
         F = random_unit_system(2, (2, 3), 23)
         X = np.array([random_sphere_point(rng, 3) for _ in range(30)])
-        vals = mu_many(F, X, f_norm=1.0)
+        # scalar mu is the kernel's row at x/|x|
+        vals = mu_many(F, np.array([x / np.linalg.norm(x) for x in X]))
         for i in range(30):
-            assert vals[i] == pytest.approx(mu(F, X[i]), rel=1e-9)
+            assert vals[i] == mu(F, X[i])
 
 
 # (n, t, degrees): every degree 1-4 on each n, and one mixed system
@@ -154,6 +155,25 @@ def test_mu_many_is_mirror_symmetric_off_x0_zero(n, t, degrees):
     assert 0 < np.count_nonzero(off) < off.size
     at_plus = mu_many(F, X[off])
     assert at_plus.tobytes() == mu_many(F, -X[off] + 0.0).tobytes()
+
+
+# (n, degrees): each n with every degree 1-7, and two mixed systems
+ORACLE_CASES = [(n, (d,) * n) for n in (1, 2, 3) for d in range(1, 8)]
+ORACLE_CASES += [(2, (1, 7)), (3, (2, 3, 4))]
+
+
+@pytest.mark.parametrize("n, degrees", ORACLE_CASES)
+def test_mu_many_matches_the_svd_oracle(n, degrees):
+    """mu_many agrees with an SVD of the projected Jacobian to rel 1e-9
+    wherever mu <= 1e3, points on x_0 = 0 included."""
+    F = sample_gaussian_system(n, degrees, 7 * n + sum(degrees))
+    X = np.random.default_rng(sum(degrees)).standard_normal((300, n + 1))
+    X[:60, 0] = 0.0
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    ref = mu_svd(F, X)
+    kept = ref <= 1e3
+    assert np.count_nonzero(kept[:60]) >= 30 and np.count_nonzero(kept) >= 200
+    assert mu_many(F, X[kept]) == pytest.approx(ref[kept], rel=1e-9)
 
 
 class TestMuAsDistance:

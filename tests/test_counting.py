@@ -204,7 +204,9 @@ class TestBuildGraph:
         (lambda: random_unit_system(2, (2, 2), 21), 6),
     ])
     def test_radii_match_inclusion_test(self, system, t):
-        # mu_many's closed form and the scalar SVD differ by a few ulp
+        # the graph takes |f| by the residual rule and mu at the pair point;
+        # inclusion_test takes |f| by the evaluation kernel and mu at the
+        # point renormalized, so the two radii differ by a few ulp
         F = system()
         mesh = build_mesh(F.n, t)
         g = build_graph(F, mesh)

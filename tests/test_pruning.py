@@ -18,7 +18,7 @@ from spherecount import polynomials as pl
 from spherecount.certification import _admissible
 from spherecount.cli import parse_polynomial
 from spherecount.condition import (_blocks, _kappa_max, _row_norms,
-                                   _sigma_min_batch, bounded_max, kappa_grid,
+                                   _sigma_min_columns, bounded_max, kappa_grid,
                                    kappa_many, mu, mu_many,
                                    sample_gaussian_system)
 from spherecount import counting
@@ -503,11 +503,12 @@ def test_empty_and_one_point_batches(n, rng):
     empty = np.zeros((0, n + 1))
     assert mu_many(F, empty).shape == (0,)
     assert kappa_many(F, empty).shape == (0,)
-    assert _sigma_min_batch(np.zeros((0, n, n))).shape == (0,)
+    assert _sigma_min_columns([[np.empty(0)] * n for _ in range(n)]).shape == (0,)
     x = random_sphere_point(rng, n + 1)
-    assert mu_many(F, x[None, :])[0] == pytest.approx(mu(F, x), rel=1e-9)
+    assert mu(F, x) == mu_many(F, (x / np.linalg.norm(x))[None, :])[0]
     assert kappa_many(F, x[None, :]).shape == (1,)
-    assert np.array_equal(_sigma_min_batch(np.eye(n)[None]), [1.0])
+    identity = [[np.array([float(i == k)]) for i in range(n)] for k in range(n)]
+    assert np.array_equal(_sigma_min_columns(identity), [1.0])
 
 
 @settings(max_examples=40, deadline=None)
