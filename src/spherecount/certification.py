@@ -17,8 +17,8 @@ gives a cap around x certified to contain no zero at all.
 
 Every Newton step (beta, refine_zero) solves the chart system with LAPACK
 (numpy.linalg.solve).  The chart Jacobian counts as singular, and the step
-as undefined, by the same rule that makes mu infinite
-(condition._nonsingular: sigma_min(M) at most _SINGULAR_TOL max|M|).
+as undefined, by the SVD rule that makes mu infinite
+(condition._sigma_min_svd: sigma_min(M) at most _SINGULAR_TOL max|M|).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polynomials as pl
-from .condition import _nonsingular, min_singular_value, mu, tangent_basis
+from .condition import _sigma_min_svd, mu, tangent_basis
 from .convergence import ALPHA, gamma_error_sequence, r0, robust_u0
 
 __all__ = [
@@ -74,7 +74,7 @@ def _newton_step(F, point, basis):
     under the rule that also decides where mu is infinite.
     """
     M = pl.jacobian(F, point) @ basis
-    if not _nonsingular(min_singular_value(M), np.abs(M).max()):
+    if _sigma_min_svd(M) == 0.0:
         return None
     return np.linalg.solve(M, pl.evaluate(F, point))
 

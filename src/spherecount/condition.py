@@ -73,6 +73,9 @@ __all__ = [
 
 _RANK_TOL = 1e-12
 _SINGULAR_TOL = 1e-14
+# rounding moves a Gram's sigma_min^2 by a few n^3 eps max|M|^2, so a Gram
+# sigma_min above _GRAM_TOL max|M| (n < 10) is one the SVD calls nonsingular
+_GRAM_TOL = 1e-6
 
 
 def _sum_products(a, b):
@@ -142,16 +145,17 @@ def eckart_young_correction(A):
     return -s[k] * np.outer(U[:, k], Vt[k, :])
 
 
-# the Frobenius distance to the rank-deficient matrices (Eckart-Young)
-distance_to_rank_deficient = min_singular_value
+def distance_to_rank_deficient(A):
+    """Frobenius distance to the rank-deficient matrices: sigma_min(A)."""
+    return min_singular_value(A)
 
 
-def _nonsingular(smin, largest):
-    """The one singularity rule: a matrix (or each of many) is singular when
-    its least singular value ``smin`` is at most _SINGULAR_TOL ``largest``,
-    its largest |entry|.  Relative to the matrix, the rule does not depend
-    on the scale of f; an all-zero matrix is singular."""
-    return smin > _SINGULAR_TOL * largest
+def _sigma_min_svd(M):
+    """sigma_min of a square matrix (or each of a stack) by SVD, 0 where it is
+    at most _SINGULAR_TOL max|M|: the one singularity rule, which mu and the
+    chart Newton step both apply; relative to M, so free of f's scale."""
+    s = np.linalg.svd(M, compute_uv=False)[..., -1]
+    return np.where(s > _SINGULAR_TOL * np.abs(M).max(axis=(-2, -1)), s, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +169,10 @@ def tangent_basis(x):
     entry of magnitude > 1e-12 is positive.
     """
     x = np.asarray(x, float)
-    m = x.shape[0]
     v = x.copy()
-    s = 1.0 if x[0] >= 0.0 else -1.0
-    v[0] += s
-    denom = 1.0 + abs(x[0])
-    U = np.eye(m)[:, 1:] - np.outer(v, v[1:]) / denom
-    for j in range(m - 1):
+    v[0] += 1.0 if x[0] >= 0.0 else -1.0
+    U = np.eye(x.size)[:, 1:] - np.outer(v, v[1:]) / (1.0 + abs(x[0]))
+    for j in range(x.size - 1):
         col = U[:, j]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]
         if nz.size and col[nz[0]] < 0.0:
@@ -179,25 +180,18 @@ def tangent_basis(x):
     return U
 
 
-def _degree_scaling(degrees):
-    return np.asarray(degrees, float) ** -0.5
-
-
 def scaled_restricted_jacobian(F, x, basis=None):
     """diag(d_i^-1/2) Df on x-perp at x/|x|, in ``basis`` (``tangent_basis``)."""
     x = pl.normalize(x)
     M = pl.jacobian(F, x) @ (tangent_basis(x) if basis is None else basis)
-    return _degree_scaling(F.degrees)[:, None] * M
+    return (np.asarray(F.degrees, float) ** -0.5)[:, None] * M
 
 
 def mu(F, x):
-    """The normalized condition number; numpy.inf at singular points.
-
-    The row of ``mu_many`` at x/|x|, as mu is scale invariant in f and x;
-    at least sqrt(n) everywhere; for unit f the inverse distance to the
-    systems with singular restricted Jacobian at x (see
-    minimal_singular_perturbation).
-    """
+    """The normalized condition number, inf at singular points: the row of
+    ``mu_many`` at x/|x| (mu is scale invariant in f and x).  At least
+    sqrt(n); for unit f the inverse distance to the systems with singular
+    restricted Jacobian at x (see minimal_singular_perturbation)."""
     return float(mu_many(F, pl.normalize(x)[None])[0])
 
 
@@ -229,33 +223,38 @@ def mu_many(F, X, f_norm=None):
     With the Householder vector v = x + sign(x_0) e_0 (+1 at x_0 = 0) and
     c = 1 + |x_0|, each entry M_ik = d_i^-1/2 (J_ik - (J_i . v) v_k / c),
     k = 1..n, of the restricted Jacobian is one column; every sum runs left
-    to right (``_sum_products``), and max|M| is an elementwise maximum.
+    to right (``_sum_products``), and max|M| is an elementwise maximum.  Rows
+    whose Gram sigma_min (``_sigma_min_columns``) is at most _GRAM_TOL max|M|,
+    where rounding may be all of it, take it by SVD (``_sigma_min_svd``).
 
     Each row's value depends on that row alone, bit for bit, so mu on a
-    subset of the rows equals the same subset of mu on all of them.  At
-    -x it equals its value at x bit for bit wherever x_0 != 0: the
-    Householder vector of -x is the negated one of x, and the Jacobian
-    rows only change sign.  Where x_0 = 0 both points take the same
-    reflection (x_0 >= 0 for both), and the two values may differ.
+    subset of the rows equals the same subset of mu on all of them.  At -x
+    it equals its value at x bit for bit wherever x_0 != 0: the Householder
+    vector and the Jacobian rows of -x are the negated ones of x.  Where
+    x_0 = 0 both points take the same reflection, and the values may differ.
     """
     if f_norm is None:
         f_norm = F.weyl_norm
     x = np.ascontiguousarray(np.asarray(X, float).T)
     J = pl.jacobian_many(F, x.T).transpose(1, 2, 0)
-    v = [x[0] + np.where(x[0] >= 0.0, 1.0, -1.0), *x[1:]]
+    sign = np.where(x[0] >= 0.0, 1.0, -1.0)
+    v = [x[0] + sign, *x[1:]]
     c = 1.0 + np.abs(x[0])
     cols = [[] for _ in range(F.n)]
-    for Ji, scale in zip(J, _degree_scaling(F.degrees)):
+    for Ji, scale in zip(J, np.asarray(F.degrees, float) ** -0.5):
         Jv = _sum_products(Ji, v)
         for k, col in enumerate(cols, 1):
             col.append((Ji[k] - Jv * v[k] / c) * scale)
-    smin = _sigma_min_columns(cols)
-    largest = np.abs(cols[0][0])
+    smin, largest = _sigma_min_columns(cols), np.zeros(x.shape[1])
     for m in (m for col in cols for m in col):
         np.maximum(largest, np.abs(m), out=largest)
+    redo = np.flatnonzero(smin <= _GRAM_TOL * largest)
+    if redo.size:  # times sign(x_0): the SVD sees the same matrix at -x
+        M = np.array([[m[redo] for m in col] for col in cols]).transpose(2, 1, 0)
+        smin[redo] = _sigma_min_svd(M * sign[redo, None, None])
     out = np.full(x.shape[1], np.inf)
     with np.errstate(over="ignore"):  # a subnormal smin gives mu = inf
-        np.divide(f_norm, smin, out=out, where=_nonsingular(smin, largest))
+        np.divide(f_norm, smin, out=out, where=smin > 0.0)
     return out
 
 
@@ -595,7 +594,7 @@ def minimal_singular_perturbation(F, x):
     x = pl.sphere_point(x, tol=1e-9)
     basis = tangent_basis(x)
     M = scaled_restricted_jacobian(F, x, basis)
-    if not _nonsingular(min_singular_value(M), np.abs(M).max()):
+    if _sigma_min_svd(M) == 0.0:
         return F
     B = eckart_young_correction(M)
     polys = []

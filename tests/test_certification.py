@@ -7,7 +7,7 @@ from spherecount.certification import (_newton_step, chart_beta, exclusion_radiu
                                        gamma_bound, inclusion_test,
                                        refine_zero, robust_certify,
                                        tangent_frame)
-from spherecount.condition import mu, mu_many, tangent_basis
+from spherecount.condition import mu, mu_many, sample_gaussian_system, tangent_basis
 from spherecount.convergence import ALPHA, gamma_error_sequence
 from spherecount.mesh import angular_distance
 from spherecount.polynomials import (HomogeneousPolynomial, PolynomialSystem,
@@ -105,13 +105,32 @@ def test_singular_inputs_agree(F, points, singular):
     """A singular restricted Jacobian gives inf through mu_many, scalar mu
     and the chart's Newton step alike, in a batch of its own or mixed."""
     X = np.array(points)
-    mus = mu_many(F, X)
+    # scalar mu is the kernel's row at x/|x|
+    mus = mu_many(F, np.array([normalize(x) for x in X]))
     assert list(np.isinf(mus)) == singular
     for x, m, s in zip(X, mus, singular):
         assert math.isinf(mu(F, x)) == s
         assert (_newton_step(F, x, tangent_basis(x)) is None) == s
         if not s:
-            assert mu(F, x) == pytest.approx(m, rel=1e-12)
+            assert mu(F, x) == m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dependent_polynomials_agree_on_inf(n):
+    """With f_n = 3 f_1 - 2 f_2 (3 f_1 for n = 2) the restricted Jacobian
+    has rank n - 1 everywhere, and its computed sigma_min is rounding alone:
+    the Gram of M squares that, so mu_many must take it by SVD as the chart
+    does.  mu_many, scalar mu and the Newton step all give inf."""
+    G = sample_gaussian_system(n, (2,) * n, 90 + n)
+    f, g = (p.coefficients for p in G.polynomials[:2])
+    last = {k: 3.0 * f[k] - 2.0 * (n > 2) * g[k] for k in f}
+    F = PolynomialSystem(G.polynomials[:n - 1] + (HomogeneousPolynomial(n + 1, 2, last),))
+    X = np.random.default_rng(n).standard_normal((200, n + 1))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    assert np.isinf(mu_many(F, X)).all()
+    for x in X[:50]:
+        assert math.isinf(mu(F, x))
+        assert _newton_step(F, x, tangent_basis(x)) is None
 
 
 class TestScaleInvariance:

@@ -176,6 +176,21 @@ def test_mu_many_matches_the_svd_oracle(n, degrees):
     assert mu_many(F, X[kept]) == pytest.approx(ref[kept], rel=1e-9)
 
 
+def test_near_singular_rows_take_the_svd():
+    """With f_2 = 3 f_1 + 1e-7 g, sigma_min is far below sqrt(eps) max|M|,
+    where the Gram of M is mostly rounding; mu_many takes such rows by SVD,
+    stays near the oracle and keeps its mirror symmetry bit for bit."""
+    f, g = sample_gaussian_system(2, (2, 2), 5).polynomials
+    last = {k: 3.0 * c + 1e-7 * g.coefficients[k] for k, c in f.coefficients.items()}
+    F = PolynomialSystem((f, HomogeneousPolynomial(3, 2, last)))
+    X = np.random.default_rng(5).standard_normal((200, 3))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    ref = mu_svd(F, X)
+    assert np.isfinite(ref).all() and ref.min() > 1e7
+    assert mu_many(F, X) == pytest.approx(ref, rel=1e-5)
+    assert mu_many(F, -X + 0.0).tobytes() == mu_many(F, X).tobytes()
+
+
 class TestMuAsDistance:
     def test_linear_system_distance(self):
         n = 2
