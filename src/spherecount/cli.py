@@ -369,26 +369,23 @@ def _run(args):
     if args.input is None:
         raise ValueError(f"subcommand {cmd!r} requires --input")
 
-    if cmd == "count" and args.affine:
-        polys = _load_system(args.input, affine=True)
-        # n affine equations are counted on their homogenization on S^n
-        max_t = _clamp_max_t(len(polys), args.max_t)
-        result, affine_count = count_affine(polys, max_t=max_t)
+    if cmd == "count":
+        if args.affine:
+            # n affine equations are counted on their homogenization on S^n
+            polys = _load_system(args.input, affine=True)
+            result, affine_count = count_affine(polys, max_t=_clamp_max_t(len(polys), args.max_t))
+        else:
+            F = _load_system(args.input)
+            result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t))
         doc = result.to_json()
-        doc["affine_count"] = affine_count
+        if args.affine:
+            doc["affine_count"] = affine_count
         if args.stats:
             doc["kappa_grid_estimate"] = result.kappa_grid_estimate
         _emit_json(doc)
         return 0 if result.stopped else 2
 
     F = _load_system(args.input)
-    if cmd == "count":
-        result = root_count(F, max_t=_clamp_max_t(F.n, args.max_t))
-        doc = result.to_json()
-        if args.stats:
-            doc["kappa_grid_estimate"] = result.kappa_grid_estimate
-        _emit_json(doc)
-        return 0 if result.stopped else 2
 
     if cmd == "certify":
         x = _parse_point(args.point, F.n_vars)

@@ -8,7 +8,9 @@ singular (an Eckart-Young statement lifted through the reproducing-kernel
 basis).  kappa(f, x) combines mu with the residual norm and its sphere
 maximum governs the cost of the counting algorithm.  Its grid maximum is
 taken inside the one streamed pass over a grid (``_scan``), for
-``kappa_grid`` and each counting level alike.  mu has one kernel,
+``kappa_grid`` and each counting level alike; every pass reads |f| from
+one walk (``_walk``) of one slab per face, in chunks of at most
+``_BLOCK`` rows.  mu has one kernel,
 ``mu_many``, that holds each entry of the restricted Jacobian and of its
 Gram as a contiguous column and sums them in a fixed order; scalar ``mu``
 is its one-row case.
@@ -18,8 +20,9 @@ A pass reads |f| at three kinds of row only: the rows under its cut
 contenders, whose bound 1/|f| beats the running maximum ``best``.  A row
 with |f| >= cut = max(below, (1/best)(1 + delta)) is none of them, and
 ``best`` only rises during a pass, so a cut taken earlier in it stays
-sound.  A pass given a kappa seed therefore screens its grid by tile
-centres, in the cell-exclusion pattern of Plantinga and Vegter (SGP 2004):
+sound.  A pass given a kappa seed therefore has the walk screen its grid
+by tile centres, in the cell-exclusion pattern of Plantinga and Vegter
+(SGP 2004):
 
 * |f| is sqrt(D) |F|_W-Lipschitz on S^n, D the largest degree: the
   derivative of f_i along the sphere has norm at most sqrt(d_i) |f_i|_W at
@@ -327,8 +330,8 @@ def bounded_max(bounds, values, best):
 # ---------------------------------------------------------------------------
 # the streamed pass over a grid: the one residual rule and the tile screen
 
-# rows a whole-grid pass handles at once: the three arrays of one block of
-# the residual rule stay in a 2 MB L2 cache
+# rows (or tile centres) a walk norms at once: the three arrays of one
+# chunk of the residual rule stay in a 2 MB L2 cache
 _BLOCK = 1 << 14
 # positions along a run that one tile centre screens.  16 keeps the
 # centres at 1/16 of a run while the shift sqrt(D) 2 asin(7.5/(2m)) stays
@@ -342,20 +345,15 @@ TILE = 16
 _KAPPA_SLACK = 2.0**-40
 
 
-def _blocks(mesh):
-    """The blocks of at most ``_BLOCK`` rows that every dense pass walks."""
-    return list(mesh.blocks(_BLOCK))
-
-
 def _runs(F, mesh, slab):
     """Horner's data for the runs of one slab, each run one value of each.
 
     Returns (coefficients, radius2, first): per polynomial f of degree d
     the coefficients of x^0, ..., x^d of f along each run, |k/m|^2 less the
     moving coordinate's square, both as (runs, 1) columns (a coefficient
-    without a variable term is a scalar), and the moving coordinate of each
-    run's first row.  k is taken over m = 2^t, which is exact, so no power
-    of |k| overflows.
+    without a variable term is a scalar), and the moving coordinate of the
+    first row of every run.  k is taken over m = 2^t, which is exact, so no
+    power of |k| overflows.
     """
     n, m = mesh.n, 2.0**mesh.t
     # each run's first lattice point over m, as (runs, 1) columns; k_axis/m
@@ -367,7 +365,7 @@ def _runs(F, mesh, slab):
     coeffs = [[pl._run(g, k, cache) for g in f._split_programs[v]] for f in F.polynomials]
     # a scalar for n = 1, where the axis is the one other coordinate
     radius2 = np.broadcast_to(sum(k[c] * k[c] for c in range(n + 1) if c != v), k[v].shape)
-    return coeffs, radius2, (k[v] if slab.row == 1 else k[v][:1])
+    return coeffs, radius2, k[v][:1]
 
 
 def _horner(F, coeffs, radius2, x, out):
@@ -412,29 +410,6 @@ def _horner(F, coeffs, radius2, x, out):
     return np.sqrt(s, out=s)
 
 
-def _block_norms(F, mesh, block, work):
-    """|f| at each pair row of one block of ``mesh``, by the residual rule.
-
-    ``work``, a (3, rows) array for a block of at most that many rows,
-    holds the temporaries and the result, so a pass that hands the same one
-    to every block allocates nothing of a block's size; the result lives in
-    ``work[0]`` until the next call.
-    """
-    lo, m = block[0].lo, 2.0**mesh.t
-    for slab in block:
-        coeffs, radius2, first = _runs(F, mesh, slab)
-        _horner(F, coeffs, radius2, first + np.arange(slab.row) / m,
-                work[:, slab.lo - lo:slab.hi - lo].reshape(3, -1, slab.row))
-    return work[0, :block[-1].hi - lo]
-
-
-def _dense(F, mesh):
-    """(rows, |f|) of every block of the pair rows of ``mesh``, in row order."""
-    work = np.empty((3, _BLOCK))
-    for block in _blocks(mesh):
-        yield np.arange(block[0].lo, block[-1].hi), _block_norms(F, mesh, block, work)
-
-
 def _rounding_margin(F):
     """The screen's absolute rounding margin: twice the bound on the gap
     between two computed residuals that the Horner rule is pinned to,
@@ -447,52 +422,70 @@ def _rounding_margin(F):
 
 
 def _take_runs(coeffs, runs):
-    """The coefficients of the runs ``runs`` (an index or a slice)."""
+    """The coefficients of the runs ``runs``, an index array."""
     return [[c if np.ndim(c) == 0 else c[runs] for c in cs] for cs in coeffs]
 
 
-def _screened(F, mesh, cut):
-    """(rows, |f|) of the pair rows whose tile the centres cannot rule out.
+def _pieces(runs, positions):
+    """The (runs, positions) index ranges that cut a grid of ``runs`` runs
+    of ``positions`` each into pieces of at most ``_BLOCK`` cells, in
+    row-major order: groups of whole runs, or pieces of one longer run."""
+    step = max(1, _BLOCK // positions)
+    for r0 in range(0, runs, step):
+        for p0 in range(0, positions, _BLOCK):
+            yield np.arange(r0, min(r0 + step, runs)), np.arange(p0, min(p0 + _BLOCK, positions))
 
-    One slab per face; its runs are cut into tiles of ``TILE`` positions,
-    and each tile is normed at its centre, which lies half a lattice step
-    off the rows.  Every row of a tile whose centre's |f| less ``reach`` is
-    at least ``cut()`` has |f| >= ``cut()`` (see the module docstring), so
+
+def _walk(F, mesh, cut=None):
+    """(rows, |f|) of the pair rows of ``mesh``, in ascending chunks of at
+    most ``_BLOCK`` rows of one face: the one walk of every pass.
+
+    It takes one slab per face and each run's Horner data once (``_runs``).
+    Without a ``cut`` it norms every row, in the pieces of ``_pieces``.
+    With one, the runs are cut into tiles of ``TILE`` positions, and each
+    tile is normed at its centre, which lies half a lattice step off the
+    rows.  Every row of a tile whose centre's |f| less ``reach`` is at
+    least ``cut()`` has |f| >= ``cut()`` (see the module docstring), so
     only the rows of the other tiles are normed, each once, by the same
-    rule as a dense pass and bit for bit its values.  ``cut()`` is read
-    again before each chunk of at most ``_BLOCK`` rows; it may only fall.
+    rule and bit for bit to the same values.  ``cut()`` is read again
+    before each chunk; it may only fall.  A chunk's |f| lives in a buffer
+    that the next chunk reuses.
     """
     m, h = 2.0**mesh.t, (TILE - 1) / 2
-    reach = (math.sqrt(F.max_degree) * F.weyl_norm * 2.0 * math.asin(h / (2.0 * m))
-             + _rounding_margin(F))
     work, span, per_chunk = np.empty((3, _BLOCK)), np.arange(TILE), _BLOCK // TILE
-    for slab in mesh.slabs(mesh.count // 2):
+    if cut is not None:
+        reach = (math.sqrt(F.max_degree) * F.weyl_norm * 2.0 * math.asin(h / (2.0 * m))
+                 + _rounding_margin(F))
+    for slab in mesh.slabs():
         coeffs, radius2, first = _runs(F, mesh, slab)
-        row = slab.row
+        row, runs = slab.row, radius2.shape[0]
+
+        def norms(r, x):
+            """|f| along the runs r at the positions x over m: one row of
+            positions per run, or one row for all of them."""
+            out = work[:, :r.size * x.shape[1]].reshape(3, r.size, x.shape[1])
+            return _horner(F, _take_runs(coeffs, r), radius2[r], x, out)
+
+        if cut is None:
+            for r, pos in _pieces(runs, row):
+                f = norms(r, first + pos / m)
+                yield (slab.lo + r[:, None] * row + pos).ravel(), f.ravel()
+            continue
         tiles = -(-row // TILE)
         centres = first + (np.arange(tiles) * TILE + h) / m
-        step = max(1, _BLOCK // tiles)
-        for r0 in range(0, radius2.shape[0], step):
-            part = slice(r0, r0 + step)
-            c_part, r_part = _take_runs(coeffs, part), radius2[part]
-            # a run of more than _BLOCK tiles has its centres taken in pieces
-            for t0 in range(0, tiles, _BLOCK):
-                x = centres[:, t0:t0 + _BLOCK]
-                shape = (r_part.shape[0], x.shape[1])
-                lower = _horner(F, c_part, r_part, x,
-                                work[:, :shape[0] * shape[1]].reshape(3, *shape)) - reach
-                runs, tile = np.nonzero(lower < cut())
-                lower, runs, tile = lower[runs, tile], runs + r0, tile + t0
-                for j in range(0, runs.size, per_chunk):
-                    keep = lower[j:j + per_chunk] < cut()
-                    r, pos = runs[j:j + per_chunk][keep], tile[j:j + per_chunk][keep]
-                    if not r.size:
-                        continue
-                    pos = pos[:, None] * TILE + span
-                    f = _horner(F, _take_runs(coeffs, r), radius2[r], first + pos / m,
-                                work[:, :pos.size].reshape(3, *pos.shape))
-                    valid = pos < row
-                    yield (slab.lo + r[:, None] * row + pos)[valid], f[valid]
+        for r, p in _pieces(runs, tiles):
+            lower = norms(r, centres[:, p]) - reach
+            at, tile = np.nonzero(lower < cut())
+            lower, at, tile = lower[at, tile], r[at], p[tile]
+            for j in range(0, at.size, per_chunk):
+                keep = lower[j:j + per_chunk] < cut()
+                kept, pos = at[j:j + per_chunk][keep], tile[j:j + per_chunk][keep]
+                if not kept.size:
+                    continue
+                pos = pos[:, None] * TILE + span
+                f = norms(kept, first + pos / m)
+                valid = pos < row
+                yield (slab.lo + kept[:, None] * row + pos)[valid], f[valid]
 
 
 def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, candidate_mu=mu_many):
@@ -510,10 +503,11 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, candidate_mu=mu_many)
     running maximum.  A row with |f| >= (1/best)(1 + ``_KAPPA_SLACK``)
     cannot beat it.
 
-    A pass given a kappa seed (``best`` > -inf) on a grid whose runs hold
-    at least two tiles is screened (``_screened``): its rows with |f| at
-    least max(``below``, that kappa cut) are never normed, since none of
-    them changes a result.  Other passes norm every row (``_dense``).
+    Every chunk comes from one walk (``_walk``).  A pass given a kappa seed
+    (``best`` > -inf) on a grid whose runs hold at least two tiles hands it
+    the cut max(``below``, that kappa cut): rows with |f| at least the cut
+    are never normed, since none of them changes a result.  Other passes
+    norm every row.
 
     Returns (rows, norms, points, mus, best): the ascending pair rows with
     |f| < ``below``, |f| at each (bit for bit that of the built mesh), the
@@ -547,11 +541,8 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, candidate_mu=mu_many)
 
             best = bounded_max(_kappa_bounds(f_norms), visit, best)
 
-    if best > -math.inf and 2**(mesh.t + 1) - 1 >= 2 * TILE:
-        chunks = _screened(F, mesh, lambda: max(below, kappa_cut()))
-    else:
-        chunks = _dense(F, mesh)
-    for at, f in chunks:
+    screened = best > -math.inf and 2**(mesh.t + 1) - 1 >= 2 * TILE
+    for at, f in _walk(F, mesh, (lambda: max(below, kappa_cut())) if screened else None):
         take(at, f)
     return (np.concatenate(rows), np.concatenate(norms), np.concatenate(points),
             np.concatenate(mus), best)
@@ -561,7 +552,7 @@ def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     |f| and mu are projective, so each antipodal pair is sampled at its
-    pair point.  One streamed pass (``_scan``) norms each block once and
+    pair point.  One streamed pass (``_scan``) norms each chunk once and
     keeps no rows, so no array spans the grid, and mu is computed only
     where the residual bound on kappa can still raise the maximum.  It is
     the maximum over every pair point, inf if a singular zero is on the grid.
@@ -701,8 +692,7 @@ def monte_carlo_ln_kappa(n, degrees, trials, mesh_t, seed, threads=1):
     mesh = build_mesh(n, mesh_t)
 
     def one(i):
-        F = sample_gaussian_system(n, degrees, seed + i).normalized()
-        est, _ = kappa_grid(F, mesh)
+        est, _ = kappa_grid(sample_gaussian_system(n, degrees, seed + i), mesh)
         return math.log(est)
 
     if threads == 1:

@@ -38,7 +38,6 @@ __all__ = [
     "alpha_error_table",
 ]
 
-_BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
 
 

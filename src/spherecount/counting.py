@@ -31,7 +31,7 @@ its rows, so a level's maximum seeds the next level's, and the final
 level's is the kappa diagnostic.  That seed sets a cut on |f| above which
 a row changes no output, so every level after the first norms only the
 tiles of rows that their centres cannot show to lie above it
-(``condition._screened``): about one pair row in nine on a deep level.
+(``condition._walk``): about one pair row in nine on a deep level.
 
 There is one loop.  The affine front end runs it on the homogenized
 system, whose finite roots are its zeros off the great sphere x_0 = 0,

@@ -4,8 +4,9 @@ The grid C(eta), eta = 2^-t, is the radial projection of the points of the
 lattice (eta Z)^(n+1) lying on the cube surface max_i |x_i| = 1.  Its
 covering radius is at most eta sqrt(n)/2, and every sphere point lies in
 the spherical convex hull of its grid neighbours at distance sqrt(n) eta.
-A pass walks a grid in face-aligned slabs of lattice coordinates and builds
-unit points only for the rows it reads, so it need not hold the grid.
+A pass walks a grid one face at a time, in runs of lattice coordinates,
+and builds unit points only for the rows it reads, so it need not hold
+the grid.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
 
 # Largest ``mesh_count_bound`` (whole-sphere points) of a grid that a
 # refinement level or a built mesh may have.  A level streams its grid in
-# cache-sized slabs, so the cap bounds the work of one level (its
+# cache-sized chunks, so the cap bounds the work of one level (its
 # evaluations) rather than its memory; ``count --max-t`` is clamped to the
 # deepest level under it.
 MESH_POINT_CAP = 20_000_000
@@ -65,16 +66,13 @@ def mesh_count_bound(n, t):
 
 
 class Slab(NamedTuple):
-    """Pair rows ``lo:hi`` on the +m face of ``axis``: runs over the first
-    ``depth`` face coordinates, each index with the whole trailing face of
-    the other coordinates.  Within each aligned run of ``row`` pair rows
-    only the last face coordinate moves, over its whole range when
-    ``depth`` < n; ``row`` is 1 when ``depth`` = n."""
+    """The pair rows ``lo:hi`` of the +m face of ``axis``, in runs of ``row``
+    pair rows: the face's last coordinate moves over its whole range along
+    each run, and the other coordinates are fixed."""
 
     lo: int
     hi: int
     axis: int
-    depth: int
     row: int
 
 
@@ -84,42 +82,22 @@ class SphereMesh:
 
     The grid is closed under x -> -x, and its pair points are one point of
     each pair: the +m faces of ``build_mesh`` in order.  Pair row p is the
-    only index the counting loop uses.  A pass walks the grid block by
-    block (``blocks``) without holding it; a block is a run of face-aligned
-    slabs, and a pass builds lattice points (``lattice_at``) and unit
-    points (``points_at``) only for the rows it reads.  ``pair_points``,
-    ``lattice`` and ``points`` (the whole grid) are built on access.
+    only index the counting loop uses.  A pass walks the grid one face
+    (``slabs``) at a time without holding it, and builds lattice points
+    (``lattice_at``) and unit points (``points_at``) only for the rows it
+    reads.  ``pair_points``, ``lattice`` and ``points`` (the whole grid)
+    are built on access.
     """
 
     n: int
     t: int
 
-    def slabs(self, rows):
-        """The slabs of at most ``rows`` pair rows each, in row order.
-
-        ``depth`` is the least for which a trailing face fits in ``rows``,
-        so every slab but a face's last holds about ``rows`` rows.
-        """
+    def slabs(self):
+        """One slab per +m face, in row order."""
         lo = 0
         for axis, shape in enumerate(_face_shapes(self.n, self.t)):
-            depth = next(d for d in range(self.n + 1) if math.prod(shape[d:]) <= rows)
-            tail, lead = math.prod(shape[depth:]), math.prod(shape[:depth])
-            step = rows // tail
-            row = shape[-1] if depth < self.n else 1
-            for first in range(0, lead, step):
-                last = min(first + step, lead)
-                yield Slab(lo + first * tail, lo + last * tail, axis, depth, row)
-            lo += tail * lead
-
-    def blocks(self, rows):
-        """Runs of consecutive slabs of at most ``rows`` pair rows in all."""
-        block = []
-        for slab in self.slabs(rows):
-            if block and slab.hi - block[0].lo > rows:
-                yield tuple(block)
-                block = []
-            block.append(slab)
-        yield tuple(block)
+            yield Slab(lo, lo + math.prod(shape), axis, shape[-1])
+            lo += math.prod(shape)
 
     def lattice_at(self, rows):
         """The lattice points k at the ascending pair rows ``rows``, as exact
@@ -150,7 +128,7 @@ class SphereMesh:
         """(count, n+1) int64 rows k with max |k_i| = 2^t, facet-major: each
         +m face followed by its -m face, read backwards and negated."""
         k = self.lattice_at(np.arange(self.count // 2))
-        faces = [k[s.lo:s.hi] for s in self.slabs(self.count // 2)]   # one slab a face
+        faces = [k[s.lo:s.hi] for s in self.slabs()]
         return np.concatenate([f for p in faces for f in (p, -p[::-1])]).astype(np.int64)
 
     @cached_property

@@ -265,7 +265,7 @@ class PolynomialSystem:
     def max_degree(self):
         return max(self.degrees)
 
-    @property
+    @cached_property
     def weyl_norm(self):
         return math.sqrt(sum(weyl_inner(p, p) for p in self.polynomials))
 

@@ -398,6 +398,14 @@ class TestMonteCarlo:
         b = monte_carlo_ln_kappa(3, (2, 2, 2), trials=6, mesh_t=2, seed=9, threads=4)
         assert a["samples"] == b["samples"]
 
+    def test_each_sample_is_the_kappa_grid_of_its_system(self):
+        # a trial normalizes the system it draws once, as kappa_grid does
+        mesh = build_mesh(3, 2)
+        out = monte_carlo_ln_kappa(3, (2, 2, 2), trials=40, mesh_t=2, seed=0)
+        assert out["samples"] == [
+            math.log(kappa_grid(sample_gaussian_system(3, (2, 2, 2), i), mesh)[0])
+            for i in range(40)]
+
     def test_rejects_fewer_than_one_thread(self):
         for threads in (0, -3):
             with pytest.raises(ValueError, match="one thread"):

@@ -378,7 +378,7 @@ class TestRootCount:
         assert docs[0] == docs[1]
 
     def test_determinism_across_threads_in_chunks(self, monkeypatch):
-        # small blocks split each pass of a level into many blocks
+        # small chunks split each pass of a level into many chunks
         monkeypatch.setattr(condition, "_BLOCK", 64)
         F = random_unit_system(2, (2, 2), 4000)
         cubic = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]
@@ -392,8 +392,8 @@ class TestRootCount:
         assert docs[0] == docs[1] == docs[2]
 
     def test_counting_starts_no_thread(self, monkeypatch):
-        # small blocks give every pass of a level many blocks, so any pool
-        # over blocks would start threads
+        # small chunks give every pass of a level many chunks, so any pool
+        # over chunks would start threads
         monkeypatch.setattr(condition, "_BLOCK", 64)
         F = random_unit_system(2, (2, 2), 4000)
         cubic = [AffinePolynomial(1, {(3,): 1.0, (1,): -1.0})]

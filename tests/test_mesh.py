@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import spherecount
-from spherecount import condition
 from spherecount.condition import (kappa_grid, monte_carlo_ln_kappa,
                                    sample_gaussian_system)
 from spherecount.mesh import (MeshSizeError, SphereMesh, angular_distance,
@@ -172,7 +171,7 @@ def test_row_accessor_matches_reference_bit_for_bit(n, t):
 
 def test_counting_never_builds_the_full_grid(monkeypatch):
     """The counting loop, count_affine, kappa_grid and the Monte-Carlo
-    trials stream every grid slab by slab: neither the whole grid nor the
+    trials stream every grid chunk by chunk: neither the whole grid nor the
     concatenated pair points is built."""
 
     def guarded(name):
@@ -217,70 +216,58 @@ def reference_rows(n, t, lo, hi):
     return lattice / np.linalg.norm(lattice.astype(float), axis=1)[:, None]
 
 
-# small grids of every dimension up to 4, one whose faces exceed a block
-# (n=1, t=13: 16,385 and 16,383 rows), and one whose trailing faces exceed
-# a 64-row block (n=3, t=3: 17^2 rows), so its slabs run over two face
-# coordinates
+# small grids of every dimension up to 4, and one whose faces exceed a
+# chunk (n=1, t=13: 16,385 and 16,383 rows)
 SLAB_GRIDS = [(1, 0), (1, 6), (1, 13), (2, 0), (2, 1), (2, 5), (3, 2), (3, 3), (4, 2)]
 
 
-def assert_runs(mesh, slab):
-    """Within each run of ``slab.row`` rows only the last face coordinate
-    moves, over its whole range when the slab's depth is below n."""
+def assert_runs(mesh, slab, lo, hi):
+    """Along each run of ``slab.row`` rows in the slab's rows ``lo:hi``
+    (whole runs) only the last face coordinate moves, over its whole range."""
     n = mesh.n
-    runs = mesh.lattice_at(np.arange(slab.lo, slab.hi)).reshape(-1, slab.row, n + 1)
+    runs = mesh.lattice_at(np.arange(lo, hi)).reshape(-1, slab.row, n + 1)
     last = n - (slab.axis == n)
     fixed = [c for c in range(n + 1) if c != last]
     assert (runs[:, :, fixed] == runs[:, :1, fixed]).all()
-    if slab.depth < n:
-        assert (runs[:, :, last] == np.arange(slab.row) - slab.row // 2).all()
+    assert (runs[:, :, last] == np.arange(slab.row) - slab.row // 2).all()
+    assert (runs[:, :, slab.axis] == 2**mesh.t).all()
 
 
 @pytest.mark.parametrize("n,t", SLAB_GRIDS)
-def test_blocks_concatenate_to_the_pair_points(n, t):
-    """The slabs and blocks of any size cover the pair rows in order, in
-    runs on which only the last face coordinate moves; the lattice points
-    of each slab and the points of each block's rows, built one at a time,
-    are the +m faces of the reference grid byte for byte."""
+def test_slabs_concatenate_to_the_pair_points(n, t):
+    """The slabs are the +m faces in order, each in runs on which only the
+    last face coordinate moves; the lattice points and the points of each
+    slab, built one slab at a time, are the +m faces of the reference grid
+    byte for byte."""
     lattice, reference, plus = reference_grid(n, t)
     mesh = build_mesh(n, t)
-    rows = mesh.count // 2
-    for size in (condition._BLOCK, 1000, 64, 1):
-        slabs = list(mesh.slabs(size))
-        blocks = list(mesh.blocks(size))
-        assert [s.lo for s in slabs] == [0] + [s.hi for s in slabs[:-1]]
-        assert slabs[-1].hi == rows
-        assert all(0 < s.hi - s.lo <= size and (s.hi - s.lo) % s.row == 0 for s in slabs)
-        assert [s for b in blocks for s in b] == slabs
-        assert all(b[-1].hi - b[0].lo <= size for b in blocks)
-        # a block ends only where the next slab would not fit
-        assert all(b[-1].hi - b[0].lo + c[0].hi - c[0].lo > size
-                   for b, c in zip(blocks, blocks[1:]))
-        if rows // size > 20_000:
-            continue
-        for s in slabs:
-            assert_runs(mesh, s)
-        slab_lattice = np.concatenate([mesh.lattice_at(np.arange(s.lo, s.hi)) for s in slabs])
-        assert np.array_equal(slab_lattice, lattice[plus])
-        points = [mesh.points_at(np.arange(b[0].lo, b[-1].hi)) for b in blocks]
-        assert all(p.T.flags.c_contiguous for p in points)
-        assert np.concatenate(points).tobytes() == reference[plus].tobytes()
+    slabs = list(mesh.slabs())
+    assert [s.axis for s in slabs] == list(range(n + 1))
+    assert [s.lo for s in slabs] == [0] + [s.hi for s in slabs[:-1]]
+    assert slabs[-1].hi == mesh.count // 2
+    assert all((s.hi - s.lo) % s.row == 0 for s in slabs)
+    for s in slabs:
+        assert_runs(mesh, s, s.lo, s.hi)
+    slab_lattice = np.concatenate([mesh.lattice_at(np.arange(s.lo, s.hi)) for s in slabs])
+    assert np.array_equal(slab_lattice, lattice[plus])
+    points = [mesh.points_at(np.arange(s.lo, s.hi)) for s in slabs]
+    assert all(p.T.flags.c_contiguous for p in points)
+    assert np.concatenate(points).tobytes() == reference[plus].tobytes()
 
 
 def test_slabs_of_a_grid_too_large_to_build():
-    """n=3, t=7 has about 68M pairs, past the cap; its trailing faces of
-    257^2 rows each exceed a block, so its slabs are runs over the first two
-    face coordinates.  Slabs on every face and at face ends match rows
+    """n=3, t=7 has about 68M pairs, past the cap, in faces of about 17M
+    rows each.  The first, middle and last runs of every face match rows
     decoded one by one."""
     mesh = SphereMesh(3, 7)
-    slabs = list(mesh.slabs(condition._BLOCK))
-    assert slabs[-1].hi == mesh.count // 2
-    assert all(s.depth == 2 and s.hi - s.lo <= condition._BLOCK for s in slabs)
-    ends = {s.axis: s for s in slabs}   # the last slab of each face
-    for s in [slabs[0], slabs[1], slabs[len(slabs) // 2], *ends.values()]:
-        assert_runs(mesh, s)
-        assert (mesh.points_at(np.arange(s.lo, s.hi)).tobytes()
-                == reference_rows(3, 7, s.lo, s.hi).tobytes())
+    slabs = list(mesh.slabs())
+    assert slabs[-1].hi == mesh.count // 2 and len(slabs) == 4
+    for s in slabs:
+        middle = s.lo + (s.hi - s.lo) // s.row // 2 * s.row
+        for lo in (s.lo, middle, s.hi - 2 * s.row):
+            assert_runs(mesh, s, lo, lo + 2 * s.row)
+            assert (mesh.points_at(np.arange(lo, lo + 2 * s.row)).tobytes()
+                    == reference_rows(3, 7, lo, lo + 2 * s.row).tobytes())
 
 
 @pytest.mark.parametrize("n,t", [(1, 13), (2, 3), (3, 2), (4, 1)])

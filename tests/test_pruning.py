@@ -17,7 +17,7 @@ from spherecount import condition
 from spherecount import polynomials as pl
 from spherecount.certification import _admissible
 from spherecount.cli import parse_polynomial
-from spherecount.condition import (_blocks, _kappa_max, _row_norms,
+from spherecount.condition import (_kappa_max, _row_norms,
                                    _sigma_min_columns, bounded_max, kappa_grid,
                                    kappa_many, mu, mu_many,
                                    sample_gaussian_system)
@@ -34,9 +34,14 @@ from conftest import random_sphere_point, random_unit_system
 
 def face_norms(F, mesh):
     """|f| at the pair rows of each face of ``mesh``, one face per call of the
-    residual rule, so no block boundary of a streamed pass is shared."""
-    return [condition._block_norms(F, mesh, (s,), np.empty((3, s.hi - s.lo)))
-            for s in mesh.slabs(mesh.count // 2)]
+    residual rule, so no chunk boundary of a streamed pass is shared."""
+    out = []
+    for s in mesh.slabs():
+        coeffs, radius2, first = condition._runs(F, mesh, s)
+        work = np.empty((3, radius2.shape[0], s.row))
+        x = first + np.arange(s.row) / 2.0**mesh.t
+        out.append(condition._horner(F, coeffs, radius2, x, work).ravel())
+    return out
 
 
 def exhaustive(F, mesh):
@@ -181,18 +186,16 @@ def test_root_count_norms_each_pair_row_once():
     norms exactly its pair rows, and the screened t=8 level of seed 4000
     norms at most a fifth of them, its tile centres included."""
     normed, handed = [0], []
-    horner, screened, dense = condition._horner, condition._screened, condition._dense
+    horner, walk = condition._horner, condition._walk
 
     def counted_horner(F, coeffs, radius2, x, out):
         normed[0] += out[0].size
         return horner(F, coeffs, radius2, x, out)
 
-    def recorded(chunks):
-        def walk(*args):
-            for rows, f in chunks(*args):
-                handed[-1].append(rows)
-                yield rows, f
-        return walk
+    def recorded_walk(*args):
+        for rows, f in walk(*args):
+            handed[-1].append(rows)
+            yield rows, f
 
     def level(F, mesh, seed=-math.inf):
         normed[0] = 0
@@ -205,8 +208,7 @@ def test_root_count_norms_each_pair_row_once():
     F = sample_gaussian_system(2, (2, 2), 4000)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_horner", counted_horner)
-        mp.setattr(condition, "_screened", recorded(screened))
-        mp.setattr(condition, "_dense", recorded(dense))
+        mp.setattr(condition, "_walk", recorded_walk)
         mp.setattr(counting, "_level", level)
         res = root_count(F, max_t=8)
     assert not res.stopped and [mesh.t for mesh, _, _ in levels] == [2, 3, 4, 5, 6, 7, 8]
@@ -268,32 +270,57 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
         assert kappa_grid(F, mesh)[0] == full
 
 
-# grids of 4k to 16k pairs, so 512- and 200-row blocks split them into many;
-# 16-row slabs are shorter than a lattice row of every grid, so their runs
-# are single rows (depth = n)
+# grids of 4k to 16k pairs, so 512- and 200-row chunks split them into many;
+# 16-row chunks are shorter than a lattice run of every grid, so every
+# run is cut into pieces
 @pytest.mark.parametrize("n, degrees, t", [
     *[(n, (d,) * n, t) for n, t in ((1, 10), (2, 5), (3, 3)) for d in range(1, 8)],
     (2, (4, 5), 5), (2, (3, 2), 5), (2, (1, 7), 5), (3, (2, 3, 4), 3)])
 def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
-    """The evaluation kernel is sign-symmetric, and the streamed pass equals
-    the residual rule taken one face at a time bit for bit, for any block
-    size: a row's residual does not depend on the block that holds it."""
+    """The evaluation kernel is sign-symmetric, and the walk equals the
+    residual rule taken one face at a time bit for bit, for any chunk size:
+    a row's residual does not depend on the chunk that holds it.  Every
+    chunk holds at most ``_BLOCK`` ascending rows of one face."""
     F = sample_gaussian_system(n, degrees, sum(degrees) + 10 * n)
     mesh = build_mesh(n, t)
     direct = np.linalg.norm(evaluate_many(F, mesh.pair_points), axis=1)
     mirrored = np.linalg.norm(evaluate_many(F, -mesh.pair_points + 0.0), axis=1)
     assert np.array_equal(direct, mirrored)
     faces = np.concatenate(face_norms(F, mesh))
+    face_ends = [s.hi for s in mesh.slabs()]
     for block in (condition._BLOCK, 512, 200, 16):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
-            # the dense pass, and the screened one under an infinite cut,
-            # which keeps every tile
-            for chunks in (condition._dense(F, mesh),
-                           condition._screened(F, mesh, lambda: math.inf)):
-                rows, streamed = zip(*((r, f.copy()) for r, f in chunks))
+            # unscreened, and screened under an infinite cut, which keeps
+            # every tile
+            for cut in (None, lambda: math.inf):
+                rows, streamed = zip(*((r, f.copy()) for r, f in condition._walk(F, mesh, cut)))
+                for r in rows:
+                    assert 0 < r.size <= block and np.all(np.diff(r) > 0)
+                    first_face, last_face = np.searchsorted(face_ends, r[[0, -1]], side="right")
+                    assert first_face == last_face
                 assert np.array_equal(np.concatenate(rows), np.arange(mesh.count // 2))
                 assert np.concatenate(streamed).tobytes() == faces.tobytes()
+
+
+def test_walk_takes_horner_data_once_per_run():
+    """An n=1 grid at t=13 has one lattice run per face, of 16,385 and
+    16,383 rows.  The unscreened walk takes Horner's data once per run and
+    cuts the longer run into pieces of at most ``_BLOCK`` rows."""
+    F = sample_gaussian_system(1, (3,), 1)
+    mesh = build_mesh(1, 13)
+    runs, runs_of = [], condition._runs
+
+    def counted_runs(F, mesh, slab):
+        data = runs_of(F, mesh, slab)
+        runs.append(data[1].shape[0])
+        return data
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condition, "_runs", counted_runs)
+        sizes = [r.size for r, _ in condition._walk(F, mesh)]
+    assert runs == [1, 1]
+    assert sizes == [condition._BLOCK, 1, 16_383]
 
 
 def rounding_scale(F, X):
@@ -313,8 +340,7 @@ def ci_n3():
 
 
 @pytest.mark.parametrize("system, t", [
-    # 2m+1 = 16,385 > _BLOCK: one slab holds part of a face, depth == n, and
-    # the Horner variable is the slab's leading index
+    # 2m+1 = 16,385 > _BLOCK: the walk cuts a run into pieces
     (gaussian(1, (3,), 1), 13),
     (gaussian(2, (3, 2), 2), 6),      # mixed degrees
     (gaussian(2, (1, 2), 3), 6),      # a degree-1 equation
@@ -335,13 +361,10 @@ def test_horner_residuals_are_within_the_rounding_bound(system, t):
     """
     F = system()
     mesh = build_mesh(F.n, t)
-    blocks = _blocks(mesh)
     if F.n == 1:
-        assert any(s.depth == F.n for b in blocks for s in b)
-    work = np.empty((3, condition._BLOCK))
+        assert any(s.row > condition._BLOCK for s in mesh.slabs())
     with np.errstate(over="raise", invalid="raise"):
-        horner = np.concatenate([condition._block_norms(F, mesh, b, work).copy()
-                                 for b in blocks])
+        horner = np.concatenate([f.copy() for _, f in condition._walk(F, mesh)])
     direct = _row_norms(evaluate_many(F, mesh.pair_points))
     terms = max(len(p.coefficients) for p in F.polynomials)
     bound = (3 * F.max_degree + terms + F.n + 2) * np.finfo(float).eps
@@ -455,7 +478,7 @@ def test_screen_skips_only_rows_at_or_above_the_cut(n, degrees, t, seed, tile, m
     f_all = np.concatenate(face_norms(F, mesh))
 
     def kept(cut):
-        return np.concatenate([r for r, _ in condition._screened(F, mesh, lambda: cut)])
+        return np.concatenate([r for r, _ in condition._walk(F, mesh, lambda: cut)])
 
     for cut in np.quantile(f_all, [0.02, 0.2]):
         skipped = np.setdiff1d(np.arange(f_all.size), kept(cut))
@@ -463,7 +486,7 @@ def test_screen_skips_only_rows_at_or_above_the_cut(n, degrees, t, seed, tile, m
         closest = np.sort(skipped[np.argsort(f_all[skipped])[:50]])
         assert all(exact_norm2(F, k) >= Fraction(cut) ** 2 for k in mesh.lattice_at(closest))
     # per position in a tile, the row whose |f| falls most steeply to it
-    faces = mesh.slabs(mesh.count // 2)
+    faces = mesh.slabs()
     positions = np.concatenate([(np.arange(s.lo, s.hi) - s.lo) % s.row for s in faces])
     steep = np.abs(np.diff(f_all, prepend=f_all[0])) * (positions > 0)
     for offset in range(tile):
@@ -477,11 +500,11 @@ def test_level_evaluates_half_the_grid(n, degrees, t):
     """A level takes the residual rule at one point of each antipodal pair,
     and no grid row goes through the evaluation kernel."""
     rows, kernel_rows = [], []
-    block_norms, evaluate = condition._block_norms, pl.evaluate_many
+    horner, evaluate = condition._horner, pl.evaluate_many
 
-    def counted_block_norms(F, mesh, block, work):
-        rows.append(block[-1].hi - block[0].lo)
-        return block_norms(F, mesh, block, work)
+    def counted_horner(F, coeffs, radius2, x, out):
+        rows.append(out[0].size)
+        return horner(F, coeffs, radius2, x, out)
 
     def counted_evaluate_many(f, X):
         kernel_rows.append(X.shape[0])
@@ -490,7 +513,7 @@ def test_level_evaluates_half_the_grid(n, degrees, t):
     F = random_unit_system(n, degrees, 5)
     mesh = build_mesh(n, t)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condition, "_block_norms", counted_block_norms)
+        mp.setattr(condition, "_horner", counted_horner)
         mp.setattr(pl, "evaluate_many", counted_evaluate_many)
         counting._level(F, mesh)
     assert sum(rows) == mesh.count // 2
