@@ -17,12 +17,14 @@ is its one-row case.
 
 A pass reads |f| at three kinds of row only: the rows under its cut
 ``below`` (candidates and possible exclusion failures) and the kappa
-contenders, whose bound 1/|f| beats the running maximum ``best``.  A row
-with |f| >= cut = max(below, (1/best)(1 + delta)) is none of them, and
-``best`` only rises during a pass, so a cut taken earlier in it stays
-sound.  A pass given a kappa seed therefore has the walk screen its grid
-by tile centres, in the cell-exclusion pattern of Plantinga and Vegter
-(SGP 2004):
+contenders, whose bound 1/|f| beats the running maximum ``best``; it takes
+mu at the candidates and the contenders only.  A row with |f| at or above
+the kappa cut (1/best)(1 + delta) is no contender, and ``best`` only
+rises during a pass, so a cut taken earlier in it stays sound.  That one
+cut decides where a pass takes mu, and with ``below`` where it norms
+rows: a pass given a kappa seed has the walk screen its grid by tile
+centres against max(below, kappa cut), in the cell-exclusion pattern of
+Plantinga and Vegter (SGP 2004):
 
 * |f| is sqrt(D) |F|_W-Lipschitz on S^n, D the largest degree: the
   derivative of f_i along the sphere has norm at most sqrt(d_i) |f_i|_W at
@@ -272,12 +274,6 @@ def _kappa(f_norms, mus):
         return 1.0 / np.sqrt(inv_mu2 + f_norms * f_norms)
 
 
-def _kappa_bounds(f_norms):
-    """1/sqrt(f*f), the bound on ``_kappa`` at each row (inf where f = 0)."""
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.sqrt(f_norms * f_norms)
-
-
 def _kappa_max(f_norms, mus):
     """Largest ``_kappa`` over the rows, inf included; -inf if there are none."""
     k = _kappa(f_norms, mus)
@@ -296,37 +292,6 @@ def kappa_many(F, X):
     return _kappa(fv, mu_many(Fn, X, f_norm=1.0))
 
 
-# positions in the first block bounded_max visits; the block then doubles
-_FIRST_BLOCK = 1 << 10
-
-
-def bounded_max(bounds, values, best):
-    """max(best, values over all positions of ``bounds``), visiting few of them.
-
-    ``values(idx)`` returns the maximum of a quantity over the positions
-    ``idx`` (sorted), and that quantity is at most ``bounds`` at each
-    position.  Positions are visited in blocks of largest bound first, the
-    block doubling each round from ``_FIRST_BLOCK``;
-    a position whose bound does not exceed the running maximum cannot
-    raise it and is never visited, so the result is the maximum over all
-    positions, exactly.
-    """
-    block = _FIRST_BLOCK
-    pending = np.nonzero(bounds > best)[0]
-    while pending.size:
-        if pending.size > block:
-            head = np.argpartition(bounds[pending], -block)[-block:]
-            rest = np.ones(pending.size, dtype=bool)
-            rest[head] = False
-            visit, pending = np.sort(pending[head]), pending[rest]
-        else:
-            visit, pending = pending, pending[:0]
-        best = max(best, values(visit))
-        pending = pending[bounds[pending] > best]
-        block *= 2
-    return best
-
-
 # ---------------------------------------------------------------------------
 # the streamed pass over a grid: the one residual rule and the tile screen
 
@@ -343,6 +308,10 @@ TILE = 16
 # the three roundings of that bound and the two of the cut move it by a few
 # ulps, far below 2^-40
 _KAPPA_SLACK = 2.0**-40
+# kappa contenders a chunk visits with its candidates when it has more:
+# their kappa sets the cut, which prunes the rest of the chunk.  Only an
+# unseeded pass's first chunks have that many
+_FIRST_BLOCK = 1 << 10
 
 
 def _runs(F, mesh, slab):
@@ -488,20 +457,22 @@ def _walk(F, mesh, cut=None):
                 yield (slab.lo + kept[:, None] * row + pos)[valid], f[valid]
 
 
-def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, candidate_mu=mu_many):
+def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, batch_mu=mu_many):
     """One streamed pass over the pair rows of ``mesh``: its low rows and kappa.
 
     Rows come in chunks of at most ``_BLOCK``, each normed by the one
     residual rule while it is in cache, so no array spans the grid.  Of
     each chunk the pass keeps the rows with |f| < ``below`` (``ceiling``
-    <= ``below``); at those with |f| < ``ceiling``, the candidates, it
-    takes mu by ``candidate_mu`` and folds their kappa into ``best``; then
-    the rows with |f| >= ``ceiling`` raise ``best`` to their kappa
-    maximum for the unit-norm F: since ``_kappa``
-    never exceeds 1/sqrt(f*f), they go through ``bounded_max``, which
-    builds pair points and takes mu only where that bound beats the
-    running maximum.  A row with |f| >= (1/best)(1 + ``_KAPPA_SLACK``)
-    cannot beat it.
+    <= ``below``), and it takes mu by one rule: at the rows with |f| <
+    max(``ceiling``, kappa cut), the candidates (|f| < ``ceiling``) and the
+    kappa contenders.  ``_kappa`` never exceeds 1/sqrt(f*f), so a row with
+    |f| at or above the kappa cut (1/best)(1 + ``_KAPPA_SLACK``) cannot
+    raise the running maximum ``best``, the kappa maximum for the unit-norm
+    F.  A visit builds the pair points of its rows, calls ``batch_mu`` once
+    and folds their kappa into ``best``.  A chunk with more than
+    ``_FIRST_BLOCK`` contenders first visits its candidates with the
+    ``_FIRST_BLOCK`` contenders of least |f|, then reads the cut again and
+    visits the rest under it; any other chunk visits its rows at once.
 
     Every chunk comes from one walk (``_walk``).  A pass given a kappa seed
     (``best`` > -inf) on a grid whose runs hold at least two tiles hands it
@@ -520,26 +491,32 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, candidate_mu=mu_many)
     def kappa_cut():
         return math.inf if best == -math.inf else (1.0 / best) * (1.0 + _KAPPA_SLACK)
 
-    def take(at, f):
+    def visit(at, f):
         nonlocal best
+        X = mesh.points_at(at)
+        m = batch_mu(F, X, f_norm=1.0)
+        best = max(best, _kappa_max(f, m))
+        return X, m
+
+    def take(at, f):
         low = np.flatnonzero(f < below)
         rows.append(at[low])
         norms.append(f[low])
-        cand = norms[-1] < ceiling
-        if cand.any():
-            points.append(mesh.points_at(rows[-1][cand]))
-            mus.append(candidate_mu(F, points[-1], f_norm=1.0))
-            best = max(best, _kappa_max(norms[-1][cand], mus[-1]))
-        contend = np.flatnonzero(f < kappa_cut())
-        contend = contend[f[contend] >= ceiling]
-        if contend.size:
-            at, f_norms = at[contend], f[contend]
-
-            def visit(idx):
-                mus = mu_many(F, mesh.points_at(at[idx]), f_norm=1.0)
-                return _kappa_max(f_norms[idx], mus)
-
-            best = bounded_max(_kappa_bounds(f_norms), visit, best)
+        todo = np.flatnonzero(f < max(ceiling, kappa_cut()))
+        if not todo.size:
+            return
+        # the candidates are the rows of least |f|, so they lead the first set
+        first, rest = np.count_nonzero(f[todo] < ceiling) + _FIRST_BLOCK, todo[:0]
+        if todo.size > first:
+            part = np.argpartition(f[todo], first - 1)
+            todo, rest = np.sort(todo[part[:first]]), todo[part[first:]]
+        X, m = visit(at[todo], f[todo])
+        cand = f[todo] < ceiling
+        points.append(X[cand])
+        mus.append(m[cand])
+        rest = np.sort(rest[f[rest] < kappa_cut()])
+        if rest.size:
+            visit(at[rest], f[rest])
 
     screened = best > -math.inf and 2**(mesh.t + 1) - 1 >= 2 * TILE
     for at, f in _walk(F, mesh, (lambda: max(below, kappa_cut())) if screened else None):

@@ -23,9 +23,10 @@ locates zeta, and -zeta with it.
 A level is one streamed pass: chunks of the grid are normed in cache by
 Horner's rule on the integer lattice (``condition._horner``), and only
 their low rows are kept (the candidates and the possible exclusion
-failures), so no array of a level spans the grid.  The same pass takes mu
-at each chunk's candidates and the level's kappa maximum, building points
-only at the rows where the residual bound on kappa can still raise it.
+failures), so no array of a level spans the grid.  The same pass takes
+the level's kappa maximum; it builds pair points and takes mu, once per
+row, only at the candidates and at the rows where the residual bound on
+kappa can still raise that maximum.
 Each grid lies in the next, with the same |f| and pair point at each of
 its rows, so a level's maximum seeds the next level's, and the final
 level's is the kappa diagnostic.  That seed sets a cut on |f| above which
@@ -179,8 +180,8 @@ def _level(F, mesh, seed=-math.inf):
     # the low rows are the candidates and the possible exclusion failures;
     # f < nextafter(threshold) keeps f <= threshold
     below = max(ceiling, math.nextafter(exclusion_threshold(F, mesh.eta), math.inf))
-    # mu_many is looked up here, so a tracer of counting.mu_many counts the
-    # candidates' rows
+    # mu_many is looked up here, so a tracer of counting.mu_many counts every
+    # mu row of the level
     rows, norms, points, mus, kappa = _scan(F, mesh, below, ceiling, seed, mu_many)
     cand = norms < ceiling
     candidates, f_norms = rows[cand], norms[cand]

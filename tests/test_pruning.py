@@ -18,7 +18,7 @@ from spherecount import polynomials as pl
 from spherecount.certification import _admissible
 from spherecount.cli import parse_polynomial
 from spherecount.condition import (_kappa_max, _row_norms,
-                                   _sigma_min_columns, bounded_max, kappa_grid,
+                                   _sigma_min_columns, kappa_grid,
                                    kappa_many, mu, mu_many,
                                    sample_gaussian_system)
 from spherecount import counting
@@ -417,7 +417,8 @@ def test_kappa_cut_keeps_rows_an_ulp_under_it(n, t):
     F = PolynomialSystem((HomogeneousPolynomial(n + 1, 2, sphere),) * n).normalized()
     mesh = build_mesh(n, t)
     f_all = np.concatenate(face_norms(F, mesh))
-    kappa_all = float(condition._kappa_bounds(f_all).max())
+    # kappa's own rounding, mu^-2 = 0 here; 1/f may differ from it by an ulp
+    kappa_all = float((1.0 / np.sqrt(f_all * f_all)).max())
     assert f_all.min() < f_all.max()
     for seed in (math.nextafter(kappa_all, 0.0), kappa_all):
         assert condition._scan(F, mesh, 0.0, 0.0, seed)[-1] == kappa_all
@@ -551,24 +552,70 @@ def test_rows_are_independent(n, seed, size, data):
     assert np.all(full >= math.sqrt(n) * (1.0 - 1e-12))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), block=st.integers(1, 8))
-def test_bounded_max_is_exact(data, block):
-    bounds = np.array(data.draw(st.lists(
-        st.floats(0.0, 1e3) | st.just(math.inf), max_size=60)))
-    shrink = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=bounds.size,
-                                         max_size=bounds.size)))
-    values = np.minimum(bounds, 1e3) * shrink
-    visited = []
+@pytest.mark.parametrize("system, t", [CASES[0], CASES[3], CASES[5]])
+@pytest.mark.parametrize("block", [1, 2, 8])
+def test_scan_visits_each_contender_once(system, t, block):
+    """Whatever ``_FIRST_BLOCK`` and the seed, a pass takes mu at no row
+    twice and at every row whose bound 1/sqrt(f*f) beats its result, and
+    that result is the exhaustive kappa maximum, bit for bit."""
+    F = system()
+    mesh = build_mesh(F.n, t)
+    f_all, _, _, kappa_all = exhaustive(F, mesh)
+    with np.errstate(divide="ignore"):
+        bounds = 1.0 / np.sqrt(f_all * f_all)
+    row_of = {x.tobytes(): i for i, x in enumerate(mesh.pair_points)}
+    for below, ceiling in ((0.0, 0.0), low_cut(F, mesh)):
+        for seed in (-math.inf, 1.0, kappa_all / 2, kappa_all):
+            visited = []
 
-    def visit(idx):
-        visited.extend(idx.tolist())
-        return float(values[idx].max())
+            def counted_mu_many(G, X, **kw):
+                visited.extend(row_of[x.tobytes()] for x in X)
+                return mu_many(G, X, **kw)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(condition, "_FIRST_BLOCK", block)
+                mp.setattr(condition, "mu_many", counted_mu_many)
+                best = condition._scan(F, mesh, below, ceiling, seed, counted_mu_many)[-1]
+            assert best == max(seed, kappa_all)
+            assert len(visited) == len(set(visited))
+            assert set(np.flatnonzero(bounds > best).tolist()) <= set(visited)
+
+
+@pytest.mark.parametrize("t, seeded", [(3, False), (6, True)])
+def test_level_takes_mu_once_per_chunk(t, seeded):
+    """A chunk with at most ``_FIRST_BLOCK`` kappa contenders beyond its
+    candidates takes mu in one call: the level calls its mu function once
+    for each chunk with rows under max(ceiling, kappa cut), at those rows,
+    for a dense level and for a seeded, screened one."""
+    F = gaussian(2, (2, 2), 4000)()
+    mesh = build_mesh(2, t)
+    f_all, mu_all, _, _ = exhaustive(F, mesh)
+    seed = _level(F, build_mesh(2, t - 1)).kappa if seeded else -math.inf
+    chunks, calls = [], []
+    walk = condition._walk
+
+    def recorded_walk(*args):
+        for at, f in walk(*args):
+            chunks.append(at.copy())
+            yield at, f
+
+    def counted_mu_many(G, X, **kw):
+        calls.append(X.copy())
+        return mu_many(G, X, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(condition, "_FIRST_BLOCK", block)
-        best = bounded_max(bounds, visit, best=-math.inf)
-    assert best == max(values.tolist(), default=-math.inf)
-    assert len(visited) == len(set(visited))
-    # a position whose bound beats the answer must have been looked at
-    assert set(np.nonzero(bounds > best)[0].tolist()) <= set(visited)
+        mp.setattr(condition, "_walk", recorded_walk)
+        mp.setattr(counting, "mu_many", counted_mu_many)
+        mp.setattr(condition, "mu_many", counted_mu_many)
+        _level(F, mesh, seed=seed)
+    ceiling, best, expected = _candidate_ceiling(F), seed, []
+    for at in chunks:
+        cut = math.inf if best == -math.inf else (1.0 / best) * (1.0 + condition._KAPPA_SLACK)
+        visit = at[f_all[at] < max(ceiling, cut)]
+        assert np.count_nonzero(f_all[visit] >= ceiling) <= condition._FIRST_BLOCK
+        if visit.size:
+            expected.append(visit)
+            best = max(best, _kappa_max(f_all[visit], mu_all[visit]))
+    assert len(expected) > 1 and len(calls) == len(expected)
+    for X, visit in zip(calls, expected):
+        assert X.tobytes() == mesh.pair_points[visit].tobytes()
