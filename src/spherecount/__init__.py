@@ -6,9 +6,9 @@ numbers, quasi-uniform sphere grids, and the inclusion-exclusion counting
 loop built from them, together with the affine-to-sphere reduction.
 """
 
-from .certification import (Certificate, RefinedZero, TangentFrame, chart_beta,
+from .certification import (Certificate, RefinedZero, chart_beta,
                             exclusion_radius, gamma_bound, inclusion_test,
-                            refine_zero, robust_certify, tangent_frame)
+                            refine_zero, robust_certify)
 from .condition import (SingularSpectrum, distance_to_rank_deficient,
                         eckart_young_correction, expected_ln_kappa_bound,
                         kappa_grid, kappa_point, kn_constant,

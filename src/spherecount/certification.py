@@ -15,6 +15,8 @@ predicate _admissible and the cap radius _inclusion_radius serve
 inclusion_test and the counting loop alike.  Conversely exclusion_radius
 gives a cap around x certified to contain no zero at all.
 
+A chart point is x + U c in the one frame U of x-perp
+(condition.tangent_basis), in which mu_many reads the restricted Jacobian.
 Every Newton step (beta, refine_zero) solves the chart system with LAPACK
 (numpy.linalg.solve).  The chart Jacobian counts as singular, and the step
 as undefined, by the SVD rule that makes mu infinite
@@ -33,10 +35,8 @@ from .condition import _sigma_min_svd, mu, tangent_basis
 from .convergence import ALPHA, gamma_error_sequence, r0, robust_u0
 
 __all__ = [
-    "TangentFrame",
     "Certificate",
     "RefinedZero",
-    "tangent_frame",
     "chart_beta",
     "gamma_bound",
     "inclusion_test",
@@ -44,27 +44,6 @@ __all__ = [
     "refine_zero",
     "robust_certify",
 ]
-
-
-@dataclass(frozen=True)
-class TangentFrame:
-    """A sphere point with an orthonormal basis of its tangent space."""
-
-    base: np.ndarray   # (n+1,)
-    basis: np.ndarray  # (n+1, n), columns orthonormal and orthogonal to base
-
-    @property
-    def n(self):
-        return self.basis.shape[1]
-
-    def embed(self, coords):
-        """Chart coordinates -> ambient tangent vector."""
-        return self.basis @ np.asarray(coords, float)
-
-
-def tangent_frame(x):
-    x = pl.sphere_point(x, tol=1e-9)
-    return TangentFrame(base=x, basis=tangent_basis(x))
 
 
 def _newton_step(F, point, basis):
@@ -84,8 +63,8 @@ def chart_beta(F, x):
 
     Returns inf when the restricted Jacobian is singular.
     """
-    frame = tangent_frame(x)
-    step = _newton_step(F, frame.base, frame.basis)
+    x = pl.sphere_point(x)
+    step = _newton_step(F, x, tangent_basis(x))
     return math.inf if step is None else float(np.linalg.norm(step))
 
 
@@ -144,7 +123,7 @@ def inclusion_test(F, x):
     zero zeta_x lies within angular distance r_x of x.
     """
     Fn = F.normalized()
-    x = pl.sphere_point(x, tol=1e-9)
+    x = pl.sphere_point(x)
     m = mu(Fn, x)
     f_norm = float(np.linalg.norm(pl.evaluate(Fn, x)))
     beta = chart_beta(Fn, x)
@@ -169,7 +148,7 @@ def exclusion_radius(F, x):
     sphere.
     """
     Fn = F.normalized()
-    x = pl.sphere_point(x, tol=1e-9)
+    x = pl.sphere_point(x)
     f_norm = float(np.linalg.norm(pl.evaluate(Fn, x)))
     return min(f_norm / math.sqrt(Fn.max_degree), math.sqrt(2.0))
 
@@ -200,13 +179,14 @@ def refine_zero(F, x, tol=1e-13, max_steps=50):
     (growing steps) or a singular chart Jacobian yields converged = False.
     """
     Fn = F.normalized()
-    frame = tangent_frame(x)
-    c = np.zeros(frame.n)
+    x = pl.sphere_point(x)
+    U = tangent_basis(x)
+    c = np.zeros(U.shape[1])
     steps = []
     beta = math.inf
     converged = False
     for _ in range(max_steps):
-        step = _newton_step(Fn, frame.base + frame.embed(c), frame.basis)
+        step = _newton_step(Fn, x + U @ c, U)
         if step is None:
             beta = math.inf
             break
@@ -220,7 +200,7 @@ def refine_zero(F, x, tol=1e-13, max_steps=50):
         c = c - step
     else:
         converged = beta <= tol
-    zeta = pl.normalize(frame.base + frame.embed(c))
+    zeta = pl.normalize(x + U @ c)
     return RefinedZero(
         zeta=zeta,
         newton_steps=len(steps),

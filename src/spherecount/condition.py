@@ -13,7 +13,9 @@ one walk (``_walk``) of one slab per face, in chunks of at most
 ``_BLOCK`` rows.  mu has one kernel,
 ``mu_many``, that holds each entry of the restricted Jacobian and of its
 Gram as a contiguous column and sums them in a fixed order; scalar ``mu``
-is its one-row case.
+is its one-row case.  x-perp has one frame, columns 1..n of the
+Householder reflection of ``_householder``: mu reads the restricted
+Jacobian in it, and so do the chart (``tangent_basis``) and Eckart-Young.
 
 A pass reads |f| at three kinds of row only: the rows under its cut
 ``below`` (candidates and possible exclusion failures) and the kappa
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polynomials as pl
-from .mesh import build_mesh
+from .mesh import angular_distance, build_mesh
 
 __all__ = [
     "SingularSpectrum",
@@ -81,6 +83,9 @@ _SINGULAR_TOL = 1e-14
 # rounding moves a Gram's sigma_min^2 by a few n^3 eps max|M|^2, so a Gram
 # sigma_min above _GRAM_TOL max|M| (n < 10) is one the SVD calls nonsingular
 _GRAM_TOL = 1e-6
+# how far from 1 the Weyl norm of a system taken as unit-norm may be, as
+# 1/mu is a distance only at |f| = 1; F.normalized() misses by a few ulps
+_UNIT_NORM_TOL = 1e-8
 
 
 def _sum_products(a, b):
@@ -164,32 +169,47 @@ def _sigma_min_svd(M):
 
 
 # ---------------------------------------------------------------------------
-# tangent frames and restricted Jacobians
+# the one frame of x-perp and the restricted Jacobian in it
+
+def _householder(x):
+    """(sign, v, c) of the reflection H = I - v v^T / c taking e_0 to -sign x,
+    at one point x or at the points x[:, j] stored by coordinates: sign =
+    sign(x_0) (+1 at x_0 = 0), v = x + sign e_0 as a list of coordinates and
+    c = 1 + |x_0|.  Columns 1..n of H are the one frame of x-perp at unit x."""
+    sign = np.where(x[0] >= 0.0, 1.0, -1.0)
+    return sign, [x[0] + sign, *x[1:]], 1.0 + np.abs(x[0])
+
 
 def tangent_basis(x):
-    """Deterministic orthonormal basis of x-perp, as columns of a (n+1, n) matrix.
-
-    Householder completion: the non-mirror columns of the reflection taking
-    e_0 to -sign(x_0) x, with each column sign-normalized so its first
-    entry of magnitude > 1e-12 is positive.
-    """
+    """The frame of x-perp at the unit point x: columns 1..n of the
+    Householder reflection (``_householder``), U_lk = delta_lk - v_l v_k / c,
+    as a (n+1, n) matrix."""
     x = np.asarray(x, float)
-    v = x.copy()
-    v[0] += 1.0 if x[0] >= 0.0 else -1.0
-    U = np.eye(x.size)[:, 1:] - np.outer(v, v[1:]) / (1.0 + abs(x[0]))
-    for j in range(x.size - 1):
-        col = U[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            U[:, j] = -col
-    return U
+    _, v, c = _householder(x)
+    return np.eye(x.size)[:, 1:] - np.outer(v, v[1:]) / c
 
 
-def scaled_restricted_jacobian(F, x, basis=None):
-    """diag(d_i^-1/2) Df on x-perp at x/|x|, in ``basis`` (``tangent_basis``)."""
-    x = pl.normalize(x)
-    M = pl.jacobian(F, x) @ (tangent_basis(x) if basis is None else basis)
-    return (np.asarray(F.degrees, float) ** -0.5)[:, None] * M
+def _restricted_columns(F, x):
+    """(cols, sign): ``cols[k-1][i]`` is the (N,) column of the entry
+    M_ik = d_i^-1/2 (J_ik - (J_i . v) v_k / c) of diag(d_i^-1/2) J U, U =
+    ``tangent_basis``, at the points of a contiguous (n+1, N) batch x stored
+    by coordinates, J_i . v summed left to right; sign is sign(x_0)."""
+    J = pl.jacobian_many(F, x.T).transpose(1, 2, 0)
+    sign, v, c = _householder(x)
+    cols = [[] for _ in range(F.n)]
+    for Ji, scale in zip(J, np.asarray(F.degrees, float) ** -0.5):
+        Jv = _sum_products(Ji, v)
+        for k, col in enumerate(cols, 1):
+            col.append((Ji[k] - Jv * v[k] / c) * scale)
+    return cols, sign
+
+
+def scaled_restricted_jacobian(F, x):
+    """diag(d_i^-1/2) Df on x-perp at x/|x| in the frame ``tangent_basis``:
+    the (n, n) matrix whose sigma_min gives mu, the one row of
+    ``_restricted_columns``."""
+    cols, _ = _restricted_columns(F, pl.normalize(x)[:, None])
+    return np.array(cols)[:, :, 0].T
 
 
 def mu(F, x):
@@ -224,13 +244,13 @@ def _sigma_min_columns(cols):
 def mu_many(F, X, f_norm=None):
     """Vectorized mu at many unit points (rows of X; none is fine).
 
-    Every array is a contiguous (N,) column, J's too (``pl.jacobian_many``).
-    With the Householder vector v = x + sign(x_0) e_0 (+1 at x_0 = 0) and
-    c = 1 + |x_0|, each entry M_ik = d_i^-1/2 (J_ik - (J_i . v) v_k / c),
-    k = 1..n, of the restricted Jacobian is one column; every sum runs left
-    to right (``_sum_products``), and max|M| is an elementwise maximum.  Rows
-    whose Gram sigma_min (``_sigma_min_columns``) is at most _GRAM_TOL max|M|,
-    where rounding may be all of it, take it by SVD (``_sigma_min_svd``).
+    Every array is a contiguous (N,) column: each entry M_ik of the
+    restricted Jacobian in the one Householder frame
+    (``_restricted_columns``), and each entry of its Gram.  Every sum runs
+    left to right (``_sum_products``), and max|M| is an elementwise
+    maximum.  Rows whose Gram sigma_min (``_sigma_min_columns``) is at most
+    _GRAM_TOL max|M|, where rounding may be all of it, take it by SVD
+    (``_sigma_min_svd``).
 
     Each row's value depends on that row alone, bit for bit, so mu on a
     subset of the rows equals the same subset of mu on all of them.  At -x
@@ -241,15 +261,7 @@ def mu_many(F, X, f_norm=None):
     if f_norm is None:
         f_norm = F.weyl_norm
     x = np.ascontiguousarray(np.asarray(X, float).T)
-    J = pl.jacobian_many(F, x.T).transpose(1, 2, 0)
-    sign = np.where(x[0] >= 0.0, 1.0, -1.0)
-    v = [x[0] + sign, *x[1:]]
-    c = 1.0 + np.abs(x[0])
-    cols = [[] for _ in range(F.n)]
-    for Ji, scale in zip(J, np.asarray(F.degrees, float) ** -0.5):
-        Jv = _sum_products(Ji, v)
-        for k, col in enumerate(cols, 1):
-            col.append((Ji[k] - Jv * v[k] / c) * scale)
+    cols, sign = _restricted_columns(F, x)
     smin, largest = _sigma_min_columns(cols), np.zeros(x.shape[1])
     for m in (m for col in cols for m in col):
         np.maximum(largest, np.abs(m), out=largest)
@@ -282,7 +294,7 @@ def _kappa_max(f_norms, mus):
 
 def kappa_point(F, x):
     """kappa(f, x) for the normalized system at the unit point x."""
-    return float(kappa_many(F, pl.sphere_point(x, tol=1e-9)[None])[0])
+    return float(kappa_many(F, pl.sphere_point(x)[None])[0])
 
 
 def kappa_many(F, X):
@@ -553,15 +565,16 @@ def _kernel_derivative_poly(d, x, u):
 def minimal_singular_perturbation(F, x):
     """The nearest system g whose scaled restricted Jacobian at x is singular.
 
-    Requires unit Weyl norm; |f - g| = 1/mu(f, x) and the correction lives
-    in the span of the first-derivative kernel basis, so g(x) = f(x).
+    Requires unit Weyl norm; |f - g| = 1/mu(f, x).  Entry (i, j) of the
+    Eckart-Young correction of ``scaled_restricted_jacobian`` lifts through
+    the kernel derivative along column j of ``tangent_basis``: g(x) = f(x).
     Returns F itself when mu is infinite.
     """
-    if abs(F.weyl_norm - 1.0) > 1e-8:
+    if abs(F.weyl_norm - 1.0) > _UNIT_NORM_TOL:
         raise ValueError("minimal_singular_perturbation expects a unit-norm system")
-    x = pl.sphere_point(x, tol=1e-9)
+    x = pl.sphere_point(x)
     basis = tangent_basis(x)
-    M = scaled_restricted_jacobian(F, x, basis)
+    M = scaled_restricted_jacobian(F, x)
     if _sigma_min_svd(M) == 0.0:
         return F
     B = eckart_young_correction(M)
@@ -584,10 +597,8 @@ def mu_variation_check(F, G, x, y):
     (mu(f,x)/(1 + u + v), mu(f,x)/(1 - u - v), mu(g, y)); the upper bound is
     inf when u + v >= 1.  Both systems must have unit Weyl norm.
     """
-    from .mesh import angular_distance
-
     for S in (F, G):
-        if abs(S.weyl_norm - 1.0) > 1e-8:
+        if abs(S.weyl_norm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError("mu_variation_check expects unit-norm systems")
     mfx = mu(F, x)
     diff = math.sqrt(sum(

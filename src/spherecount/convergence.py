@@ -40,6 +40,12 @@ __all__ = [
 
 _BISECT_MAX_ITER = 200
 
+# the closed-form thresholds, each written once (see AlphaConstants)
+_ALPHA0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
+_U_FIRST_KIND = (3.0 - math.sqrt(7.0)) / 2.0
+_U_ROBUST_MAX = 2.0 - math.sqrt(14.0) / 2.0
+_ALPHA_TIGHT = 3.0 - 2.0 * math.sqrt(2.0)
+
 
 def psi(u):
     """The contraction polynomial 1 - 4u + 2u^2."""
@@ -47,7 +53,7 @@ def psi(u):
 
 
 def _check_alpha_range(alpha):
-    if not 0.0 < alpha <= 3.0 - 2.0 * math.sqrt(2.0):
+    if not 0.0 < alpha <= _ALPHA_TIGHT:
         raise ValueError(f"alpha = {alpha} outside (0, 3 - 2*sqrt(2)]")
 
 
@@ -83,9 +89,7 @@ def alpha_star():
 
     This is the admissibility threshold of the sphere inclusion test.
     """
-    a0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
-    return _bisect(lambda a: a - a0 * (1.0 - a * r0(a)) ** 2,
-                   1e-9, 3.0 - 2.0 * math.sqrt(2.0))
+    return _bisect(lambda a: a - _ALPHA0 * (1.0 - a * r0(a)) ** 2, 1e-9, _ALPHA_TIGHT)
 
 
 def robust_u0(alpha):
@@ -100,8 +104,7 @@ def robust_alpha_threshold():
     Below this value, Newton sequences perturbed by delta per step (with
     2 delta below the u0 budget) still contract; see gamma_error_sequence.
     """
-    target = 2.0 - math.sqrt(14.0) / 2.0
-    return _bisect(lambda a: robust_u0(a) - target, 1e-6, 0.12)
+    return _bisect(lambda a: robust_u0(a) - _U_ROBUST_MAX, 1e-6, 0.12)
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ class AlphaConstants:
 
 def _make_constants():
     return AlphaConstants(
-        alpha0=(13.0 - 3.0 * math.sqrt(17.0)) / 4.0,
-        u_first_kind=(3.0 - math.sqrt(7.0)) / 2.0,
+        alpha0=_ALPHA0,
+        u_first_kind=_U_FIRST_KIND,
         u_strict=(5.0 - math.sqrt(17.0)) / 4.0,
-        u_robust_max=2.0 - math.sqrt(14.0) / 2.0,
-        alpha_tight=3.0 - 2.0 * math.sqrt(2.0),
+        u_robust_max=_U_ROBUST_MAX,
+        alpha_tight=_ALPHA_TIGHT,
         alpha_star=alpha_star(),
         alpha_robust=robust_alpha_threshold(),
     )
@@ -192,7 +195,7 @@ class UniversalQuadratic:
         if beta <= 0.0 or gamma <= 0.0:
             raise ValueError("beta and gamma must be positive")
         alpha = beta * gamma
-        if alpha > 3.0 - 2.0 * math.sqrt(2.0):
+        if alpha > _ALPHA_TIGHT:
             raise ValueError(
                 f"alpha = {alpha} > 3 - 2 sqrt(2): the model function has no real zeros")
         Delta = (1.0 + alpha) ** 2 - 8.0 * alpha
@@ -289,11 +292,9 @@ def g_gamma_drift(u):
 # ---------------------------------------------------------------------------
 # reference tables (emitted as CSV by the command line front end)
 
-GAMMA_TABLE_COLUMNS = (1.0 / 32.0, 1.0 / 16.0, 1.0 / 10.0, 1.0 / 8.0,
-                       (3.0 - math.sqrt(7.0)) / 2.0)
+GAMMA_TABLE_COLUMNS = (1.0 / 32.0, 1.0 / 16.0, 1.0 / 10.0, 1.0 / 8.0, _U_FIRST_KIND)
 GAMMA_TABLE_LABELS = ("1/32", "1/16", "1/10", "1/8", "(3-sqrt(7))/2")
-ALPHA_TABLE_COLUMNS = (1.0 / 32.0, 1.0 / 16.0, 1.0 / 10.0, 1.0 / 8.0,
-                       (13.0 - 3.0 * math.sqrt(17.0)) / 4.0)
+ALPHA_TABLE_COLUMNS = (1.0 / 32.0, 1.0 / 16.0, 1.0 / 10.0, 1.0 / 8.0, _ALPHA0)
 ALPHA_TABLE_LABELS = ("1/32", "1/16", "1/10", "1/8", "(13-3sqrt(17))/4")
 
 

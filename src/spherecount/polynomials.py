@@ -71,10 +71,15 @@ def normalize(x):
     return x / nrm
 
 
-def sphere_point(coords, tol=1e-12):
-    """Validate that ``coords`` lies on the unit sphere (within ``tol``)."""
+# how far |x| may be from 1 for x to count as a unit point: f at (1 + e) x
+# is (1 + e)^d f(x), so the |f| that certification reads at x errs by d e
+_UNIT_TOL = 1e-9
+
+
+def sphere_point(coords):
+    """Validate that ``coords`` lies on the unit sphere (within ``_UNIT_TOL``)."""
     x = np.asarray(coords, dtype=float)
-    if abs(float(np.linalg.norm(x)) - 1.0) > tol:
+    if abs(float(np.linalg.norm(x)) - 1.0) > _UNIT_TOL:
         raise ValueError(f"point is not on the unit sphere: |x| = {np.linalg.norm(x)}")
     return x
 
@@ -144,6 +149,27 @@ def _compile(coefficients):
                  for expo, c in _graded_lex(coefficients))
 
 
+def _clean_terms(n_vars, coefficients, degree=None):
+    """The one term validator of both polynomial classes: each multi-index
+    has ``n_vars`` non-negative exponents (summing to ``degree`` if given)
+    and each coefficient is finite; returns the map without its zeros."""
+    clean = {}
+    for expo, c in coefficients.items():
+        expo = tuple(int(e) for e in expo)
+        if len(expo) != n_vars:
+            raise ValueError(f"multi-index {expo} has wrong arity")
+        if any(e < 0 for e in expo):
+            raise ValueError(f"negative exponent in {expo}")
+        if degree is not None and sum(expo) != degree:
+            raise ValueError(f"multi-index {expo} has degree {sum(expo)}, expected {degree}")
+        c = float(c)
+        if not math.isfinite(c):
+            raise ValueError("coefficients must be finite")
+        if c != 0.0:
+            clean[expo] = c
+    return clean
+
+
 @dataclass(frozen=True)
 class HomogeneousPolynomial:
     """A single homogeneous polynomial in ``n_vars`` real variables.
@@ -159,23 +185,8 @@ class HomogeneousPolynomial:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        clean = {}
-        for expo, c in self.coefficients.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != self.n_vars:
-                raise ValueError(f"multi-index {expo} has wrong arity")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
-            if sum(expo) != self.degree:
-                raise ValueError(
-                    f"multi-index {expo} has degree {sum(expo)}, expected {self.degree}"
-                )
-            c = float(c)
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
-            if c != 0.0:
-                clean[expo] = c
-        object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "coefficients",
+                           _clean_terms(self.n_vars, self.coefficients, self.degree))
 
     def terms(self):
         """Terms in graded-lexicographic order (deterministic)."""
@@ -207,14 +218,7 @@ class AffinePolynomial:
     coefficients: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for expo, c in self.coefficients.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != self.n_vars:
-                raise ValueError(f"multi-index {expo} has wrong arity")
-            c = float(c)
-            if c != 0.0:
-                clean[expo] = c
+        clean = _clean_terms(self.n_vars, self.coefficients)
         if not clean:
             raise ValueError("zero polynomial")
         object.__setattr__(self, "coefficients", clean)

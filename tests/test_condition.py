@@ -235,7 +235,6 @@ class TestKappaAsDistance:
         # singular restricted Jacobian; the minimizer subtracts the kernel
         # component f_i(x) K_d(., x) and applies the tangent rank-one
         # correction, and the two pieces are orthogonal
-        from spherecount.condition import eckart_young_correction, tangent_basis
         from spherecount.condition import _kernel_derivative_poly
         from spherecount.polynomials import kernel_polynomial
 
@@ -244,7 +243,7 @@ class TestKappaAsDistance:
             x = random_sphere_point(rng, 3)
             k = kappa_point(F, x)
             basis = tangent_basis(x)
-            B = eckart_young_correction(scaled_restricted_jacobian(F, x, basis))
+            B = eckart_young_correction(scaled_restricted_jacobian(F, x))
             polys = []
             for i, p in enumerate(F.polynomials):
                 coeffs = dict(p.coefficients)
@@ -423,6 +422,21 @@ class TestMonteCarlo:
 
 
 class TestTangentBasis:
+    def test_axis_point(self):
+        assert np.array_equal(tangent_basis(np.array([1.0, 0.0, 0.0])), np.eye(3)[:, 1:])
+
+    @pytest.mark.parametrize("x", [[0.3, 0.5, -0.7], [-0.3, -0.5, 0.7], [0.0, 0.6, -0.8],
+                                   [-0.4, 0.2, 0.1, -0.5]])
+    def test_is_the_householder_frame(self, x):
+        """Columns 1..n of I - v v^T / c, v = x + sign(x_0) e_0 (+1 at
+        x_0 = 0) and c = 1 + |x_0|, bit for bit: the frame mu_many reads
+        the restricted Jacobian in, with no column's sign changed."""
+        x = np.asarray(x) / np.linalg.norm(x)
+        v = x.copy()
+        v[0] += 1.0 if x[0] >= 0.0 else -1.0
+        expected = np.eye(x.size)[:, 1:] - np.outer(v, v[1:]) / (1.0 + abs(x[0]))
+        assert np.array_equal(tangent_basis(x), expected)
+
     def test_orthonormal_completion(self, rng):
         for _ in range(20):
             x = random_sphere_point(rng, 4)

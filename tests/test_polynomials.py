@@ -343,6 +343,20 @@ class TestLiftAffine:
         with pytest.raises(ValueError):
             AffinePolynomial(1, {(1,): 0.0})
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ({(1,): math.nan, (0,): 1.0}, "finite"),
+        ({(1,): math.inf}, "finite"),
+        ({(-1,): 1.0}, "negative exponent"),
+        ({(1, 0): 1.0}, "arity"),
+    ])
+    def test_terms_validated_as_homogeneous_ones(self, coeffs, message):
+        # the term rules of HomogeneousPolynomial: an affine polynomial may
+        # not build with a nan coefficient or a degree of -1
+        with pytest.raises(ValueError, match=message):
+            AffinePolynomial(1, coeffs)
+        with pytest.raises(ValueError, match=message):
+            HomogeneousPolynomial(1, 1, coeffs)
+
     def test_call_checks_point_length(self):
         g = AffinePolynomial(2, {(2, 0): 1.0, (0, 1): 3.0, (0, 0): -1.0})
         assert g([2.0, 1.0]) == 6.0
