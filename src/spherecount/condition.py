@@ -18,15 +18,16 @@ Householder reflection of ``_householder``: mu reads the restricted
 Jacobian in it, and so do the chart (``tangent_basis``) and Eckart-Young.
 
 A pass reads |f| at three kinds of row only: the rows under its cut
-``below`` (candidates and possible exclusion failures) and the kappa
-contenders, whose bound 1/|f| beats the running maximum ``best``; it takes
-mu at the candidates and the contenders only.  A row with |f| at or above
-the kappa cut (1/best)(1 + delta) is no contender, and ``best`` only
-rises during a pass, so a cut taken earlier in it stays sound.  That one
-cut decides where a pass takes mu, and with ``below`` where it norms
-rows: a pass given a kappa seed has the walk screen its grid by tile
-centres against max(below, kappa cut), in the cell-exclusion pattern of
-Plantinga and Vegter (SGP 2004):
+``below`` (possible exclusion failures), the candidates and the kappa
+contenders; it takes mu at the candidates and the contenders only.  A
+row's candidate ceiling and kappa cap come from a bound on mu over the
+row's tile, or from the global floor mu >= sqrt(n) and mu_hi = inf.  A
+row with |f| at or above its kappa cut has cap 1/sqrt(mu_hi^-2 + f*f) of
+at most the running maximum ``best``, and ``best`` only rises during a
+pass, so a cut taken earlier in it stays sound.  A pass given a kappa seed
+has the walk screen its grid by tile centres, in the cell-exclusion
+pattern of Plantinga and Vegter (SGP 2004), by |f| before it norms a
+tile's rows and by mu before it takes mu at them:
 
 * |f| is sqrt(D) |F|_W-Lipschitz on S^n, D the largest degree: the
   derivative of f_i along the sphere has norm at most sqrt(d_i) |f_i|_W at
@@ -38,18 +39,44 @@ Plantinga and Vegter (SGP 2004):
   |k/m - c/m| <= h/m.  Both points have |.| >= 1, since their face
   coordinate is m, and radial projection from outside the unit ball is
   1-Lipschitz, so their unit points lie at most the chord h/m apart, an
-  angle of at most 2 asin(h/(2m)).
+  angle of at most delta = 2 asin(h/(2m)).
 * The computed |f| of any point errs by less than half of
   ``_rounding_margin`` (the Horner rule's pinned rounding bound), so every
-  row of the tile has computed |f| >= |f(c)| - sqrt(D) |F|_W 2 asin(h/(2m))
-  - margin, rounding of that bound itself included.  A tile whose bound is
+  row of the tile has computed |f| >= |f(c)| - sqrt(D) |F|_W delta -
+  margin, rounding of that bound itself included.  A tile whose bound is
   at least the cut is never normed; no output reads its rows.
+* 1/mu is D^1.5 |F|_W-Lipschitz in the angle (the Lipschitz property of
+  mu_norm; Buergisser and Cucker, Condition, ch. 16).  With mu taken at
+  |f| = 1, 1/mu(x) is sigma_n of A(x) = diag(d_i^-1/2) Df(x) (I - x x^T),
+  the restricted Jacobian with x itself mapped to 0.  By Weyl's inequality
+  |sigma_n(A(y)) - sigma_n(A(x))| <= |A(y) - A(x)|, and row i of A(y) -
+  A(x) is d_i^-1/2 ((Df_i(y) - Df_i(x)) (I - y y^T) + Df_i(x) (x x^T -
+  y y^T)).  The reproducing kernel gives Df_i(z) v = d_i <f_i, <., z>^(d_i
+  - 1) <., v>>_W and D^2 f_i(z)(v, w) = d_i (d_i - 1) <f_i, <., z>^(d_i -
+  2) <., v> <., w>>_W, and a product of linear forms has Weyl norm at most
+  the product of their norms, so |Df_i(x)| <= d_i |f_i|_W and |D^2 f_i(z)|
+  <= d_i (d_i - 1) |f_i|_W for |z| <= 1.  Along the arc from x to y of
+  angle theta, and with |x x^T - y y^T| = sin theta <= theta, row i has
+  norm at most d_i^1.5 |f_i|_W theta, so |A(y) - A(x)| <= D^1.5 |F|_W
+  theta.  Hence mu(c)/(1 + u) <= mu(y) <= mu(c)/(1 - u) for u = D^1.5 |F|_W
+  mu(c) delta (``_mu_sandwich``), the upper bound for u < 1 only, each
+  widened by ``_MU_SLACK`` for computed mu.  A kept tile whose centre or
+  end rows have |f| under max(ceiling, kappa cut), so that the floor mu >=
+  sqrt(n) would leave rows of it in need of mu, takes mu at its centre
+  before any of its rows is normed.  Its rows then have the candidate
+  ceiling C_SLACK alpha*/(D^1.5 mu_lo^2), mu_lo = max(sqrt(n), mu(c)/(1 +
+  u)), and the kappa cap 1/sqrt(mu_hi^-2 + f*f), mu_hi = mu(c)/(1 - u)
+  (``_tile_bounds``); a row above its ceiling fails the inclusion test,
+  and a row whose cap is at most ``best`` cannot raise it, so neither
+  needs mu, and a tile whose ``lower`` is at least both bounds and
+  ``below`` is never normed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,6 +247,20 @@ def mu(F, x):
     return float(mu_many(F, pl.normalize(x)[None])[0])
 
 
+def _mu_sandwich(mus, spread, slack=0.0):
+    """Bounds (lo, hi) on mu(f, y) from mu(f, x) = ``mus``, where 1/mu moves
+    by at most ``spread`` from x to y (see the module docstring):
+    lo = 1/(1/mu + spread) and hi = 1/(1/mu - spread), inf where 1/mu <=
+    spread; that is mu/(1 + u) and mu/(1 - u) for u = mu spread.  ``slack``
+    bounds the relative error of a computed mu, at x and at y, and widens
+    both by the factor (1 + slack)^2."""
+    widen = (1.0 + slack) ** 2
+    inverse = 1.0 / mus
+    with np.errstate(divide="ignore"):
+        return (1.0 / ((inverse + spread) * widen),
+                np.where(inverse > spread, widen / (inverse - spread), math.inf))
+
+
 # ---------------------------------------------------------------------------
 # batched evaluation over many sphere points
 
@@ -320,10 +361,34 @@ TILE = 16
 # the three roundings of that bound and the two of the cut move it by a few
 # ulps, far below 2^-40
 _KAPPA_SLACK = 2.0**-40
-# kappa contenders a chunk visits with its candidates when it has more:
-# their kappa sets the cut, which prunes the rest of the chunk.  Only an
-# unseeded pass's first chunks have that many
+# relative error of a computed mu that a tile's bounds allow for, at its
+# centre and at each row.  hi is finite only where 1/mu > D^1.5 delta, at
+# least 0.014 on an n >= 2 grid under the cap (t <= 9), and there the Gram
+# route errs by a few n^3 eps D mu^2, far below it.  Elsewhere 1/mu errs
+# absolutely by less than 1e-7 (the SVD takes the rows under _GRAM_TOL, and
+# n = 1 reads |M| itself), against the margin 2^-9 D^1.5 delta of lo
+_MU_SLACK = 2.0**-10
+# a level's tiles take mu at their centres only where a tile's lo =
+# 1/(1/mu + spread) can reach _MU_GAIN sqrt(n), spread = D^1.5 |F|_W delta:
+# on coarser levels the end rows and the centres cost more than the bounds
+# save (Gaussian (2,2,2) seed 3 took 14-47% longer at t=6 and t=7 with 1
+# or 2, and its t=8 level, where the bounds apply, a quarter of the mu rows)
+_MU_GAIN = 4.0
+# kappa contenders a block visits with its candidates when it has more:
+# their kappa sets the cut, which prunes the rest of the block
 _FIRST_BLOCK = 1 << 10
+
+
+def _tile_bounds(F, mus, delta, ceiling):
+    """(ceilings, inv_mu2) of the tiles whose centres have mu ``mus``, each
+    row of them within the angle ``delta`` of its centre: the candidate
+    ceiling ceiling n / max(n, mu_lo^2), so C_SLACK alpha*/(D^1.5 mu_lo^2)
+    for the pass ceiling C_SLACK alpha*/(n D^1.5) and mu_lo = max(sqrt(n),
+    lo), and mu_hi^-2 = 1/hi^2, for (lo, hi) the ``_mu_sandwich`` of
+    spread D^1.5 |F|_W delta widened by ``_MU_SLACK``.  A row above its
+    ceiling fails the inclusion test, as C_SLACK absorbs the rounding."""
+    lo, hi = _mu_sandwich(mus, F.max_degree**1.5 * F.weyl_norm * delta, _MU_SLACK)
+    return ceiling * (F.n / np.maximum(F.n, lo * lo)), 1.0 / (hi * hi)
 
 
 def _runs(F, mesh, slab):
@@ -417,87 +482,170 @@ def _pieces(runs, positions):
             yield np.arange(r0, min(r0 + step, runs)), np.arange(p0, min(p0 + _BLOCK, positions))
 
 
-def _walk(F, mesh, cut=None):
-    """(rows, |f|) of the pair rows of ``mesh``, in ascending chunks of at
-    most ``_BLOCK`` rows of one face: the one walk of every pass.
+class _Screen(NamedTuple):
+    """What a screened walk reads from its pass (``_scan``): the low cut
+    ``below``, the candidate ceiling at mu = sqrt(n), the running kappa cut
+    (a callable; it may only fall) and the pass's one mu function."""
+
+    below: float
+    ceiling: float
+    kappa_cut: object
+    batch_mu: object
+
+    def cut(self):
+        """|f| at or above which a row changes no output by the floor
+        mu >= sqrt(n) and mu_hi = inf."""
+        return max(self.below, self.ceiling, self.kappa_cut())
+
+    def cuts(self, ceilings, inv_mu2):
+        """The same for the rows of tiles with these bounds: candidate
+        ceilings and mu_hi^-2."""
+        return np.maximum(np.maximum(self.below, ceilings),
+                          _kappa_cuts(self.kappa_cut(), inv_mu2))
+
+
+def _kappa_cuts(cut, inv_mu2):
+    """The per-row kappa cut sqrt(cut^2 - mu_hi^-2): a row at or above it
+    has kappa cap 1/sqrt(mu_hi^-2 + f*f) at most best, as cut = (1/best)(1 +
+    ``_KAPPA_SLACK``) absorbs the roundings.  It is exactly ``cut`` where
+    mu_hi is inf (sqrt(x*x) = x in binary floating point) and 0 at best =
+    inf."""
+    return np.sqrt(np.maximum(cut * cut - inv_mu2, 0.0))
+
+
+def _norm_runs(F, data, work, r, x):
+    """|f| along the runs r of a slab's Horner ``data`` (``_runs``) at the
+    positions x over m: one row of positions per run, or one row for all."""
+    coeffs, radius2, _ = data
+    out = work[:, :r.size * x.shape[1]].reshape(3, r.size, x.shape[1])
+    return _horner(F, _take_runs(coeffs, r), radius2[r], x, out)
+
+
+def _walk(F, mesh, screen=None):
+    """(rows, |f|[, ceilings, inv_mu2]) of the pair rows of ``mesh``, in
+    ascending chunks of at most ``_BLOCK`` rows of one face: the one walk of
+    every pass.
 
     It takes one slab per face and each run's Horner data once (``_runs``).
-    Without a ``cut`` it norms every row, in the pieces of ``_pieces``.
-    With one, the runs are cut into tiles of ``TILE`` positions, and each
-    tile is normed at its centre, which lies half a lattice step off the
-    rows.  Every row of a tile whose centre's |f| less ``reach`` is at
-    least ``cut()`` has |f| >= ``cut()`` (see the module docstring), so
-    only the rows of the other tiles are normed, each once, by the same
-    rule and bit for bit to the same values.  ``cut()`` is read again
-    before each chunk; it may only fall.  A chunk's |f| lives in a buffer
-    that the next chunk reuses.
+    Without a ``screen`` (a ``_Screen``) it norms every row, in the pieces
+    of ``_pieces``, and yields (rows, |f|).  With one, the runs are cut into
+    tiles of ``TILE`` positions, and the walk first screens the level's
+    tiles by their centres, which lie half a lattice step off the rows:
+    every row of a tile whose centre's |f| less ``reach`` (its ``lower``)
+    is at least the pass's cut max(below, ceiling, kappa cut) has |f| at
+    least that cut (see the module docstring).  It then takes mu, through
+    the pass's ``batch_mu`` in one call per at most ``_BLOCK`` centres, at
+    the centres of the kept tiles whose centre or end rows have |f| under
+    max(ceiling, kappa cut), where the floor mu >= sqrt(n) would leave rows
+    in need of mu, and gives those tiles their bounds (``_tile_bounds``);
+    on a level too coarse for the bounds to pay (``_MU_GAIN``) it takes
+    none.
+    Only then does it expand tiles, skipping each whose ``lower`` is at
+    least ``screen.cuts`` of its bounds, read again before each group of
+    tiles.  It yields (rows, |f|, ceilings, inv_mu2), each row with its
+    tile's bounds, or (rows, |f|) where no tile of the chunk has bounds.
+    Every row it yields is normed once, by the same rule and bit for bit
+    to the same value.  A chunk's |f| may live in a buffer that the next
+    chunk reuses.
     """
     m, h = 2.0**mesh.t, (TILE - 1) / 2
     work, span, per_chunk = np.empty((3, _BLOCK)), np.arange(TILE), _BLOCK // TILE
-    if cut is not None:
-        reach = (math.sqrt(F.max_degree) * F.weyl_norm * 2.0 * math.asin(h / (2.0 * m))
-                 + _rounding_margin(F))
+    # every row of a tile lies within the angle delta of its centre
+    delta = 2.0 * math.asin(h / (2.0 * m))
+    if screen is not None:
+        reach = math.sqrt(F.max_degree) * F.weyl_norm * delta + _rounding_margin(F)
+        cut, mu_cut, kept = screen.cut(), max(screen.ceiling, screen.kappa_cut()), []
+        bounded = F.max_degree**1.5 * F.weyl_norm * delta * math.sqrt(F.n) * _MU_GAIN < 1.0
     for slab in mesh.slabs():
-        coeffs, radius2, first = _runs(F, mesh, slab)
-        row, runs = slab.row, radius2.shape[0]
-
-        def norms(r, x):
-            """|f| along the runs r at the positions x over m: one row of
-            positions per run, or one row for all of them."""
-            out = work[:, :r.size * x.shape[1]].reshape(3, r.size, x.shape[1])
-            return _horner(F, _take_runs(coeffs, r), radius2[r], x, out)
-
-        if cut is None:
+        data = _runs(F, mesh, slab)
+        row, runs, first = slab.row, data[1].shape[0], data[2]
+        if screen is None:
             for r, pos in _pieces(runs, row):
-                f = norms(r, first + pos / m)
+                f = _norm_runs(F, data, work, r, first + pos / m)
                 yield (slab.lo + r[:, None] * row + pos).ravel(), f.ravel()
             continue
-        tiles = -(-row // TILE)
+        tiles, found = -(-row // TILE), []
         centres = first + (np.arange(tiles) * TILE + h) / m
         for r, p in _pieces(runs, tiles):
-            lower = norms(r, centres[:, p]) - reach
-            at, tile = np.nonzero(lower < cut())
-            lower, at, tile = lower[at, tile], r[at], p[tile]
-            for j in range(0, at.size, per_chunk):
-                keep = lower[j:j + per_chunk] < cut()
-                kept, pos = at[j:j + per_chunk][keep], tile[j:j + per_chunk][keep]
-                if not kept.size:
-                    continue
-                pos = pos[:, None] * TILE + span
-                f = norms(kept, first + pos / m)
-                valid = pos < row
-                yield (slab.lo + kept[:, None] * row + pos)[valid], f[valid]
+            f = _norm_runs(F, data, work, r, centres[:, p])
+            lower = f - reach
+            at, tile = np.nonzero(lower < cut)
+            r, p, lower = r[at], p[tile], lower[at, tile]
+            need = f[at, tile] < mu_cut
+            # where the centre is not under it but a row may be, the end rows
+            # decide
+            maybe = np.flatnonzero(~need & (lower < mu_cut)) if bounded else at[:0]
+            for j in range(0, maybe.size, _BLOCK // 2):
+                ix = maybe[j:j + _BLOCK // 2]
+                ends = np.minimum(p[ix, None] * TILE + [0, TILE - 1], row - 1)
+                need[ix] = _norm_runs(F, data, work, r[ix], first + ends / m).min(axis=1) < mu_cut
+            found.append((r, p, lower, bounded & need))
+        kept.append((slab, data, *map(np.concatenate, zip(*found))))
+    if screen is None:
+        return
+    lower, need = (np.concatenate([k[i] for k in kept]) for i in (4, 5))
+    starts = np.concatenate([s.lo + r * s.row + p * TILE for s, _, r, p, _, _ in kept])
+    ceilings, inv_mu2 = np.full(lower.size, screen.ceiling), np.zeros(lower.size)
+    centred = np.flatnonzero(need)
+    for j in range(0, centred.size, _BLOCK):
+        at = centred[j:j + _BLOCK]
+        mus = screen.batch_mu(F, mesh.centres_at(starts[at], h), f_norm=1.0)
+        ceilings[at], inv_mu2[at] = _tile_bounds(F, mus, delta, screen.ceiling)
+    offset = 0
+    for slab, data, r, p, _, _ in kept:
+        row, first = slab.row, data[2]
+        for k in range(offset, offset + r.size, per_chunk):
+            part = slice(k, min(k + per_chunk, offset + r.size))
+            keep = k + np.flatnonzero(lower[part] < screen.cuts(ceilings[part], inv_mu2[part]))
+            if not keep.size:
+                continue
+            pos = p[keep - offset][:, None] * TILE + span
+            runs_kept = r[keep - offset]
+            f = _norm_runs(F, data, work, runs_kept, first + pos / m)
+            valid = pos < row
+            chunk = ((slab.lo + runs_kept[:, None] * row + pos)[valid], f[valid])
+            if need[keep].any():
+                chunk += tuple(np.broadcast_to(b[keep, None], pos.shape)[valid]
+                               for b in (ceilings, inv_mu2))
+            yield chunk
+        offset += r.size
 
 
 def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, batch_mu=mu_many):
     """One streamed pass over the pair rows of ``mesh``: its low rows and kappa.
 
-    Rows come in chunks of at most ``_BLOCK``, each normed by the one
-    residual rule while it is in cache, so no array spans the grid.  Of
-    each chunk the pass keeps the rows with |f| < ``below`` (``ceiling``
-    <= ``below``), and it takes mu by one rule: at the rows with |f| <
-    max(``ceiling``, kappa cut), the candidates (|f| < ``ceiling``) and the
-    kappa contenders.  ``_kappa`` never exceeds 1/sqrt(f*f), so a row with
-    |f| at or above the kappa cut (1/best)(1 + ``_KAPPA_SLACK``) cannot
-    raise the running maximum ``best``, the kappa maximum for the unit-norm
-    F.  A visit builds the pair points of its rows, calls ``batch_mu`` once
-    and folds their kappa into ``best``.  A chunk with more than
-    ``_FIRST_BLOCK`` contenders first visits its candidates with the
-    ``_FIRST_BLOCK`` contenders of least |f|, then reads the cut again and
-    visits the rest under it; any other chunk visits its rows at once.
+    Rows come from one walk (``_walk``), each normed by the one residual
+    rule while it is in cache, so no array spans the grid, and the pass
+    gathers its chunks, across faces too, into blocks of at most
+    ``_BLOCK`` rows, each closed once it holds ``_BLOCK`` / 2.  Each row
+    has a candidate ceiling, the pass's ``ceiling`` (the one at mu =
+    sqrt(n)) or its tile's lower one, and a bound mu_hi on mu, inf or its
+    tile's (``_tile_bounds``).  Of each block
+    the pass keeps the low rows: the candidates, under their ceiling, and
+    the rows with |f| < ``below``.  It takes mu by one rule: at the
+    candidates and at the kappa contenders, the rows under their kappa cut
+    (``_kappa_cuts``), whose cap 1/sqrt(mu_hi^-2 + f*f) beats the running
+    maximum ``best``, the kappa maximum for the unit-norm F.  ``_kappa``
+    never exceeds that cap, and ``best`` only rises during a pass, so a cut
+    taken earlier in it stays sound.  A visit builds the pair points of its
+    rows, calls ``batch_mu`` once and folds their kappa into ``best``.  A
+    block with more than ``_FIRST_BLOCK`` contenders first visits its
+    candidates with the ``_FIRST_BLOCK`` contenders of greatest cap, then
+    reads the cut again and visits the rest under it; any other block
+    visits its rows at once.
 
-    Every chunk comes from one walk (``_walk``).  A pass given a kappa seed
-    (``best`` > -inf) on a grid whose runs hold at least two tiles hands it
-    the cut max(``below``, that kappa cut): rows with |f| at least the cut
-    are never normed, since none of them changes a result.  Other passes
-    norm every row.
+    A pass given a kappa seed (``best`` > -inf) on a grid whose runs hold
+    at least two tiles hands its walk a ``_Screen``: rows that cannot be
+    low or contenders by their tile's centre are never normed, and the
+    rows of tiles with a centre mu carry its bounds.  Other passes norm
+    every row, and every row has the pass's ceiling and mu_hi = inf.
 
-    Returns (rows, norms, points, mus, best): the ascending pair rows with
-    |f| < ``below``, |f| at each (bit for bit that of the built mesh), the
-    pair points and mu of the candidates among them, and the maximum of
-    ``best`` and the kappa of every row, inf at a singular zero.
+    Returns (rows, norms, cand, points, mus, best): the ascending low rows,
+    |f| at each (bit for bit that of the built mesh), which of them are
+    candidates, the pair points and mu of the candidates, and the maximum
+    of ``best`` and the kappa of every row, inf at a singular zero.
     """
-    rows, norms = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    rows, norms, cands = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0, bool)]
     points, mus = [np.empty((0, mesh.n + 1))], [np.empty(0)]
 
     def kappa_cut():
@@ -510,31 +658,65 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, batch_mu=mu_many):
         best = max(best, _kappa_max(f, m))
         return X, m
 
-    def take(at, f):
-        low = np.flatnonzero(f < below)
+    def pick(bound, i):
+        """A per-row bound at the rows i; a bound shared by all rows as is."""
+        return bound if np.ndim(bound) == 0 else bound[i]
+
+    def take(at, f, ceilings=ceiling, inv_mu2=0.0):
+        if np.ndim(ceilings):
+            # only rows under the floor's cut can be low or need mu
+            i = np.flatnonzero(f < max(below, ceiling, kappa_cut()))
+            at, f, ceilings, inv_mu2 = at[i], f[i], ceilings[i], inv_mu2[i]
+        low = np.flatnonzero(f < np.maximum(ceilings, below))
         rows.append(at[low])
         norms.append(f[low])
-        todo = np.flatnonzero(f < max(ceiling, kappa_cut()))
+        cands.append(f[low] < pick(ceilings, low))
+        todo = np.flatnonzero(f < np.maximum(ceilings, _kappa_cuts(kappa_cut(), inv_mu2)))
         if not todo.size:
             return
-        # the candidates are the rows of least |f|, so they lead the first set
-        first, rest = np.count_nonzero(f[todo] < ceiling) + _FIRST_BLOCK, todo[:0]
-        if todo.size > first:
-            part = np.argpartition(f[todo], first - 1)
-            todo, rest = np.sort(todo[part[:first]]), todo[part[first:]]
-        X, m = visit(at[todo], f[todo])
-        cand = f[todo] < ceiling
+        cand, first, rest = f[todo] < pick(ceilings, todo), todo, todo[:0]
+        if todo.size - np.count_nonzero(cand) > _FIRST_BLOCK:
+            # the contenders of greatest cap; by |f| where all share mu_hi
+            contenders = todo[~cand]
+            key = (f[contenders] if np.ndim(inv_mu2) == 0
+                   else f[contenders] ** 2 + inv_mu2[contenders])
+            part = np.argpartition(key, _FIRST_BLOCK - 1)
+            first = np.sort(np.concatenate([todo[cand], contenders[part[:_FIRST_BLOCK]]]))
+            rest = contenders[part[_FIRST_BLOCK:]]
+        X, m = visit(at[first], f[first])
+        cand = f[first] < pick(ceilings, first)
         points.append(X[cand])
         mus.append(m[cand])
-        rest = np.sort(rest[f[rest] < kappa_cut()])
+        rest = np.sort(rest[f[rest] < pick(_kappa_cuts(kappa_cut(), inv_mu2), rest)])
         if rest.size:
             visit(at[rest], f[rest])
 
     screened = best > -math.inf and 2**(mesh.t + 1) - 1 >= 2 * TILE
-    for at, f in _walk(F, mesh, (lambda: max(below, kappa_cut())) if screened else None):
-        take(at, f)
-    return (np.concatenate(rows), np.concatenate(norms), np.concatenate(points),
-            np.concatenate(mus), best)
+    screen = _Screen(below, ceiling, kappa_cut, batch_mu) if screened else None
+    pending, size = [], 0
+
+    def flush():
+        nonlocal pending, size
+        if len(pending) > 1 and any(len(c) > 2 for c in pending):
+            # the rows of a chunk without tile bounds have the floor's
+            pending = [c if len(c) > 2 else (*c, np.full(c[0].size, ceiling), np.zeros(c[0].size))
+                       for c in pending]
+        take(*(np.concatenate(a) if len(pending) > 1 else a[0] for a in zip(*pending)))
+        pending, size = [], 0
+
+    for at, f, *bounds in _walk(F, mesh, screen):
+        if pending and size + at.size > _BLOCK:
+            flush()
+        size += at.size
+        # a block closes at _BLOCK / 2 rows; a chunk held open past the next
+        # one is copied, as the walk may reuse the buffer of f
+        pending.append((at, f if size >= _BLOCK // 2 else f.copy(), *bounds))
+        if size >= _BLOCK // 2:
+            flush()
+    if pending:
+        flush()
+    return (np.concatenate(rows), np.concatenate(norms), np.concatenate(cands),
+            np.concatenate(points), np.concatenate(mus), best)
 
 
 def kappa_grid(F, mesh):
@@ -593,9 +775,14 @@ def minimal_singular_perturbation(F, x):
 def mu_variation_check(F, G, x, y):
     """Sandwich bounds for mu(g, y) around mu(f, x).
 
-    With u = (max d) mu(f, x) rho(x, y) and v = mu(f, x) |f - g|, returns
+    With u = D^1.5 mu(f, x) rho(x, y) and v = mu(f, x) |f - g|, returns
     (mu(f,x)/(1 + u + v), mu(f,x)/(1 - u - v), mu(g, y)); the upper bound is
-    inf when u + v >= 1.  Both systems must have unit Weyl norm.
+    inf when u + v >= 1.  Both systems must have unit Weyl norm.  The
+    bounds are ``_mu_sandwich``'s, the tile bounds' own: 1/mu is sigma_n of
+    diag(d_i^-1/2) Dg(y) (I - y y^T), which moves by at most D^1.5 rho from
+    x to y (module docstring) and by at most |f - g| from f to g, since
+    the tangential derivative of f_i - g_i at a unit point has norm at most
+    sqrt(d_i) |f_i - g_i|_W.
     """
     for S in (F, G):
         if abs(S.weyl_norm - 1.0) > _UNIT_NORM_TOL:
@@ -604,11 +791,8 @@ def mu_variation_check(F, G, x, y):
     diff = math.sqrt(sum(
         pl.weyl_inner(p, p) - 2.0 * pl.weyl_inner(p, q) + pl.weyl_inner(q, q)
         for p, q in zip(F.polynomials, G.polynomials)))
-    u = F.max_degree * mfx * angular_distance(x, y)
-    v = mfx * diff
-    lower = mfx / (1.0 + u + v)
-    upper = math.inf if u + v >= 1.0 else mfx / (1.0 - u - v)
-    return lower, upper, mu(G, y)
+    lower, upper = _mu_sandwich(mfx, F.max_degree**1.5 * angular_distance(x, y) + diff)
+    return float(lower), float(upper), mu(G, y)
 
 
 # ---------------------------------------------------------------------------

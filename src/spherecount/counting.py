@@ -25,14 +25,19 @@ Horner's rule on the integer lattice (``condition._horner``), and only
 their low rows are kept (the candidates and the possible exclusion
 failures), so no array of a level spans the grid.  The same pass takes
 the level's kappa maximum; it builds pair points and takes mu, once per
-row, only at the candidates and at the rows where the residual bound on
-kappa can still raise that maximum.
+row, only at the candidates and at the rows where a cap on kappa can
+still raise that maximum.
 Each grid lies in the next, with the same |f| and pair point at each of
 its rows, so a level's maximum seeds the next level's, and the final
 level's is the kappa diagnostic.  That seed sets a cut on |f| above which
-a row changes no output, so every level after the first norms only the
-tiles of rows that their centres cannot show to lie above it
-(``condition._walk``): about one pair row in nine on a deep level.
+a row changes no output, so every level after the first norms its tile
+centres first and then only the tiles that their centres cannot show to
+lie above it (``condition._walk``): about one pair row in nine on a deep
+level.  On a deep enough level, a tile with rows that would need mu by
+the floor mu >= sqrt(n) takes mu at its centre before any of them is
+normed, which bounds mu over the tile, and with it the tile's candidate
+ceiling and kappa cap, so a deep level takes mu at about one pair row in
+three hundred.
 
 There is one loop.  The affine front end runs it on the homogenized
 system, whose finite roots are its zeros off the great sphere x_0 = 0,
@@ -74,10 +79,13 @@ class CertGraph:
     Every index is a pair row of the mesh, which stands for both points
     of its pair.  No array spans the grid: the level keeps its low rows,
     the candidates and the possible exclusion failures, with |f| at each.
-    ``candidates`` holds, ascending, the low rows that could pass the
-    inclusion test; ``points``, ``mus`` and ``admissible`` are their pair
-    points, mu (inf if singular) there and the test's outcome there,
-    which decides both points.  The vertices are the admissible
+    ``candidates`` holds, ascending, the low rows under their tile's
+    ceiling C_SLACK alpha*/(D^1.5 mu_lo^2), mu_lo a lower bound on mu over
+    the tile (sqrt(n) where the level has no tiles or the tile no bound),
+    so they hold every row that passes the inclusion test; ``points``,
+    ``mus`` and ``admissible`` are their pair points, mu (inf if
+    singular) there and the test's outcome there, which decides both
+    points.  The vertices are the admissible
     candidates.  ``radii`` holds the radius r0(alpha_star) mu |f| of each
     vertex's certified cap (``certification._inclusion_radius``); two
     vertices are linked when their caps, or the cap of one and the mirror
@@ -96,7 +104,7 @@ class CertGraph:
     separation: float            # least projective distance across components, or inf
     low_rows: np.ndarray         # ascending candidates and possible exclusion failures
     low_norms: np.ndarray        # residual norm per low row
-    candidates: np.ndarray       # ascending pair rows that may pass inclusion
+    candidates: np.ndarray       # ascending pair rows under their tile's ceiling
     points: np.ndarray           # pair point per candidate
     mus: np.ndarray              # mu per candidate, inf if singular
     admissible: np.ndarray       # inclusion-test outcome per candidate
@@ -115,12 +123,15 @@ class CertGraph:
 # that ceiling so rounding in the computed mu and in the test's product
 # can never drop a point that would pass: 2 is far above their relative
 # error, which is of order 1e-15.  It decides where mu is computed, never
-# an answer.
+# an answer.  A screened level lowers the ceiling over a tile whose lower
+# bound mu_lo on mu exceeds sqrt(n) to C_SLACK alpha*/(mu_lo^2 D^1.5)
+# (``condition._tile_bounds``), whose own rounding C_SLACK absorbs too.
 C_SLACK = 2.0
 
 
 def _candidate_ceiling(F):
-    """Residual below which a point may pass the inclusion test."""
+    """Residual below which a point may pass the inclusion test, from the
+    floor mu >= sqrt(n)."""
     return C_SLACK * ALPHA.alpha_star / (F.n * F.max_degree**1.5)
 
 
@@ -174,16 +185,16 @@ def _level(F, mesh, seed=-math.inf):
     at the candidates among them, with the values of an exhaustive pass
     (mu of a row does not depend on its batch), and takes the kappa
     maximum over ``seed`` and every row.  A level given a seed is screened
-    by the kappa cut that seed sets (``condition._scan``).
+    by tiles, by the kappa cut that seed sets and by each tile's bounds on
+    mu (``condition._scan``).
     """
-    ceiling = _candidate_ceiling(F)
     # the low rows are the candidates and the possible exclusion failures;
     # f < nextafter(threshold) keeps f <= threshold
-    below = max(ceiling, math.nextafter(exclusion_threshold(F, mesh.eta), math.inf))
+    below = math.nextafter(exclusion_threshold(F, mesh.eta), math.inf)
     # mu_many is looked up here, so a tracer of counting.mu_many counts every
-    # mu row of the level
-    rows, norms, points, mus, kappa = _scan(F, mesh, below, ceiling, seed, mu_many)
-    cand = norms < ceiling
+    # mu row of the level, tile centres included
+    rows, norms, cand, points, mus, kappa = _scan(F, mesh, below, _candidate_ceiling(F),
+                                                  seed, mu_many)
     candidates, f_norms = rows[cand], norms[cand]
     admissible = _admissible(f_norms, mus, F.max_degree)
     radii = _inclusion_radius(f_norms[admissible], mus[admissible])
@@ -374,8 +385,14 @@ def count_affine(affine_polys, max_t=10, threads=1):
     the lift (``pl.lift_affine``): its count is 2 components + 2, and its
     zeros are the lift's image normalize(y_0, y, |y|^2/y_0) of each refined
     zero +-(y_0, y), followed by the two poles (``pl.lifted_poles``).
-    ``threads`` is unused: the loop runs on one thread.
+    ``threads`` is unused: the loop runs on one thread.  A nonzero
+    constant equation raises ValueError, naming it and its constant.
     """
+    for i, p in enumerate(affine_polys, 1):
+        if p.degree == 0:
+            constant = p.coefficients[(0,) * p.n_vars]
+            raise ValueError(f"equation {i} is the nonzero constant {constant!r}, "
+                             "which has no root; every equation needs degree >= 1")
     F = pl.PolynomialSystem(tuple(pl.homogenize(p) for p in affine_polys))
     result = _run_loop(F, max_t=max_t, finite=True)
     zeros = []

@@ -84,9 +84,10 @@ class SphereMesh:
     each pair: the +m faces of ``build_mesh`` in order.  Pair row p is the
     only index the counting loop uses.  A pass walks the grid one face
     (``slabs``) at a time without holding it, and builds lattice points
-    (``lattice_at``) and unit points (``points_at``) only for the rows it
-    reads.  ``pair_points``, ``lattice`` and ``points`` (the whole grid)
-    are built on access.
+    (``lattice_at``), unit points (``points_at``) and the points of tile
+    centres half a step off the rows (``centres_at``) only where it reads
+    them.  ``pair_points``, ``lattice`` and ``points`` (the whole grid) are
+    built on access.
     """
 
     n: int
@@ -99,9 +100,11 @@ class SphereMesh:
             yield Slab(lo, lo + math.prod(shape), axis, shape[-1])
             lo += math.prod(shape)
 
-    def lattice_at(self, rows):
+    def lattice_at(self, rows, shift=0.0):
         """The lattice points k at the ascending pair rows ``rows``, as exact
-        floats stored by columns: k_axis = m = 2^t on the face of ``axis``."""
+        floats stored by columns: k_axis = m = 2^t on the face of ``axis``.
+        ``shift`` moves each point that many steps along its run, in the
+        face's last coordinate; a half-integer shift keeps them exact."""
         rows, n, lo = np.asarray(rows, dtype=np.int64), self.n, 0
         k = np.empty((n + 1, rows.size))
         for axis, shape in enumerate(_face_shapes(n, self.t)):
@@ -110,9 +113,17 @@ class SphereMesh:
                 cols = [c for c in range(n + 1) if c != axis]
                 for c, r, i in zip(cols, shape, np.unravel_index(rows[a:b] - lo, shape)):
                     k[c, a:b] = i - r // 2
+                if shift:
+                    k[cols[-1], a:b] += shift
                 k[axis, a:b] = 2**self.t
             lo += math.prod(shape)
         return k.T
+
+    def centres_at(self, rows, shift):
+        """The unit points of the lattice points at the ascending pair rows
+        ``rows`` moved ``shift`` steps along their runs, stored by columns:
+        the centres of tiles that start at ``rows``, which lie off the grid."""
+        return _unit(self.lattice_at(rows, shift))
 
     def points_at(self, rows):
         """The unit pair points at the ascending pair rows ``rows``, stored by columns."""
@@ -152,10 +163,11 @@ class SphereMesh:
 def _unit(k):
     """The rows k/|k| of lattice rows k, stored by columns.
 
-    |k|^2 is an exact integer in float64, so its sqrt is the correctly
-    rounded |k|, and each coordinate is the one rounded quotient k_i / |k|:
-    a point is the same, bit for bit, whatever rows it is built with, and
-    a mirror row -k gives exactly -x."""
+    |k|^2 is exact in float64 (an integer, or a multiple of 1/4 at a tile
+    centre), so its sqrt is the correctly rounded |k|, and each coordinate
+    is the one rounded quotient k_i / |k|: a point is the same, bit for
+    bit, whatever rows it is built with, and a mirror row -k gives exactly
+    -x."""
     k = np.asarray(k, float).T
     return (k / np.sqrt((k * k).sum(axis=0))).T
 

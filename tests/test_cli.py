@@ -311,6 +311,15 @@ class TestDispatch:
         assert dispatch(["--input", str(path), "count"]) == 3
         assert "polynomial is identically zero" in capsys.readouterr().err
 
+    def test_constant_affine_equation_exits_3(self, capsys, monkeypatch):
+        # 5 = 0 has no root; it is named before homogenizing, which needs
+        # degree >= 1
+        monkeypatch.setattr("sys.stdin", io.StringIO("5\n"))
+        assert dispatch(["--input", "-", "count", "--affine"]) == 3
+        err = capsys.readouterr().err
+        assert "equation 1 is the nonzero constant 5.0" in err
+        assert "degree must be" not in err
+
     def test_expression_input(self, tmp_path, capsys):
         path = tmp_path / "sys.txt"
         path.write_text("x1\nx2\n")

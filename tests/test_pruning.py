@@ -25,7 +25,7 @@ from spherecount import counting
 from spherecount.counting import (_candidate_ceiling, _level, build_graph,
                                   count_affine, exclusion_threshold,
                                   initial_eta, root_count)
-from spherecount.mesh import build_mesh
+from spherecount.mesh import SphereMesh, build_mesh
 from spherecount.polynomials import (AffinePolynomial, HomogeneousPolynomial,
                                      PolynomialSystem, evaluate_many)
 
@@ -88,23 +88,37 @@ CASES = [
 ]
 
 
-def assert_sparse_level(F, mesh, graph, f_all):
+def screened(mesh, seed):
+    """Whether a level given ``seed`` screens its grid by tiles."""
+    return seed > -math.inf and 2 ** (mesh.t + 1) - 1 >= 2 * condition.TILE
+
+
+def assert_sparse_level(F, mesh, graph, f_all, adm_all, tiles):
     """The level keeps its candidates and its possible exclusion failures,
     with the residuals and candidate points that every pair row gives, bit
-    for bit."""
-    cand = f_all < _candidate_ceiling(F)
-    low = np.nonzero(cand | (f_all <= exclusion_threshold(F, mesh.eta)))[0]
+    for bit.  The candidates are the rows under their tile's ceiling: they
+    lie under the pass ceiling and hold every admissible row, and without
+    ``tiles`` they are every row under the pass ceiling."""
+    ceiling, cand = _candidate_ceiling(F), graph.candidates
+    assert np.all(f_all[cand] < ceiling)
+    assert np.isin(np.flatnonzero(adm_all), cand).all()
+    if not tiles:
+        assert np.array_equal(cand, np.flatnonzero(f_all < ceiling))
+    low = np.union1d(cand, np.flatnonzero(f_all <= exclusion_threshold(F, mesh.eta)))
     assert np.array_equal(graph.low_rows, low)
     assert graph.low_norms.tobytes() == f_all[low].tobytes()
-    assert np.array_equal(graph.candidates, np.nonzero(cand)[0])
     assert graph.points.tobytes() == mesh.pair_points[cand].tobytes()
 
 
 @pytest.mark.parametrize("system, t", CASES)
 @pytest.mark.parametrize("seed", [-math.inf, 3.0, math.inf])
-def test_level_matches_exhaustive(system, t, seed):
+@pytest.mark.parametrize("gain", [None, 0.0])
+def test_level_matches_exhaustive(system, t, seed, gain, monkeypatch):
     """The level's sparse outputs equal an exhaustive pass over the pair
-    points, and its kappa is the exhaustive maximum raised to ``seed``."""
+    points, and its kappa is the exhaustive maximum raised to ``seed``,
+    with tile bounds on mu where they pay and on every grid (gain 0)."""
+    if gain is not None:
+        monkeypatch.setattr(condition, "_MU_GAIN", gain)
     F = system()
     n = F.n
     mesh = build_mesh(n, t)
@@ -120,7 +134,7 @@ def test_level_matches_exhaustive(system, t, seed):
         mp.setattr(counting, "mu_many", counted_mu_many)
         mp.setattr(condition, "mu_many", counted_mu_many)
         graph = _level(F, mesh, seed=seed)
-    assert_sparse_level(F, mesh, graph, f_all)
+    assert_sparse_level(F, mesh, graph, f_all, adm_all, screened(mesh, seed))
     assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert graph.kappa == max(kappa_all, seed)
@@ -144,7 +158,7 @@ def test_build_graph_matches_exhaustive(system, t):
     assert list(graph.mus) == list(mu_all[graph.candidates])
     # mu and the inclusion test are kept at the admissibility candidates only
     assert graph.mus.shape == graph.admissible.shape == graph.candidates.shape
-    assert_sparse_level(Fn, mesh, graph, f_all)
+    assert_sparse_level(Fn, mesh, graph, f_all, adm_all, False)
     assert np.array_equal(graph.vertex_indices, graph.candidates[graph.admissible])
 
 
@@ -193,9 +207,9 @@ def test_root_count_norms_each_pair_row_once():
         return horner(F, coeffs, radius2, x, out)
 
     def recorded_walk(*args):
-        for rows, f in walk(*args):
+        for rows, *rest in walk(*args):
             handed[-1].append(rows)
-            yield rows, f
+            yield rows, *rest
 
     def level(F, mesh, seed=-math.inf):
         normed[0] = 0
@@ -251,7 +265,7 @@ def test_affine_loop_matches_exhaustive():
     f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh)
     assert res.kappa_grid_estimate == kappa_all
     graph = _level(F, mesh)
-    assert_sparse_level(F, mesh, graph, f_all)
+    assert_sparse_level(F, mesh, graph, f_all, adm_all, False)
     assert np.array_equal(graph.candidates[graph.admissible], np.nonzero(adm_all)[0])
     assert np.array_equal(graph.admissible, adm_all[graph.candidates])
     assert graph.kappa == kappa_all
@@ -268,6 +282,12 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_BLOCK", 512)
         assert kappa_grid(F, mesh)[0] == full
+
+
+def residual_screen(cut):
+    """A screen by |f| alone, under ``cut``: no row is a candidate or a
+    kappa contender, so every kept tile is expanded whatever its mu."""
+    return condition._Screen(cut, 0.0, lambda: 0.0, mu_many)
 
 
 # grids of 4k to 16k pairs, so 512- and 200-row chunks split them into many;
@@ -293,8 +313,9 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
             mp.setattr(condition, "_BLOCK", block)
             # unscreened, and screened under an infinite cut, which keeps
             # every tile
-            for cut in (None, lambda: math.inf):
-                rows, streamed = zip(*((r, f.copy()) for r, f in condition._walk(F, mesh, cut)))
+            for screen in (None, residual_screen(math.inf)):
+                rows, streamed = zip(*((r, f.copy()) for r, f, *_ in
+                                       condition._walk(F, mesh, screen)))
                 for r in rows:
                     assert 0 < r.size <= block and np.all(np.diff(r) > 0)
                     first_face, last_face = np.searchsorted(face_ends, r[[0, -1]], side="right")
@@ -372,9 +393,9 @@ def test_horner_residuals_are_within_the_rounding_bound(system, t):
 
 
 def low_cut(F, mesh):
-    """A level's (below, ceiling): its low rows are under ``below``."""
-    ceiling = _candidate_ceiling(F)
-    return max(ceiling, math.nextafter(exclusion_threshold(F, mesh.eta), math.inf)), ceiling
+    """A level's (below, ceiling): its low rows are its candidates, under
+    their ceiling, and the rows under ``below``."""
+    return math.nextafter(exclusion_threshold(F, mesh.eta), math.inf), _candidate_ceiling(F)
 
 
 # n = 1..3, degrees 1..7 and mixed; the n=3 grids take 4-position tiles, so
@@ -388,22 +409,29 @@ def test_seeded_scan_matches_the_dense_pass(n, degrees, t, tile, seed):
     """A seeded pass is screened, and its rows, norms, candidate points and
     mu, and kappa equal the dense pass filtered to its low rows, bit for
     bit, whether the seed is below the grid's maximum (so the cut falls
-    during the pass), at it, or infinite."""
+    during the pass), at it, or infinite.  Its candidates, the rows under
+    their tile's ceiling, are dense candidates and hold every admissible
+    row, with tile bounds on mu taken on every grid."""
     F = random_unit_system(n, degrees, 100 * seed + 10 * n + sum(degrees))
     mesh = build_mesh(n, t)
-    f_all, mu_all, _, kappa_all = exhaustive(F, mesh)
+    f_all, mu_all, adm_all, kappa_all = exhaustive(F, mesh)
     below, ceiling = low_cut(F, mesh)
-    low = np.flatnonzero(f_all < below)
-    cand = low[f_all[low] < ceiling]
+    dense = condition._scan(F, mesh, below, ceiling)
+    assert np.array_equal(dense[0], np.flatnonzero((f_all < below) | (f_all < ceiling)))
+    assert np.array_equal(dense[0][dense[2]], np.flatnonzero(f_all < ceiling))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "TILE", tile)
+        # tile bounds on mu at every level, however coarse
+        mp.setattr(condition, "_MU_GAIN", 0.0)
         for kappa_seed in (1.0, kappa_all / 2, kappa_all, math.inf):
-            rows, norms, points, mus, best = condition._scan(F, mesh, below, ceiling,
-                                                             kappa_seed)
-            assert np.array_equal(rows, low)
-            assert norms.tobytes() == f_all[low].tobytes()
-            assert points.tobytes() == mesh.pair_points[cand].tobytes()
-            assert mus.tobytes() == mu_all[cand].tobytes()
+            rows, norms, cand, points, mus, best = condition._scan(F, mesh, below, ceiling,
+                                                                   kappa_seed)
+            assert np.all(f_all[rows[cand]] < ceiling)
+            assert np.isin(np.flatnonzero(adm_all), rows[cand]).all()
+            assert np.array_equal(rows, np.union1d(rows[cand], np.flatnonzero(f_all < below)))
+            assert norms.tobytes() == f_all[rows].tobytes()
+            assert points.tobytes() == mesh.pair_points[rows[cand]].tobytes()
+            assert mus.tobytes() == mu_all[rows[cand]].tobytes()
             assert best == max(kappa_seed, kappa_all)
 
 
@@ -448,7 +476,7 @@ def test_zero_on_a_tile_edge_is_kept(k):
     for seed in (1.0, kappa_all):
         graph = _level(F, mesh, seed=seed)
         assert row in graph.low_rows
-        assert_sparse_level(F, mesh, graph, f_all)
+        assert_sparse_level(F, mesh, graph, f_all, adm_all, True)
         assert np.array_equal(graph.vertex_indices, np.nonzero(adm_all)[0])
         assert np.array_equal(graph.mus, mu_all[graph.candidates])
         assert graph.kappa == max(seed, kappa_all)
@@ -479,7 +507,7 @@ def test_screen_skips_only_rows_at_or_above_the_cut(n, degrees, t, seed, tile, m
     f_all = np.concatenate(face_norms(F, mesh))
 
     def kept(cut):
-        return np.concatenate([r for r, _ in condition._walk(F, mesh, lambda: cut)])
+        return np.concatenate([r for r, *_ in condition._walk(F, mesh, residual_screen(cut))])
 
     for cut in np.quantile(f_all, [0.02, 0.2]):
         skipped = np.setdiff1d(np.arange(f_all.size), kept(cut))
@@ -533,6 +561,15 @@ def test_empty_and_one_point_batches(n, rng):
     assert kappa_many(F, x[None, :]).shape == (1,)
     identity = [[np.array([float(i == k)]) for i in range(n)] for k in range(n)]
     assert np.array_equal(_sigma_min_columns(identity), [1.0])
+    mesh = build_mesh(n, 5)
+    assert mesh.centres_at(np.empty(0, dtype=np.int64), 7.5).shape == (0, n + 1)
+    assert mesh.centres_at([0], 0.0).tobytes() == mesh.points_at([0]).tobytes()
+    centre = mesh.centres_at([0], 7.5)
+    assert centre.shape == (1, n + 1) and mesh.points_at([8])[0] @ centre[0] > 0.9999
+    ceilings, inv_mu2 = condition._tile_bounds(F, np.empty(0), 0.1, 0.04)
+    assert ceilings.shape == inv_mu2.shape == (0,)
+    ceilings, inv_mu2 = condition._tile_bounds(F, mu_many(F, centre, f_norm=1.0), 0.0, 0.04)
+    assert ceilings.shape == inv_mu2.shape == (1,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,52 +589,111 @@ def test_rows_are_independent(n, seed, size, data):
     assert np.all(full >= math.sqrt(n) * (1.0 - 1e-12))
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**16), t=st.integers(5, 9), data=st.data())
+def test_tile_bounds_hold_at_the_tile_geometry(n, seed, t, data):
+    """On a random tile of a random run, mu at every row lies in the
+    widened sandwich around mu at the tile's centre, half a step off the
+    rows, and no row the tile's bounds prune is one the computed inclusion
+    test or kappa would keep: at the least |f| each bound prunes, the
+    row's ceiling and its kappa cut, ``_admissible`` fails and ``_kappa``
+    does not beat ``best``."""
+    degrees = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    F = random_unit_system(n, degrees, seed)
+    mesh = SphereMesh(n, t)   # the rows only, so no grid-size cap
+    slab = data.draw(st.sampled_from(list(mesh.slabs())))
+    run = data.draw(st.integers(0, (slab.hi - slab.lo) // slab.row - 1))
+    tile = data.draw(st.integers(0, -(-slab.row // condition.TILE) - 1))
+    pos = tile * condition.TILE + np.arange(condition.TILE)
+    rows = slab.lo + run * slab.row + pos[pos < slab.row]
+    m, h = 2.0**t, (condition.TILE - 1) / 2
+    delta = 2.0 * math.asin(h / (2.0 * m))
+    centre = mesh.centres_at([slab.lo + run * slab.row + pos[0]], h)
+    X = mesh.points_at(rows)
+    assert np.all(np.linalg.norm(X - centre, axis=1) <= 2.0 * math.sin(delta / 2.0) + 1e-15)
+    mu_c = mu_many(F, centre, f_norm=1.0)
+    mus = mu_many(F, X, f_norm=1.0)
+    lo, hi = condition._mu_sandwich(mu_c, F.max_degree**1.5 * F.weyl_norm * delta,
+                                    condition._MU_SLACK)
+    assert np.all((lo <= mus) & (mus <= hi))
+    ceilings, inv_mu2 = condition._tile_bounds(F, mu_c, delta, _candidate_ceiling(F))
+    assert not _admissible(np.broadcast_to(ceilings, mus.shape), mus, F.max_degree).any()
+    best = data.draw(st.floats(0.5, 2.0 * float(mus.max()) if np.isfinite(mus.max()) else 1e3))
+    cut = condition._kappa_cuts((1.0 / best) * (1.0 + condition._KAPPA_SLACK), inv_mu2)
+    assert np.all(condition._kappa(np.broadcast_to(cut, mus.shape), mus) <= best)
+
+
 @pytest.mark.parametrize("system, t", [CASES[0], CASES[3], CASES[5]])
 @pytest.mark.parametrize("block", [1, 2, 8])
-def test_scan_visits_each_contender_once(system, t, block):
-    """Whatever ``_FIRST_BLOCK`` and the seed, a pass takes mu at no row
-    twice and at every row whose bound 1/sqrt(f*f) beats its result, and
-    that result is the exhaustive kappa maximum, bit for bit."""
+def test_scan_visits_each_contender_once(system, t, block, monkeypatch):
+    """Whatever ``_FIRST_BLOCK`` and the seed, a pass takes mu at no row or
+    tile centre twice, and its result is the exhaustive kappa maximum, bit
+    for bit.  An unscreened pass takes mu at every row whose bound
+    1/sqrt(f*f) beats that result; a screened one at the first row, in row
+    order, whose kappa is the maximum, where that beats the seed.  Tile
+    bounds on mu are taken on every grid."""
+    monkeypatch.setattr(condition, "_MU_GAIN", 0.0)
     F = system()
     mesh = build_mesh(F.n, t)
-    f_all, _, _, kappa_all = exhaustive(F, mesh)
+    f_all, mu_all, _, kappa_all = exhaustive(F, mesh)
+    kappa_rows = condition._kappa(f_all, mu_all)
     with np.errstate(divide="ignore"):
         bounds = 1.0 / np.sqrt(f_all * f_all)
     row_of = {x.tobytes(): i for i, x in enumerate(mesh.pair_points)}
     for below, ceiling in ((0.0, 0.0), low_cut(F, mesh)):
         for seed in (-math.inf, 1.0, kappa_all / 2, kappa_all):
-            visited = []
+            visited, centres = [], []
 
             def counted_mu_many(G, X, **kw):
-                visited.extend(row_of[x.tobytes()] for x in X)
+                for x in X:
+                    (visited.append(row_of[x.tobytes()]) if x.tobytes() in row_of
+                     else centres.append(x.tobytes()))
                 return mu_many(G, X, **kw)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(condition, "_FIRST_BLOCK", block)
-                mp.setattr(condition, "mu_many", counted_mu_many)
                 best = condition._scan(F, mesh, below, ceiling, seed, counted_mu_many)[-1]
             assert best == max(seed, kappa_all)
             assert len(visited) == len(set(visited))
-            assert set(np.flatnonzero(bounds > best).tolist()) <= set(visited)
+            assert len(centres) == len(set(centres))
+            if not screened(mesh, seed):
+                assert not centres
+                assert set(np.flatnonzero(bounds > best).tolist()) <= set(visited)
+            elif kappa_all > seed:
+                assert np.flatnonzero(kappa_rows == kappa_all)[0] in visited
 
 
-@pytest.mark.parametrize("t, seeded", [(3, False), (6, True)])
-def test_level_takes_mu_once_per_chunk(t, seeded):
-    """A chunk with at most ``_FIRST_BLOCK`` kappa contenders beyond its
-    candidates takes mu in one call: the level calls its mu function once
-    for each chunk with rows under max(ceiling, kappa cut), at those rows,
-    for a dense level and for a seeded, screened one."""
+@pytest.mark.parametrize("t, seeded", [(3, False), (7, True)])
+def test_level_takes_mu_once_per_block(t, seeded):
+    """The pass gathers the walk's chunks, across faces, into blocks of at
+    most ``_BLOCK`` rows, each closed once it holds ``_BLOCK`` / 2, and a
+    block with at most ``_FIRST_BLOCK`` kappa contenders beyond its
+    candidates takes mu in one call.  The walk calls the level's mu
+    function once per at most ``_BLOCK`` tile centres, and the pass once
+    for each block with rows under their ceiling or their kappa cut, at
+    those rows, for a dense level and for a seeded, screened one.  The
+    dense n=2 t=3 level, 769 pairs on three faces, makes one call."""
     F = gaussian(2, (2, 2), 4000)()
     mesh = build_mesh(2, t)
     f_all, mu_all, _, _ = exhaustive(F, mesh)
     seed = _level(F, build_mesh(2, t - 1)).kappa if seeded else -math.inf
-    chunks, calls = [], []
+    row_of = {x.tobytes(): i for i, x in enumerate(mesh.pair_points)}
+    ceiling, chunks, calls, centre_calls = _candidate_ceiling(F), [], [], []
     walk = condition._walk
 
     def recorded_walk(*args):
-        for at, f in walk(*args):
-            chunks.append(at.copy())
-            yield at, f
+        """The walk, with the mu calls it makes itself, at tile centres."""
+        steps = walk(*args)
+        while True:
+            made = len(calls)
+            chunk = next(steps, None)
+            centre_calls.extend(calls[made:])
+            if chunk is None:
+                return
+            # a chunk without tile bounds has the floor's
+            at = chunk[0].copy()
+            chunks.append((at, *(chunk[2:] or (np.full(at.size, ceiling), np.zeros(at.size)))))
+            yield chunk
 
     def counted_mu_many(G, X, **kw):
         calls.append(X.copy())
@@ -608,14 +704,54 @@ def test_level_takes_mu_once_per_chunk(t, seeded):
         mp.setattr(counting, "mu_many", counted_mu_many)
         mp.setattr(condition, "mu_many", counted_mu_many)
         _level(F, mesh, seed=seed)
-    ceiling, best, expected = _candidate_ceiling(F), seed, []
-    for at in chunks:
+    blocks, size = [[]], 0
+    for chunk in chunks:
+        if blocks[-1] and size + chunk[0].size > condition._BLOCK:
+            blocks.append([])
+            size = 0
+        blocks[-1].append(chunk)
+        size += chunk[0].size
+        if size >= condition._BLOCK // 2:
+            blocks.append([])
+            size = 0
+    blocks = [b for b in blocks if b]
+
+    def kappa_cuts(best, inv_mu2):
         cut = math.inf if best == -math.inf else (1.0 / best) * (1.0 + condition._KAPPA_SLACK)
-        visit = at[f_all[at] < max(ceiling, cut)]
-        assert np.count_nonzero(f_all[visit] >= ceiling) <= condition._FIRST_BLOCK
-        if visit.size:
-            expected.append(visit)
-            best = max(best, _kappa_max(f_all[visit], mu_all[visit]))
-    assert len(expected) > 1 and len(calls) == len(expected)
-    for X, visit in zip(calls, expected):
-        assert X.tobytes() == mesh.pair_points[visit].tobytes()
+        return np.sqrt(np.maximum(cut * cut - inv_mu2, 0.0))
+
+    assert all(X.shape[0] <= condition._BLOCK for X in centre_calls)
+    best = seed
+    rows_of = iter([X for X in calls if not any(X is c for c in centre_calls)])
+    for block in blocks:
+        at = np.concatenate([c[0] for c in block])
+        f = f_all[at]
+        ceilings, inv_mu2 = (np.concatenate([c[i] for c in block]) for i in (1, 2))
+        cand = f < ceilings
+        contend = ~cand & (f < kappa_cuts(best, inv_mu2))
+        if not (cand | contend).any():
+            continue
+        visit = at[cand | contend]
+        if np.count_nonzero(contend) > condition._FIRST_BLOCK:
+            # the candidates and the contenders of greatest cap, then the
+            # rest under the raised cut
+            visit = next(rows_of)
+            first = np.searchsorted(at, [row_of[x.tobytes()] for x in visit])
+            cap = (f * f + inv_mu2)[contend]
+            chosen = contend & np.isin(np.arange(at.size), first)
+            assert np.array_equal(first, np.flatnonzero(cand | chosen))
+            assert np.count_nonzero(chosen) == condition._FIRST_BLOCK
+            assert (f * f + inv_mu2)[chosen].max() <= np.delete(cap, np.flatnonzero(
+                chosen[contend])).min()
+            best = max(best, _kappa_max(f[first], mu_all[at[first]]))
+            contend &= ~chosen & (f < kappa_cuts(best, inv_mu2))
+            visit = at[contend]
+            if not visit.size:
+                continue
+        assert next(rows_of).tobytes() == mesh.pair_points[visit].tobytes()
+        best = max(best, _kappa_max(f_all[visit], mu_all[visit]))
+    assert next(rows_of, None) is None
+    if seeded:
+        assert len(blocks) > 1 and centre_calls
+    else:
+        assert len(calls) == 1 and mesh.count // 2 == 769
