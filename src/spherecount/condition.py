@@ -492,14 +492,10 @@ class _Screen(NamedTuple):
     kappa_cut: object
     batch_mu: object
 
-    def cut(self):
-        """|f| at or above which a row changes no output by the floor
-        mu >= sqrt(n) and mu_hi = inf."""
-        return max(self.below, self.ceiling, self.kappa_cut())
-
     def cuts(self, ceilings, inv_mu2):
-        """The same for the rows of tiles with these bounds: candidate
-        ceilings and mu_hi^-2."""
+        """|f| at or above which a row of a tile with these bounds (its
+        candidate ceiling and mu_hi^-2) changes no output; the floor's cut
+        at (ceiling, 0)."""
         return np.maximum(np.maximum(self.below, ceilings),
                           _kappa_cuts(self.kappa_cut(), inv_mu2))
 
@@ -539,8 +535,7 @@ def _walk(F, mesh, screen=None):
     max(ceiling, kappa cut), where the floor mu >= sqrt(n) would leave rows
     in need of mu, and gives those tiles their bounds (``_tile_bounds``);
     on a level too coarse for the bounds to pay (``_MU_GAIN``) it takes
-    none.
-    Only then does it expand tiles, skipping each whose ``lower`` is at
+    none.  Only then does it expand tiles, skipping each whose ``lower`` is at
     least ``screen.cuts`` of its bounds, read again before each group of
     tiles.  It yields (rows, |f|, ceilings, inv_mu2), each row with its
     tile's bounds, or (rows, |f|) where no tile of the chunk has bounds.
@@ -554,7 +549,8 @@ def _walk(F, mesh, screen=None):
     delta = 2.0 * math.asin(h / (2.0 * m))
     if screen is not None:
         reach = math.sqrt(F.max_degree) * F.weyl_norm * delta + _rounding_margin(F)
-        cut, mu_cut, kept = screen.cut(), max(screen.ceiling, screen.kappa_cut()), []
+        cut, kept = screen.cuts(screen.ceiling, 0.0), []
+        mu_cut = max(screen.ceiling, screen.kappa_cut())
         bounded = F.max_degree**1.5 * F.weyl_norm * delta * math.sqrt(F.n) * _MU_GAIN < 1.0
     for slab in mesh.slabs():
         data = _runs(F, mesh, slab)
