@@ -347,6 +347,9 @@ def _run(args):
 
     if cmd == "mc-kappa":
         degrees = tuple(int(d) for d in args.degrees.split(","))
+        if len(degrees) != args.n:
+            raise ValueError(f"--degrees lists {len(degrees)} degrees, but --n {args.n} "
+                             f"needs {args.n}, one per equation")
         # checks sigma before any trial runs
         smoothed = (None if args.sigma is None
                     else smoothed_ln_kappa_bound(args.n, degrees, args.sigma))

@@ -30,14 +30,15 @@ still raise that maximum.
 Each grid lies in the next, with the same |f| and pair point at each of
 its rows, so a level's maximum seeds the next level's, and the final
 level's is the kappa diagnostic.  That seed sets a cut on |f| above which
-a row changes no output, so every level after the first norms its tile
-centres first and then only the tiles that their centres cannot show to
-lie above it (``condition._walk``): about one pair row in nine on a deep
-level.  On a deep enough level, a tile with rows that would need mu by
-the floor mu >= sqrt(n) takes mu at its centre before any of them is
-normed, which bounds mu over the tile, and with it the tile's candidate
-ceiling and kappa cap, so a deep level takes mu at about one pair row in
-three hundred.
+a row changes no output, so every level after the first whose runs are
+long enough norms its tile centres first, one per tile of a few positions
+of a few adjacent runs, and then only the tiles that their centres
+cannot show to lie above it (``condition._walk``): about one pair row in
+45, centres included, on the t=9 level of a Gaussian (2,2) system.  On a
+deep enough level, a tile whose rows might need mu by the floor mu >=
+sqrt(n) takes mu at its centre before any of them is normed, which bounds
+mu over the tile, and with it the tile's candidate ceiling and kappa cap,
+so that t=9 level takes mu at about one pair row in eight hundred.
 
 There is one loop.  The affine front end runs it on the homogenized
 system, whose finite roots are its zeros off the great sphere x_0 = 0,

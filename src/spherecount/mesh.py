@@ -68,12 +68,15 @@ def mesh_count_bound(n, t):
 class Slab(NamedTuple):
     """The pair rows ``lo:hi`` of the +m face of ``axis``, in runs of ``row``
     pair rows: the face's last coordinate moves over its whole range along
-    each run, and the other coordinates are fixed."""
+    each run, and the other coordinates are fixed.  Consecutive runs form
+    lines of ``line`` runs, along which the face's second-last coordinate
+    moves one step from run to run (one run per line for n = 1)."""
 
     lo: int
     hi: int
     axis: int
     row: int
+    line: int
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class SphereMesh:
         """One slab per +m face, in row order."""
         lo = 0
         for axis, shape in enumerate(_face_shapes(self.n, self.t)):
-            yield Slab(lo, lo + math.prod(shape), axis, shape[-1])
+            yield Slab(lo, lo + math.prod(shape), axis, shape[-1], ([1] + shape)[-2])
             lo += math.prod(shape)
 
     def lattice_at(self, rows, shift=0.0):

@@ -223,6 +223,12 @@ class TestDispatch:
         assert code == 0
         assert doc["kappa_grid"] >= 1.0
 
+    @pytest.mark.parametrize("t", ["0", "1"])
+    def test_kappa_on_the_coarsest_grids(self, sys_json, capsys, t):
+        # a grid too coarse for a screening tile takes no tile geometry
+        assert dispatch(["--input", sys_json, "kappa", "--t", t]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa_grid"] >= 1.0
+
     def test_kappa_matches_the_count_estimate(self, tmp_path, capsys):
         # the Gaussian (2,2) system of seed 4002 stops at t=3; kappa takes the
         # grid maximum for the system once normalized, as the loop does
@@ -285,6 +291,21 @@ class TestDispatch:
             assert dispatch(["mc-kappa", "--trials", "3", "--t", "2",
                              "--sigma", sigma]) == 3
             assert "sigma must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_mc_kappa_rejects_degrees_of_another_length(self, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before --degrees was checked")
+
+        monkeypatch.setattr("spherecount.cli.monte_carlo_ln_kappa", no_trials)
+        assert dispatch(["mc-kappa", "--n", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --degrees lists 3 degrees, but --n 2 needs 2, "
+                                "one per equation\n")
+
+    def test_mc_kappa_at_t1(self, capsys):
+        assert dispatch(["mc-kappa", "--n", "3", "--trials", "2", "--t", "1"]) == 0
+        assert capsys.readouterr().out.startswith("trial,ln_kappa_estimate")
 
     def test_mc_kappa_csv(self, capsys):
         code = dispatch(["--seed", "5", "mc-kappa", "--n", "3", "--degrees",

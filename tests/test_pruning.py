@@ -90,7 +90,7 @@ CASES = [
 
 def screened(mesh, seed):
     """Whether a level given ``seed`` screens its grid by tiles."""
-    return seed > -math.inf and 2 ** (mesh.t + 1) - 1 >= 2 * condition.TILE
+    return seed > -math.inf and 2 ** (mesh.t + 1) - 1 >= 4 * condition.TILE
 
 
 def assert_sparse_level(F, mesh, graph, f_all, adm_all, tiles):
@@ -229,7 +229,7 @@ def test_root_count_norms_each_pair_row_once():
     for mesh, rows_normed, rows in levels:
         pairs = mesh.count // 2
         assert np.all(np.diff(rows) > 0) and rows[-1] < pairs
-        if 2 ** (mesh.t + 1) - 1 < 2 * condition.TILE:
+        if not screened(mesh, 0.0):
             assert rows_normed == rows.size == pairs
         else:
             assert rows.size < rows_normed < pairs
@@ -282,6 +282,18 @@ def test_kappa_grid_matches_exhaustive(n, degrees, seed, t):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_BLOCK", 512)
         assert kappa_grid(F, mesh)[0] == full
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [0, 1])
+def test_coarsest_grids_take_no_tile_geometry(n, t):
+    """At t = 0 and 1 no screening tile fits in a run, and kappa_grid and a
+    seeded level take their maximum over every point of the grid."""
+    F = sample_gaussian_system(n, (2,) * n, 20 + n)
+    mesh = build_mesh(n, t)
+    full = whole_grid_kappa(F.normalized(), mesh)
+    assert kappa_grid(F, mesh)[0] == full
+    assert _level(F.normalized(), mesh, seed=1.0).kappa == max(1.0, full)
 
 
 def residual_screen(cut):
@@ -398,12 +410,12 @@ def low_cut(F, mesh):
     return math.nextafter(exclusion_threshold(F, mesh.eta), math.inf), _candidate_ceiling(F)
 
 
-# n = 1..3, degrees 1..7 and mixed; the n=3 grids take 4-position tiles, so
+# n = 1..3, degrees 1..7 and mixed; the n=3 grids take 2-position tiles, so
 # that grids of 20k pairs are screened
 @pytest.mark.parametrize("n, degrees, t, tile", [
-    *[(n, (d,) * n, t, tile) for n, t, tile in ((1, 10, 16), (2, 5, 16), (3, 3, 4))
+    *[(n, (d,) * n, t, tile) for n, t, tile in ((1, 10, 8), (2, 5, 8), (3, 3, 2))
       for d in range(1, 8)],
-    (2, (4, 5), 5, 16), (2, (3, 2), 5, 16), (2, (1, 7), 5, 16), (3, (2, 3, 4), 3, 4)])
+    (2, (4, 5), 5, 8), (2, (3, 2), 5, 8), (2, (1, 7), 5, 8), (3, (2, 3, 4), 3, 2)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_seeded_scan_matches_the_dense_pass(n, degrees, t, tile, seed):
     """A seeded pass is screened, and its rows, norms, candidate points and
@@ -423,6 +435,7 @@ def test_seeded_scan_matches_the_dense_pass(n, degrees, t, tile, seed):
         mp.setattr(condition, "TILE", tile)
         # tile bounds on mu at every level, however coarse
         mp.setattr(condition, "_MU_GAIN", 0.0)
+        assert screened(mesh, 1.0)
         for kappa_seed in (1.0, kappa_all / 2, kappa_all, math.inf):
             rows, norms, cand, points, mus, best = condition._scan(F, mesh, below, ceiling,
                                                                    kappa_seed)
@@ -453,12 +466,16 @@ def test_kappa_cut_keeps_rows_an_ulp_under_it(n, t):
 
 
 def tile_edge_zeros(m):
-    """Lattice points k on +m faces of the n=2 grid at an edge of their tile:
-    the first and last positions of a tile, the lone row of a run's last
-    tile (axis 0, whose runs hold 2m+1 rows) and the last row of a short
-    last tile (axis 2, 2m-1 rows).  A tile's centre is 7.5 steps away."""
-    edges = [(m, k1, pos - m) for k1 in (0, 5, 1 - m) for pos in (0, 15, 16, 31, 2 * m)]
-    return edges + [(k0, pos - (m - 1), m) for k0 in (0, -3) for pos in (0, 15, 16, 2 * m - 2)]
+    """Lattice points k on +m faces of the n=2 grid at an edge of their tile,
+    along its runs and across them.  On axis 0, runs hold 2m+1 rows and lines
+    2m+1 runs, so a run's last tile is its lone last row and a line's last
+    group of runs is short (three runs for m = 64); on axis 2, runs hold
+    2m-1 rows and lines 2m-1 runs, so a run's last tile is short and a
+    line's last group is one run.  k takes the first and last positions of
+    a tile, and the first and last runs of a group."""
+    edges = [(m, k1, pos - m) for k1 in (0, -m, 8 - m, m - 2, m) for pos in (0, 7, 8, 2 * m)]
+    return edges + [(k0, pos - (m - 1), m) for k0 in (0, 1 - m, 9 - m, m - 1)
+                    for pos in (0, 7, 8, 2 * m - 2)]
 
 
 @pytest.mark.parametrize("k", tile_edge_zeros(64))
@@ -482,6 +499,28 @@ def test_zero_on_a_tile_edge_is_kept(k):
         assert graph.kappa == max(seed, kappa_all)
 
 
+# runs of the axis-0 face of the t=6 grid: the first and last runs of the
+# first group of its line, of a group near the face's centre, where a step
+# across runs is an angle of almost 1/m, and of the line's short last group
+@pytest.mark.parametrize("run", [0, 8, 63, 71, 126, 128])
+def test_run_of_near_zeros_is_kept_wherever_it_sits_in_its_group(run):
+    """An n=2 system whose first equation vanishes on every row of one run
+    of the axis-0 face and whose second is tiny there: |f| is at most about
+    1e-6 along that run and grows across runs almost at the Lipschitz rate
+    the screen assumes, so a screen under the cut 1e-4 keeps every row of
+    the run, whichever run of its group it is."""
+    m = 64
+    mesh = build_mesh(2, 6)
+    k1 = float(run - m)
+    F = PolynomialSystem((HomogeneousPolynomial(3, 1, {(1, 0, 0): k1, (0, 1, 0): -float(m)}),
+                          HomogeneousPolynomial(3, 1, {(0, 0, 1): 1e-6}))).normalized()
+    slab = next(mesh.slabs())
+    rows = slab.lo + run * slab.row + np.arange(slab.row)
+    assert slab.axis == 0 and np.all(np.concatenate(face_norms(F, mesh))[rows] < 1e-4)
+    kept = np.concatenate([r for r, *_ in condition._walk(F, mesh, residual_screen(1e-4))])
+    assert np.isin(rows, kept).all() and kept.size < mesh.count // 2 // 4
+
+
 def exact_norm2(F, k):
     """|f|^2 at the pair point of the integer lattice point k, exactly."""
     k = [int(v) for v in k]
@@ -495,12 +534,12 @@ def exact_norm2(F, k):
 
 
 @pytest.mark.parametrize("n, degrees, t, seed, tile", [
-    (1, (3,), 9, 0, 16), (1, (7,), 9, 1, 16), (2, (2, 2), 5, 2, 16), (2, (3, 2), 6, 3, 16),
+    (1, (3,), 9, 0, 8), (1, (7,), 9, 1, 8), (2, (2, 2), 5, 2, 8), (2, (3, 2), 6, 3, 8),
     (3, (2, 2, 2), 4, 4, 4)])
 def test_screen_skips_only_rows_at_or_above_the_cut(n, degrees, t, seed, tile, monkeypatch):
     """Every row the screen does not norm has |f| >= the cut, by the residual
     rule and exactly; a row just under the cut is normed, wherever it sits
-    in its tile."""
+    in its tile, along its run and across runs."""
     monkeypatch.setattr(condition, "TILE", tile)
     F = random_unit_system(n, degrees, seed)
     mesh = build_mesh(n, t)
@@ -514,14 +553,18 @@ def test_screen_skips_only_rows_at_or_above_the_cut(n, degrees, t, seed, tile, m
         assert skipped.size and np.all(f_all[skipped] >= cut)
         closest = np.sort(skipped[np.argsort(f_all[skipped])[:50]])
         assert all(exact_norm2(F, k) >= Fraction(cut) ** 2 for k in mesh.lattice_at(closest))
-    # per position in a tile, the row whose |f| falls most steeply to it
-    faces = mesh.slabs()
-    positions = np.concatenate([(np.arange(s.lo, s.hi) - s.lo) % s.row for s in faces])
+    # per place in a tile, its position along a run and its run in a line,
+    # the row whose |f| falls most steeply to it along its run
+    faces = list(mesh.slabs())
+    positions = np.concatenate([np.arange(s.hi - s.lo) % s.row for s in faces])
+    runs = np.concatenate([np.arange(s.hi - s.lo) // s.row % s.line % condition.TILE_RUNS
+                           for s in faces])
     steep = np.abs(np.diff(f_all, prepend=f_all[0])) * (positions > 0)
     for offset in range(tile):
-        at = np.flatnonzero(positions % tile == offset)
-        row = at[np.argmax(steep[at])]
-        assert row in kept(math.nextafter(f_all[row], math.inf))
+        for run in np.unique(runs):
+            at = np.flatnonzero((positions % tile == offset) & (runs == run))
+            row = at[np.argmax(steep[at])]
+            assert row in kept(math.nextafter(f_all[row], math.inf))
 
 
 @pytest.mark.parametrize("n, degrees, t", [(1, (3,), 6), (2, (2, 2), 4), (3, (2, 3, 2), 2)])
@@ -592,23 +635,28 @@ def test_rows_are_independent(n, seed, size, data):
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 3), seed=st.integers(0, 2**16), t=st.integers(5, 9), data=st.data())
 def test_tile_bounds_hold_at_the_tile_geometry(n, seed, t, data):
-    """On a random tile of a random run, mu at every row lies in the
-    widened sandwich around mu at the tile's centre, half a step off the
-    rows, and no row the tile's bounds prune is one the computed inclusion
-    test or kappa would keep: at the least |f| each bound prunes, the
-    row's ceiling and its kappa cut, ``_admissible`` fails and ``_kappa``
-    does not beat ``best``."""
+    """On a random tile, ``TILE`` positions of each run of a group of up to
+    ``TILE_RUNS`` runs of a line (a line's short last group and a run's
+    short last tile included), every row lies within the tile's angle
+    delta of its centre, half a step off the group's middle run; mu at
+    every row lies in the widened sandwich around mu at the centre; and no
+    row the tile's bounds prune is one the computed inclusion test or kappa
+    would keep: at the least |f| each bound prunes, the row's ceiling and
+    its kappa cut, ``_admissible`` fails and ``_kappa`` does not beat
+    ``best``."""
     degrees = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
     F = random_unit_system(n, degrees, seed)
     mesh = SphereMesh(n, t)   # the rows only, so no grid-size cap
+    group, h, delta = condition._tile_shape(mesh)
     slab = data.draw(st.sampled_from(list(mesh.slabs())))
-    run = data.draw(st.integers(0, (slab.hi - slab.lo) // slab.row - 1))
-    tile = data.draw(st.integers(0, -(-slab.row // condition.TILE) - 1))
+    line = data.draw(st.integers(0, (slab.hi - slab.lo) // slab.row // slab.line - 1))
+    groups, tiles = -(-slab.line // group), -(-slab.row // condition.TILE)
+    g = data.draw(st.just(groups - 1) | st.integers(0, groups - 1))
+    tile = data.draw(st.just(tiles - 1) | st.integers(0, tiles - 1))
+    runs = line * slab.line + np.arange(g * group, min(g * group + group, slab.line))
     pos = tile * condition.TILE + np.arange(condition.TILE)
-    rows = slab.lo + run * slab.row + pos[pos < slab.row]
-    m, h = 2.0**t, (condition.TILE - 1) / 2
-    delta = 2.0 * math.asin(h / (2.0 * m))
-    centre = mesh.centres_at([slab.lo + run * slab.row + pos[0]], h)
+    rows = (slab.lo + runs[:, None] * slab.row + pos[pos < slab.row]).ravel()
+    centre = mesh.centres_at([slab.lo + runs[(runs.size - 1) // 2] * slab.row + pos[0]], h)
     X = mesh.points_at(rows)
     assert np.all(np.linalg.norm(X - centre, axis=1) <= 2.0 * math.sin(delta / 2.0) + 1e-15)
     mu_c = mu_many(F, centre, f_norm=1.0)
@@ -663,8 +711,10 @@ def test_scan_visits_each_contender_once(system, t, block, monkeypatch):
                 assert np.flatnonzero(kappa_rows == kappa_all)[0] in visited
 
 
-@pytest.mark.parametrize("t, seeded", [(3, False), (7, True)])
-def test_level_takes_mu_once_per_block(t, seeded):
+# the seeded level is one whose screened rows make two blocks and whose
+# tiles take centre mu
+@pytest.mark.parametrize("system_seed, t, seeded", [(4000, 3, False), (4003, 8, True)])
+def test_level_takes_mu_once_per_block(system_seed, t, seeded):
     """The pass gathers the walk's chunks, across faces, into blocks of at
     most ``_BLOCK`` rows, each closed once it holds ``_BLOCK`` / 2, and a
     block with at most ``_FIRST_BLOCK`` kappa contenders beyond its
@@ -673,11 +723,15 @@ def test_level_takes_mu_once_per_block(t, seeded):
     for each block with rows under their ceiling or their kappa cut, at
     those rows, for a dense level and for a seeded, screened one.  The
     dense n=2 t=3 level, 769 pairs on three faces, makes one call."""
-    F = gaussian(2, (2, 2), 4000)()
+    F = gaussian(2, (2, 2), system_seed)()
     mesh = build_mesh(2, t)
-    f_all, mu_all, _, _ = exhaustive(F, mesh)
+    f_all = np.concatenate(face_norms(F, mesh))
+
+    def mu_at(rows):
+        """mu at the pair rows ``rows``: a row's mu does not depend on its batch."""
+        return mu_many(F, mesh.points_at(rows), f_norm=1.0)
+
     seed = _level(F, build_mesh(2, t - 1)).kappa if seeded else -math.inf
-    row_of = {x.tobytes(): i for i, x in enumerate(mesh.pair_points)}
     ceiling, chunks, calls, centre_calls = _candidate_ceiling(F), [], [], []
     walk = condition._walk
 
@@ -736,20 +790,21 @@ def test_level_takes_mu_once_per_block(t, seeded):
             # the candidates and the contenders of greatest cap, then the
             # rest under the raised cut
             visit = next(rows_of)
-            first = np.searchsorted(at, [row_of[x.tobytes()] for x in visit])
+            row_of = {x.tobytes(): i for i, x in enumerate(mesh.points_at(at))}
+            first = np.sort([row_of[x.tobytes()] for x in visit])
             cap = (f * f + inv_mu2)[contend]
             chosen = contend & np.isin(np.arange(at.size), first)
             assert np.array_equal(first, np.flatnonzero(cand | chosen))
             assert np.count_nonzero(chosen) == condition._FIRST_BLOCK
             assert (f * f + inv_mu2)[chosen].max() <= np.delete(cap, np.flatnonzero(
                 chosen[contend])).min()
-            best = max(best, _kappa_max(f[first], mu_all[at[first]]))
+            best = max(best, _kappa_max(f[first], mu_at(at[first])))
             contend &= ~chosen & (f < kappa_cuts(best, inv_mu2))
             visit = at[contend]
             if not visit.size:
                 continue
-        assert next(rows_of).tobytes() == mesh.pair_points[visit].tobytes()
-        best = max(best, _kappa_max(f_all[visit], mu_all[visit]))
+        assert next(rows_of).tobytes() == mesh.points_at(visit).tobytes()
+        best = max(best, _kappa_max(f_all[visit], mu_at(visit)))
     assert next(rows_of, None) is None
     if seeded:
         assert len(blocks) > 1 and centre_calls
