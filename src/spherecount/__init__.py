@@ -9,13 +9,12 @@ loop built from them, together with the affine-to-sphere reduction.
 from .certification import (Certificate, RefinedZero, chart_beta,
                             exclusion_radius, gamma_bound, inclusion_test,
                             refine_zero, robust_certify)
-from .condition import (SingularSpectrum, distance_to_rank_deficient,
-                        eckart_young_correction, expected_ln_kappa_bound,
-                        kappa_grid, kappa_point, kn_constant,
-                        min_singular_value, minimal_singular_perturbation,
-                        monte_carlo_ln_kappa, mu, mu_variation_check,
-                        sample_gaussian_system, singular_values,
-                        smoothed_ln_kappa_bound)
+from .condition import (SingularSpectrum, eckart_young_correction,
+                        expected_ln_kappa_bound, kappa_grid, kappa_point,
+                        kn_constant, min_singular_value,
+                        minimal_singular_perturbation, monte_carlo_ln_kappa,
+                        mu, mu_variation_check, sample_gaussian_system,
+                        singular_values, smoothed_ln_kappa_bound)
 from .convergence import (ALPHA, AlphaConstants, UniversalQuadratic,
                           alpha_star, contraction_coefficients,
                           error_bound_alpha, gamma_error_sequence,

@@ -248,6 +248,17 @@ def _clamp_max_t(n, max_t):
     return t
 
 
+def _degree(entry):
+    """One entry of mc-kappa's ``--degrees``: an integer of at least 1."""
+    try:
+        d = int(entry)
+    except ValueError:
+        d = 0
+    if d < 1:
+        raise ValueError(f"--degrees entry {entry!r} is not an integer >= 1")
+    return d
+
+
 def _build_parser():
     p = _Parser(prog="spherecount",
                 description="Certified real-zero counting on the unit sphere.")
@@ -346,7 +357,7 @@ def _run(args):
         return 0
 
     if cmd == "mc-kappa":
-        degrees = tuple(int(d) for d in args.degrees.split(","))
+        degrees = tuple(_degree(d) for d in args.degrees.split(","))
         if len(degrees) != args.n:
             raise ValueError(f"--degrees lists {len(degrees)} degrees, but --n {args.n} "
                              f"needs {args.n}, one per equation")

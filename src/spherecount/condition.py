@@ -10,7 +10,8 @@ maximum governs the cost of the counting algorithm.  Its grid maximum is
 taken inside the one streamed pass over a grid (``_scan``), for
 ``kappa_grid`` and each counting level alike; every pass reads |f| from
 one walk (``_walk``) of one slab per face, in chunks of at most
-``_BLOCK`` rows.  mu has one kernel,
+``_BLOCK`` rows that hold only the rows under their cut, each with its
+own candidate ceiling and bound on mu.  mu has one kernel,
 ``mu_many``, that holds each entry of the restricted Jacobian and of its
 Gram as a contiguous column and sums them in a fixed order; scalar ``mu``
 is its one-row case.  x-perp has one frame, columns 1..n of the
@@ -93,7 +94,6 @@ __all__ = [
     "singular_values",
     "min_singular_value",
     "eckart_young_correction",
-    "distance_to_rank_deficient",
     "tangent_basis",
     "mu",
     "mu_many",
@@ -170,7 +170,8 @@ def singular_values(A):
 
 
 def min_singular_value(A):
-    """The min(m, n)-th singular value (zero for rank-deficient input)."""
+    """The min(m, n)-th singular value (zero for rank-deficient input): the
+    Frobenius distance from a square A to the rank-deficient matrices."""
     A = np.atleast_2d(np.asarray(A, float))
     s = np.linalg.svd(A, compute_uv=False)
     return float(s[-1])
@@ -185,11 +186,6 @@ def eckart_young_correction(A):
     U, s, Vt = np.linalg.svd(A)
     k = min(A.shape) - 1
     return -s[k] * np.outer(U[:, k], Vt[k, :])
-
-
-def distance_to_rank_deficient(A):
-    """Frobenius distance to the rank-deficient matrices: sigma_min(A)."""
-    return min_singular_value(A)
 
 
 def _sigma_min_svd(M):
@@ -499,9 +495,10 @@ def _pieces(runs, positions):
 
 
 class _Screen(NamedTuple):
-    """What a screened walk reads from its pass (``_scan``): the low cut
-    ``below``, the candidate ceiling at mu = sqrt(n), the running kappa cut
-    (a callable; it may only fall) and the pass's one mu function."""
+    """What a walk reads from its pass (``_scan``): the low cut ``below``,
+    the candidate ceiling at mu = sqrt(n), the running kappa cut (a
+    callable, inf without a kappa seed; it may only fall) and the pass's
+    one mu function."""
 
     below: float
     ceiling: float
@@ -548,41 +545,53 @@ def _tile_shape(mesh):
     return runs, h, 2.0 * math.asin(math.hypot((runs - 1) / 2, h) / 2.0**(mesh.t + 1))
 
 
-def _walk(F, mesh, screen=None):
-    """(rows, |f|[, ceilings, inv_mu2]) of the pair rows of ``mesh``, in
-    ascending chunks of at most ``_BLOCK`` rows of one face: the one walk of
-    every pass.
+def _walk(F, mesh, screen):
+    """(rows, |f|, ceilings, inv_mu2) of the pair rows of ``mesh`` under
+    their cut, in ascending chunks of at most ``_BLOCK`` rows of one face:
+    the one walk of every pass, and the one place that applies its cut.
 
-    It takes one slab per face and each run's Horner data once (``_runs``).
-    Without a ``screen`` (a ``_Screen``) it norms every row, in the pieces
-    of ``_pieces``, and yields (rows, |f|).  With one, each line of runs is
-    cut into groups of ``TILE_RUNS`` runs (the last group of a line may be
-    shorter) and each group into tiles of ``TILE`` positions of each of its
-    runs, and the walk first screens the level's tiles by their centres,
-    half a lattice step off the rows of the group's middle run: every row
-    of a tile whose centre's |f| less ``reach`` (its ``lower``) is at least
-    the pass's cut max(below, ceiling, kappa cut) has |f| at least that cut
-    (see the module docstring).  It then takes mu, through the pass's
-    ``batch_mu`` in one call per at most ``_BLOCK`` centres, at the centres
-    of the kept tiles whose ``lower`` is under max(ceiling, kappa cut),
-    where the floor mu >= sqrt(n) would leave rows in need of mu, and gives
-    those tiles their bounds (``_tile_bounds``); on a level too coarse for
-    the bounds to pay (``_MU_GAIN``) it takes none.  Only then does it
-    expand tiles, run by run in row order, skipping each whose ``lower`` is
-    at least ``screen.cuts`` of its bounds, read again before each chunk.
-    It yields (rows, |f|, ceilings, inv_mu2), each row with its tile's
-    bounds, or (rows, |f|) where no tile of the chunk has bounds.  Every
-    row it yields is normed once, by the same rule and bit for bit to the
-    same value.  A chunk's |f| may live in a buffer that the next chunk
-    reuses.
+    ``screen`` is what the walk reads from its pass (a ``_Screen``).  It
+    takes one slab per face and each run's Horner data once (``_runs``).
+    Each chunk holds, freshly indexed, only the rows with |f| under
+    ``screen.cuts`` of their own bounds, read once per chunk: each row's
+    candidate ceiling and mu_hi^-2, as per-row arrays.  No other row can
+    be low or a kappa contender (``_scan``).  Every row it yields is
+    normed once, by the same rule and bit for bit to the same value.
+
+    A walk without a kappa seed, or on a grid whose runs hold fewer than
+    four tiles, norms every row, in the pieces of ``_pieces``, and gives
+    each the floor's bounds, the pass ceiling and mu_hi = inf; without a
+    kappa seed their cut is inf, so a pass with no seed and no low rows
+    (``kappa_grid``) sees every row.  Any other walk screens by tiles:
+    each line of runs is cut into groups of ``TILE_RUNS`` runs (the last
+    group of a line may be shorter) and each group into tiles of ``TILE``
+    positions of each of its runs, and the walk first screens the level's
+    tiles by their centres, half a lattice step off the rows of the
+    group's middle run: every row of a tile whose centre's |f| less
+    ``reach`` (its ``lower``) is at least the floor's cut max(below,
+    ceiling, kappa cut) has |f| at least that cut (see the module
+    docstring).  It then takes mu, through the pass's ``batch_mu`` in one
+    call per at most ``_BLOCK`` centres, at the centres of the kept tiles
+    whose ``lower`` is under max(ceiling, kappa cut), where the floor mu >=
+    sqrt(n) would leave rows in need of mu, and gives those tiles their
+    bounds (``_tile_bounds``), the others the floor's; on a level too
+    coarse for the bounds to pay (``_MU_GAIN``) it takes none.  Only then
+    does it expand tiles, run by run in row order, skipping each whose
+    ``lower`` is at least its cut, and each row takes its tile's bounds.
     """
     m, work = 2.0**mesh.t, np.empty((3, _BLOCK))
-    if screen is None:
+    # tiles screen only under a kappa seed and on runs of four tiles or
+    # more: on coarser grids a tile spans so wide an angle that the screen
+    # keeps almost every row (3,032 of the 3,073 pairs of an n=2 grid at t=4)
+    if screen.kappa_cut() == math.inf or 2**(mesh.t + 1) - 1 < 4 * TILE:
         for slab in mesh.slabs():
             data = _runs(F, mesh, slab)
             for r, pos in _pieces(data[1].shape[0], slab.row):
                 f = _norm_runs(F, data, work, r, data[2] + pos / m)
-                yield (slab.lo + r[:, None] * slab.row + pos).ravel(), f.ravel()
+                under = f < screen.cuts(screen.ceiling, 0.0)
+                rows = (slab.lo + r[:, None] * slab.row + pos)[under]
+                if rows.size:
+                    yield rows, f[under], np.full(rows.size, screen.ceiling), np.zeros(rows.size)
         return
     group, h, delta = _tile_shape(mesh)
     reach = math.sqrt(F.max_degree) * F.weyl_norm * delta + _rounding_margin(F)
@@ -607,9 +616,8 @@ def _walk(F, mesh, screen=None):
                      slab.lo + middles[g] * slab.row + p * TILE))
     p, lower, centre_rows = (np.concatenate([k[i] for k in kept]) for i in (4, 5, 6))
     bounded = F.max_degree**1.5 * F.weyl_norm * delta * math.sqrt(F.n) * _MU_GAIN < 1.0
-    centred = bounded & (lower < max(screen.ceiling, screen.kappa_cut()))
+    need = np.flatnonzero(bounded & (lower < max(screen.ceiling, screen.kappa_cut())))
     ceilings, inv_mu2 = np.full(lower.size, screen.ceiling), np.zeros(lower.size)
-    need = np.flatnonzero(centred)
     for j in range(0, need.size, _BLOCK):
         at = need[j:j + _BLOCK]
         mus = screen.batch_mu(F, mesh.centres_at(centre_rows[at], h), f_norm=1.0)
@@ -626,18 +634,18 @@ def _walk(F, mesh, screen=None):
         runs, tile_of = runs[order], tile_of[order]
         for k in range(0, runs.size, per_chunk):
             r, t = runs[k:k + per_chunk], tile_of[k:k + per_chunk]
-            keep = np.flatnonzero(lower[t] < screen.cuts(ceilings[t], inv_mu2[t]))
+            cuts = screen.cuts(ceilings[t], inv_mu2[t])
+            keep = np.flatnonzero(lower[t] < cuts)
             if not keep.size:
                 continue
             r, t = r[keep], t[keep]
             pos = p[t, None] * TILE + span
             f = _norm_runs(F, data, work, r, data[2] + pos / m)
-            valid = pos < slab.row
-            chunk = ((slab.lo + r[:, None] * slab.row + pos)[valid], f[valid])
-            if centred[t].any():
-                chunk += tuple(np.broadcast_to(b[t, None], pos.shape)[valid]
-                               for b in (ceilings, inv_mu2))
-            yield chunk
+            under = (pos < slab.row) & (f < cuts[keep, None])
+            rows = (slab.lo + r[:, None] * slab.row + pos)[under]
+            if rows.size:
+                t = np.broadcast_to(t[:, None], pos.shape)[under]
+                yield rows, f[under], ceilings[t], inv_mu2[t]
         offset += starts.size
 
 
@@ -645,30 +653,26 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, batch_mu=mu_many):
     """One streamed pass over the pair rows of ``mesh``: its low rows and kappa.
 
     Rows come from one walk (``_walk``), each normed by the one residual
-    rule while it is in cache, so no array spans the grid, and the pass
-    gathers its chunks, across faces too, into blocks of at most
-    ``_BLOCK`` rows, each closed once it holds ``_BLOCK`` / 2.  Each row
-    has a candidate ceiling, the pass's ``ceiling`` (the one at mu =
-    sqrt(n)) or its tile's lower one, and a bound mu_hi on mu, inf or its
-    tile's (``_tile_bounds``).  Of each block
-    the pass keeps the low rows: the candidates, under their ceiling, and
-    the rows with |f| < ``below``.  It takes mu by one rule: at the
-    candidates and at the kappa contenders, the rows under their kappa cut
-    (``_kappa_cuts``), whose cap 1/sqrt(mu_hi^-2 + f*f) beats the running
-    maximum ``best``, the kappa maximum for the unit-norm F.  ``_kappa``
-    never exceeds that cap, and ``best`` only rises during a pass, so a cut
-    taken earlier in it stays sound.  A visit builds the pair points of its
+    rule while it is in cache, so no array spans the grid.  The walk
+    yields only the rows under their cut, each with its candidate ceiling,
+    the pass's ``ceiling`` (the one at mu = sqrt(n)) or its tile's lower
+    one, and its bound mu_hi^-2 on mu, 0 or its tile's
+    (``_tile_bounds``).  The pass gathers its chunks, across faces too,
+    into blocks of at most ``_BLOCK`` rows, each closed once it holds
+    ``_BLOCK`` / 2.  Of each block the pass keeps the low rows: the
+    candidates, under their ceiling, and the rows with |f| < ``below``.
+    It takes mu by one rule: at the candidates and at the kappa
+    contenders, the rows under their kappa cut (``_kappa_cuts``), whose
+    cap 1/sqrt(mu_hi^-2 + f*f) beats the running maximum ``best``, the
+    kappa maximum for the unit-norm F.  ``_kappa`` never exceeds that cap,
+    and ``best`` only rises during a pass, so a cut taken earlier in it,
+    by the walk too, stays sound.  A visit builds the pair points of its
     rows, calls ``batch_mu`` once and folds their kappa into ``best``.  A
     block with more than ``_FIRST_BLOCK`` contenders first visits its
     candidates with the ``_FIRST_BLOCK`` contenders of greatest cap, then
     reads the cut again and visits the rest under it; any other block
-    visits its rows at once.
-
-    A pass given a kappa seed (``best`` > -inf) on a grid whose runs hold
-    at least four tiles hands its walk a ``_Screen``: rows that cannot be
-    low or contenders by their tile's centre are never normed, and the
-    rows of tiles with a centre mu carry its bounds.  Other passes norm
-    every row, and every row has the pass's ceiling and mu_hi = inf.
+    visits its rows at once.  A pass given a kappa seed (``best`` > -inf)
+    has its walk screen a fine enough grid by tiles.
 
     Returns (rows, norms, cand, points, mus, best): the ascending low rows,
     |f| at each (bit for bit that of the built mesh), which of them are
@@ -688,61 +692,41 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, batch_mu=mu_many):
         best = max(best, _kappa_max(f, m))
         return X, m
 
-    def pick(bound, i):
-        """A per-row bound at the rows i; a bound shared by all rows as is."""
-        return bound if np.ndim(bound) == 0 else bound[i]
-
-    def take(at, f, ceilings=ceiling, inv_mu2=0.0):
-        if np.ndim(ceilings):
-            # only rows under the floor's cut can be low or need mu
-            i = np.flatnonzero(f < max(below, ceiling, kappa_cut()))
-            at, f, ceilings, inv_mu2 = at[i], f[i], ceilings[i], inv_mu2[i]
+    def take(at, f, ceilings, inv_mu2):
         low = np.flatnonzero(f < np.maximum(ceilings, below))
         rows.append(at[low])
         norms.append(f[low])
-        cands.append(f[low] < pick(ceilings, low))
+        cands.append(f[low] < ceilings[low])
         todo = np.flatnonzero(f < np.maximum(ceilings, _kappa_cuts(kappa_cut(), inv_mu2)))
         if not todo.size:
             return
-        cand, first, rest = f[todo] < pick(ceilings, todo), todo, todo[:0]
+        cand, first, rest = f[todo] < ceilings[todo], todo, todo[:0]
         if todo.size - np.count_nonzero(cand) > _FIRST_BLOCK:
-            # the contenders of greatest cap; by |f| where all share mu_hi
+            # the contenders of greatest cap 1/sqrt(mu_hi^-2 + f*f)
             contenders = todo[~cand]
-            key = (f[contenders] if np.ndim(inv_mu2) == 0
-                   else f[contenders] ** 2 + inv_mu2[contenders])
-            part = np.argpartition(key, _FIRST_BLOCK - 1)
+            part = np.argpartition(f[contenders] ** 2 + inv_mu2[contenders], _FIRST_BLOCK - 1)
             first = np.sort(np.concatenate([todo[cand], contenders[part[:_FIRST_BLOCK]]]))
             rest = contenders[part[_FIRST_BLOCK:]]
         X, m = visit(at[first], f[first])
-        cand = f[first] < pick(ceilings, first)
+        cand = f[first] < ceilings[first]
         points.append(X[cand])
         mus.append(m[cand])
-        rest = np.sort(rest[f[rest] < pick(_kappa_cuts(kappa_cut(), inv_mu2), rest)])
+        rest = np.sort(rest[f[rest] < _kappa_cuts(kappa_cut(), inv_mu2[rest])])
         if rest.size:
             visit(at[rest], f[rest])
 
-    # on coarser grids a tile spans so wide an angle that the screen keeps
-    # almost every row (3,032 of the 3,073 pairs of an n=2 grid at t=4)
-    screened = best > -math.inf and 2**(mesh.t + 1) - 1 >= 4 * TILE
-    screen = _Screen(below, ceiling, kappa_cut, batch_mu) if screened else None
     pending, size = [], 0
 
     def flush():
         nonlocal pending, size
-        if len(pending) > 1 and any(len(c) > 2 for c in pending):
-            # the rows of a chunk without tile bounds have the floor's
-            pending = [c if len(c) > 2 else (*c, np.full(c[0].size, ceiling), np.zeros(c[0].size))
-                       for c in pending]
-        take(*(np.concatenate(a) if len(pending) > 1 else a[0] for a in zip(*pending)))
+        take(*(pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))))
         pending, size = [], 0
 
-    for at, f, *bounds in _walk(F, mesh, screen):
-        if pending and size + at.size > _BLOCK:
+    for chunk in _walk(F, mesh, _Screen(below, ceiling, kappa_cut, batch_mu)):
+        if pending and size + chunk[0].size > _BLOCK:
             flush()
-        size += at.size
-        # a block closes at _BLOCK / 2 rows; a chunk held open past the next
-        # one is copied, as the walk may reuse the buffer of f
-        pending.append((at, f if size >= _BLOCK // 2 else f.copy(), *bounds))
+        pending.append(chunk)
+        size += chunk[0].size
         if size >= _BLOCK // 2:
             flush()
     if pending:

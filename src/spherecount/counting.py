@@ -21,9 +21,10 @@ twice the number of components; refining one vertex per component
 locates zeta, and -zeta with it.
 
 A level is one streamed pass: chunks of the grid are normed in cache by
-Horner's rule on the integer lattice (``condition._horner``), and only
-their low rows are kept (the candidates and the possible exclusion
-failures), so no array of a level spans the grid.  The same pass takes
+Horner's rule on the integer lattice (``condition._horner``), the walk
+hands on only the rows under the level's cut on |f|, and only their low
+rows are kept (the candidates and the possible exclusion failures), so
+no array of a level spans the grid.  The same pass takes
 the level's kappa maximum; it builds pair points and takes mu, once per
 row, only at the candidates and at the rows where a cap on kappa can
 still raise that maximum.

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from spherecount.certification import refine_zero
-from spherecount.condition import (distance_to_rank_deficient,
-                                   eckart_young_correction, kappa_many,
+from spherecount.condition import (eckart_young_correction, kappa_many,
                                    min_singular_value,
                                    minimal_singular_perturbation,
                                    monte_carlo_ln_kappa, mu, mu_many,
@@ -253,7 +252,7 @@ def test_condition_machinery():
     for _ in range(5):
         A = rng.standard_normal((4, 4))
         B = eckart_young_correction(A)
-        assert abs(np.linalg.norm(B) - distance_to_rank_deficient(A)) < 1e-12
+        assert abs(np.linalg.norm(B) - min_singular_value(A)) < 1e-12
         assert min_singular_value(A + B) < 1e-9
     # kappa inequality chain pointwise
     for seed in range(4):

@@ -303,6 +303,19 @@ class TestDispatch:
         assert captured.err == ("error: --degrees lists 3 degrees, but --n 2 needs 2, "
                                 "one per equation\n")
 
+    @pytest.mark.parametrize("degrees, entry", [
+        ("0,2,2", "'0'"), ("2,,2", "''"), ("2,-1,2", "'-1'"), ("2,x,2", "'x'"),
+        ("2,2.5,2", "'2.5'")])
+    def test_mc_kappa_rejects_a_degree_entry(self, degrees, entry, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before --degrees was checked")
+
+        monkeypatch.setattr("spherecount.cli.monte_carlo_ln_kappa", no_trials)
+        assert dispatch(["mc-kappa", "--n", "3", "--degrees", degrees]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --degrees entry {entry} is not an integer >= 1\n"
+
     def test_mc_kappa_at_t1(self, capsys):
         assert dispatch(["mc-kappa", "--n", "3", "--trials", "2", "--t", "1"]) == 0
         assert capsys.readouterr().out.startswith("trial,ln_kappa_estimate")

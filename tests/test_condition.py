@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spherecount.condition import (distance_to_rank_deficient,
-                                   eckart_young_correction,
+from spherecount.condition import (eckart_young_correction,
                                    expected_ln_kappa_bound, kappa_grid,
                                    kappa_many, kappa_point, kn_constant,
                                    min_singular_value,
@@ -69,22 +68,22 @@ class TestSingularValues:
 
 class TestEckartYoung:
     def test_diagonal(self):
-        assert distance_to_rank_deficient(np.diag([3.0, 1.0])) == pytest.approx(1.0)
+        assert min_singular_value(np.diag([3.0, 1.0])) == pytest.approx(1.0)
 
     def test_orthogonal(self, rng):
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        assert distance_to_rank_deficient(Q) == pytest.approx(1.0, rel=1e-12)
+        assert min_singular_value(Q) == pytest.approx(1.0, rel=1e-12)
 
     def test_constructed_minimizer(self, rng):
         A = rng.standard_normal((4, 4))
-        dist = distance_to_rank_deficient(A)
+        dist = min_singular_value(A)
         B = eckart_young_correction(A)
         assert np.linalg.norm(B) == pytest.approx(dist, rel=1e-12)
         assert min_singular_value(A + B) < 1e-10
 
     def test_no_cheaper_perturbation(self, rng):
         A = rng.standard_normal((4, 4))
-        dist = distance_to_rank_deficient(A)
+        dist = min_singular_value(A)
         G = rng.standard_normal((10000, 4, 4))
         G *= (0.999 * dist / np.linalg.norm(G, axis=(1, 2)))[:, None, None]
         smin = np.linalg.svd(A[None, :, :] + G, compute_uv=False)[:, -1]

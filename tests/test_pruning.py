@@ -198,7 +198,9 @@ def test_every_level_kappa_is_its_grid_maximum():
 def test_root_count_norms_each_pair_row_once():
     """No pair row of a level is normed twice, an unseeded or small level
     norms exactly its pair rows, and the screened t=8 level of seed 4000
-    norms at most a fifth of them, its tile centres included."""
+    norms at most a fifth of them, its tile centres included.  The walk
+    yields every row of the unseeded first level, and of every other
+    level fewer rows than it norms."""
     normed, handed = [0], []
     horner, walk = condition._horner, condition._walk
 
@@ -226,13 +228,16 @@ def test_root_count_norms_each_pair_row_once():
         mp.setattr(counting, "_level", level)
         res = root_count(F, max_t=8)
     assert not res.stopped and [mesh.t for mesh, _, _ in levels] == [2, 3, 4, 5, 6, 7, 8]
+    assert levels[0][2].size == levels[0][0].count // 2
     for mesh, rows_normed, rows in levels:
         pairs = mesh.count // 2
         assert np.all(np.diff(rows) > 0) and rows[-1] < pairs
         if not screened(mesh, 0.0):
-            assert rows_normed == rows.size == pairs
+            assert rows_normed == pairs
         else:
-            assert rows.size < rows_normed < pairs
+            assert rows_normed < pairs
+        if mesh is not levels[0][0]:
+            assert rows.size < rows_normed
     mesh, rows_normed, _ = levels[-1]
     assert rows_normed <= mesh.count // 2 // 5
 
@@ -296,6 +301,44 @@ def test_coarsest_grids_take_no_tile_geometry(n, t):
     assert _level(F.normalized(), mesh, seed=1.0).kappa == max(1.0, full)
 
 
+@pytest.mark.parametrize("n, degrees, t", [
+    (1, (3,), 4), (1, (5,), 2), (2, (2, 2), 4), (2, (3, 2), 3), (3, (2, 2, 2), 3), (3, (2, 3, 2), 2)])
+def test_unscreened_walk_yields_the_rows_under_the_floor_cut(n, degrees, t, monkeypatch):
+    """A seeded pass on a grid too coarse to screen by tiles norms every
+    row, but its walk yields exactly the rows whose |f| is under the
+    floor's cut max(below, ceiling, kappa cut), each with its |f| bit for
+    bit and the floor's bounds, and so every row under ``below``.  The
+    seed is the grid's own maximum or inf, so the cut stays put."""
+    F = random_unit_system(n, degrees, 30 + n + sum(degrees))
+    mesh = build_mesh(n, t)
+    assert not screened(mesh, 1.0)
+    f_all, _, _, kappa_all = exhaustive(F, mesh)
+    below, ceiling = low_cut(F, mesh)
+    walk, chunks = condition._walk, []
+
+    def recorded_walk(*args):
+        for chunk in walk(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(condition, "_walk", recorded_walk)
+    for seed in (kappa_all, math.inf):
+        chunks.clear()
+        assert condition._scan(F, mesh, below, ceiling, seed)[-1] == seed
+        rows, f, ceilings, inv_mu2 = map(np.concatenate, zip(*chunks))
+        cut = max(below, ceiling, (1.0 / seed) * (1.0 + condition._KAPPA_SLACK))
+        assert np.array_equal(rows, np.flatnonzero(f_all < cut)) and rows.size < f_all.size
+        assert f.tobytes() == f_all[rows].tobytes()
+        assert np.all(ceilings == ceiling) and np.all(inv_mu2 == 0.0)
+        assert np.isin(np.flatnonzero(f_all < below), rows).all()
+
+
+def keep_all():
+    """The screen of a pass with no kappa seed and no low rows, as
+    ``kappa_grid``'s: its cut is inf, so the walk yields every row."""
+    return condition._Screen(0.0, 0.0, lambda: math.inf, mu_many)
+
+
 def residual_screen(cut):
     """A screen by |f| alone, under ``cut``: no row is a candidate or a
     kappa contender, so every kept tile is expanded whatever its mu."""
@@ -324,9 +367,9 @@ def test_mirrored_residuals_match_direct_evaluation(n, degrees, t):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(condition, "_BLOCK", block)
             # unscreened, and screened under an infinite cut, which keeps
-            # every tile
-            for screen in (None, residual_screen(math.inf)):
-                rows, streamed = zip(*((r, f.copy()) for r, f, *_ in
+            # every tile; each chunk is freshly indexed, so none is copied
+            for screen in (keep_all(), residual_screen(math.inf)):
+                rows, streamed = zip(*((r, f) for r, f, *_ in
                                        condition._walk(F, mesh, screen)))
                 for r in rows:
                     assert 0 < r.size <= block and np.all(np.diff(r) > 0)
@@ -351,7 +394,7 @@ def test_walk_takes_horner_data_once_per_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(condition, "_runs", counted_runs)
-        sizes = [r.size for r, _ in condition._walk(F, mesh)]
+        sizes = [r.size for r, *_ in condition._walk(F, mesh, keep_all())]
     assert runs == [1, 1]
     assert sizes == [condition._BLOCK, 1, 16_383]
 
@@ -397,7 +440,7 @@ def test_horner_residuals_are_within_the_rounding_bound(system, t):
     if F.n == 1:
         assert any(s.row > condition._BLOCK for s in mesh.slabs())
     with np.errstate(over="raise", invalid="raise"):
-        horner = np.concatenate([f.copy() for _, f in condition._walk(F, mesh)])
+        horner = np.concatenate([f for _, f, *_ in condition._walk(F, mesh, keep_all())])
     direct = _row_norms(evaluate_many(F, mesh.pair_points))
     terms = max(len(p.coefficients) for p in F.polynomials)
     bound = (3 * F.max_degree + terms + F.n + 2) * np.finfo(float).eps
@@ -711,18 +754,22 @@ def test_scan_visits_each_contender_once(system, t, block, monkeypatch):
                 assert np.flatnonzero(kappa_rows == kappa_all)[0] in visited
 
 
-# the seeded level is one whose screened rows make two blocks and whose
-# tiles take centre mu
-@pytest.mark.parametrize("system_seed, t, seeded", [(4000, 3, False), (4003, 8, True)])
-def test_level_takes_mu_once_per_block(system_seed, t, seeded):
+# the seeded level is one whose tiles take centre mu; the walk yields
+# 2,121 of its rows, one block of the default size and several of 1,024
+@pytest.mark.parametrize("system_seed, t, seeded, block_size", [
+    (4000, 3, False, None), (4003, 8, True, None), (4003, 8, True, 1 << 10)])
+def test_level_takes_mu_once_per_block(system_seed, t, seeded, block_size, monkeypatch):
     """The pass gathers the walk's chunks, across faces, into blocks of at
-    most ``_BLOCK`` rows, each closed once it holds ``_BLOCK`` / 2, and a
-    block with at most ``_FIRST_BLOCK`` kappa contenders beyond its
-    candidates takes mu in one call.  The walk calls the level's mu
-    function once per at most ``_BLOCK`` tile centres, and the pass once
-    for each block with rows under their ceiling or their kappa cut, at
-    those rows, for a dense level and for a seeded, screened one.  The
-    dense n=2 t=3 level, 769 pairs on three faces, makes one call."""
+    most ``_BLOCK`` rows, each closed once it holds ``_BLOCK`` / 2, counted
+    in the rows the walk yields, and a block with at most ``_FIRST_BLOCK``
+    kappa contenders beyond its candidates takes mu in one call.  The walk
+    calls the level's mu function once per at most ``_BLOCK`` tile
+    centres, and the pass once for each block with rows under their
+    ceiling or their kappa cut, at those rows, for a dense level and for a
+    seeded, screened one.  The dense n=2 t=3 level, 769 pairs on three
+    faces, makes one call."""
+    if block_size is not None:
+        monkeypatch.setattr(condition, "_BLOCK", block_size)
     F = gaussian(2, (2, 2), system_seed)()
     mesh = build_mesh(2, t)
     f_all = np.concatenate(face_norms(F, mesh))
@@ -732,7 +779,7 @@ def test_level_takes_mu_once_per_block(system_seed, t, seeded):
         return mu_many(F, mesh.points_at(rows), f_norm=1.0)
 
     seed = _level(F, build_mesh(2, t - 1)).kappa if seeded else -math.inf
-    ceiling, chunks, calls, centre_calls = _candidate_ceiling(F), [], [], []
+    chunks, calls, centre_calls = [], [], []
     walk = condition._walk
 
     def recorded_walk(*args):
@@ -744,9 +791,9 @@ def test_level_takes_mu_once_per_block(system_seed, t, seeded):
             centre_calls.extend(calls[made:])
             if chunk is None:
                 return
-            # a chunk without tile bounds has the floor's
-            at = chunk[0].copy()
-            chunks.append((at, *(chunk[2:] or (np.full(at.size, ceiling), np.zeros(at.size)))))
+            at, f, ceilings, inv_mu2 = chunk
+            assert f.tobytes() == f_all[at].tobytes()
+            chunks.append((at, ceilings, inv_mu2))
             yield chunk
 
     def counted_mu_many(G, X, **kw):
@@ -807,6 +854,6 @@ def test_level_takes_mu_once_per_block(system_seed, t, seeded):
         best = max(best, _kappa_max(f_all[visit], mu_at(visit)))
     assert next(rows_of, None) is None
     if seeded:
-        assert len(blocks) > 1 and centre_calls
+        assert centre_calls and (len(blocks) > 1) == (block_size is not None)
     else:
         assert len(calls) == 1 and mesh.count // 2 == 769
