@@ -357,6 +357,8 @@ def _run(args):
         return 0
 
     if cmd == "mc-kappa":
+        if args.n < 1:
+            raise ValueError("--n must be at least 1")
         degrees = tuple(_degree(d) for d in args.degrees.split(","))
         if len(degrees) != args.n:
             raise ValueError(f"--degrees lists {len(degrees)} degrees, but --n {args.n} "

@@ -8,10 +8,15 @@ singular (an Eckart-Young statement lifted through the reproducing-kernel
 basis).  kappa(f, x) combines mu with the residual norm and its sphere
 maximum governs the cost of the counting algorithm.  Its grid maximum is
 taken inside the one streamed pass over a grid (``_scan``), for
-``kappa_grid`` and each counting level alike; every pass reads |f| from
-one walk (``_walk``) of one slab per face, in chunks of at most
+``kappa_grid`` and each counting level alike, and each is seeded with the
+maximum over a coarser grid: a level with the last level's, a
+``kappa_grid`` pass over a fine grid with the one over the grid
+``_SEED_STEP`` levels coarser (``_grid_kappa``).  Every pass reads |f|
+from one walk (``_walk``) of one slab per face, in chunks of at most
 ``_BLOCK`` rows that hold only the rows under their cut, each with its
-own candidate ceiling and bound on mu.  mu has one kernel,
+own candidate ceiling and bound on mu; the run geometry of each slab is
+built once (``_run_geometry``) and shared by every pass over its grid,
+whatever the system.  mu has one kernel,
 ``mu_many``, that holds each entry of the restricted Jacobian and of its
 Gram as a contiguous column and sums them in a fixed order; scalar ``mu``
 is its one-row case.  x-perp has one frame, columns 1..n of the
@@ -80,6 +85,7 @@ tile's rows and by mu before it takes mu at them:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import polynomials as pl
-from .mesh import angular_distance, build_mesh
+from .mesh import SphereMesh, angular_distance, build_mesh
 
 __all__ = [
     "SingularSpectrum",
@@ -389,6 +395,17 @@ _MU_GAIN = 8.0
 # kappa contenders a block visits with its candidates when it has more:
 # their kappa sets the cut, which prunes the rest of the block
 _FIRST_BLOCK = 1 << 10
+# levels between a grid of more than _BLOCK pair rows and the coarser grid
+# whose kappa maximum seeds its kappa_grid pass (``_grid_kappa``).  Dense ->
+# seeded, ms per pass (mean over Gaussian seeds 0-3 of the best of 7, 2-vCPU
+# host): n=1 t=13 2.0 -> 1.1, t=16 12.7 -> 2.9; n=2 t=7 6.4 -> 2.1, t=9 80
+# -> 5.5; n=3 t=3, just over the gate, 2.6 -> 2.6, t=4 6.0 -> 5.0, t=5 26.9
+# -> 23.9.  Under the gate seeding was slower: n=1 t=8 0.3 -> 0.8, n=2 t=5
+# 1.1 -> 1.4.  So was the counting loop's chain of levels: n=3 t=4 seeded by
+# t = 1, 2, 3 took 8.9 ms against 5.6 by t=1.  A step of 4 was faster on
+# n=2 t=9 (5.1 ms) and n=1 t=16 (2.9) but slower on n=3 t=4 (6.3), the
+# Monte-Carlo grid
+_SEED_STEP = 3
 
 
 def _tile_bounds(F, mus, delta, ceiling):
@@ -403,6 +420,34 @@ def _tile_bounds(F, mus, delta, ceiling):
     return ceiling * (F.n / np.maximum(F.n, lo * lo)), 1.0 / (hi * hi)
 
 
+# the run geometry of at most 64 slabs is kept: one pass over the 30-system
+# suite cycles through 16 grids of 39 slabs.  An entry holds n + 2 float64
+# columns of its slab's runs (2 for n = 1), so the largest under
+# MESH_POINT_CAP (n = 12, t = 0, axis 0: 177,147 runs) is 19.8 MB and the 64
+# largest of all grids under it hold 109 MB at most; every slab of the grids
+# up to n = 2, t = 9 and n = 3, t = 5 holds 1.1 MB in all
+@functools.lru_cache(maxsize=64)
+def _run_geometry(n, t, slab):
+    """(k, radius2, first) of one slab of the grid C(2^-t) on S^n: what its
+    runs' Horner data read of the grid alone, built once per slab.
+
+    ``k`` holds each run's first lattice point over m = 2^t as (runs, 1)
+    columns (``SphereMesh.lattice_at``), with k_axis/m = 1 as a scalar;
+    ``radius2`` is |k/m|^2 less the moving coordinate's square, and
+    ``first`` is the moving coordinate of the first row of every run.  The
+    arrays are shared by every pass over the grid, so they are read-only.
+    """
+    k = SphereMesh(n, t).lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T / 2.0**t
+    k.setflags(write=False)
+    k = list(k[:, :, None])
+    # the split programs of x never read the axis column
+    k[slab.axis] = 1.0
+    v = n - (slab.axis == n)
+    # a scalar for n = 1, where the axis is the one other coordinate
+    radius2 = np.broadcast_to(sum(k[c] * k[c] for c in range(n + 1) if c != v), k[v].shape)
+    return tuple(k), radius2, k[v][:1]
+
+
 def _runs(F, mesh, slab):
     """Horner's data for the runs of one slab, each run one value of each.
 
@@ -411,19 +456,15 @@ def _runs(F, mesh, slab):
     moving coordinate's square, both as (runs, 1) columns (a coefficient
     without a variable term is a scalar), and the moving coordinate of the
     first row of every run.  k is taken over m = 2^t, which is exact, so no
-    power of |k| overflows.
+    power of |k| overflows.  The grid's part, k, radius2 and first, comes
+    from ``_run_geometry``; the coefficients are the system's own, formed
+    afresh on every call with one power and monomial cache for all of F.
     """
-    n, m = mesh.n, 2.0**mesh.t
-    # each run's first lattice point over m, as (runs, 1) columns; k_axis/m
-    # = 1 stays a scalar, and the split programs of x never read its column
-    k = list(mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None] / m)
-    k[slab.axis] = 1.0
-    v = n - (slab.axis == n)
+    k, radius2, first = _run_geometry(mesh.n, mesh.t, slab)
+    v = mesh.n - (slab.axis == mesh.n)
     cache = {}
     coeffs = [[pl._run(g, k, cache) for g in f._split_programs[v]] for f in F.polynomials]
-    # a scalar for n = 1, where the axis is the one other coordinate
-    radius2 = np.broadcast_to(sum(k[c] * k[c] for c in range(n + 1) if c != v), k[v].shape)
-    return coeffs, radius2, k[v][:1]
+    return coeffs, radius2, first
 
 
 def _horner(F, coeffs, radius2, x, out):
@@ -561,12 +602,12 @@ def _walk(F, mesh, screen):
     A walk without a kappa seed, or on a grid whose runs hold fewer than
     four tiles, norms every row, in the pieces of ``_pieces``, and gives
     each the floor's bounds, the pass ceiling and mu_hi = inf; without a
-    kappa seed their cut is inf, so a pass with no seed and no low rows
-    (``kappa_grid``) sees every row.  Any other walk screens by tiles:
-    each line of runs is cut into groups of ``TILE_RUNS`` runs (the last
-    group of a line may be shorter) and each group into tiles of ``TILE``
-    positions of each of its runs, and the walk first screens the level's
-    tiles by their centres, half a lattice step off the rows of the
+    kappa seed their cut is inf, so a pass with no seed and no low rows (the
+    first pass of ``kappa_grid``) sees every row.  Any other walk screens by
+    tiles: each line of runs is cut into groups of ``TILE_RUNS`` runs (the
+    last group of a line may be shorter) and each group into tiles of
+    ``TILE`` positions of each of its runs, and the walk first screens the
+    level's tiles by their centres, half a lattice step off the rows of the
     group's middle run: every row of a tile whose centre's |f| less
     ``reach`` (its ``lower``) is at least the floor's cut max(below,
     ceiling, kappa cut) has |f| at least that cut (see the module
@@ -574,10 +615,10 @@ def _walk(F, mesh, screen):
     call per at most ``_BLOCK`` centres, at the centres of the kept tiles
     whose ``lower`` is under max(ceiling, kappa cut), where the floor mu >=
     sqrt(n) would leave rows in need of mu, and gives those tiles their
-    bounds (``_tile_bounds``), the others the floor's; on a level too
-    coarse for the bounds to pay (``_MU_GAIN``) it takes none.  Only then
-    does it expand tiles, run by run in row order, skipping each whose
-    ``lower`` is at least its cut, and each row takes its tile's bounds.
+    bounds (``_tile_bounds``), the others the floor's; on a level too coarse
+    for the bounds to pay (``_MU_GAIN``) it takes none.  Only then does it
+    expand tiles, run by run in row order, skipping each whose ``lower`` is
+    at least its cut, and each row takes its tile's bounds.
     """
     m, work = 2.0**mesh.t, np.empty((3, _BLOCK))
     # tiles screen only under a kappa seed and on runs of four tiles or
@@ -735,19 +776,35 @@ def _scan(F, mesh, below=0.0, ceiling=0.0, best=-math.inf, batch_mu=mu_many):
             np.concatenate(points), np.concatenate(mus), best)
 
 
+def _grid_kappa(F, mesh):
+    """The kappa maximum of the unit-norm F over ``mesh``, inf included: one
+    pass (``_scan``) seeded, on a grid of more than ``_BLOCK`` pair rows,
+    by the maximum over the grid ``_SEED_STEP`` levels coarser, or over
+    C(1), taken by the same rule.  That grid lies in this one, each of its
+    rows a row here with the same |f| and mu bit for bit, so its maximum is
+    attained here, and the seeded pass returns the dense maximum exactly."""
+    best = -math.inf
+    if mesh.t and mesh.count // 2 > _BLOCK:
+        best = _grid_kappa(F, build_mesh(mesh.n, max(mesh.t - _SEED_STEP, 0)))
+    return _scan(F, mesh, best=best)[-1]
+
+
 def kappa_grid(F, mesh):
     """Grid maximum of kappa: a certified lower estimate of kappa(f).
 
     |f| and mu are projective, so each antipodal pair is sampled at its
-    pair point.  One streamed pass (``_scan``) norms each chunk once and
+    pair point.  Each streamed pass (``_scan``) norms each chunk once and
     keeps no rows, so no array spans the grid, and mu is computed only
-    where the residual bound on kappa can still raise the maximum.  It is
-    the maximum over every pair point, inf if a singular zero is on the grid.
+    where the residual bound on kappa can still raise the maximum; a fine
+    grid's pass starts from the maximum over a coarser one (``_grid_kappa``)
+    and is screened like a counting level.  It is the maximum over every
+    pair point, bit for bit that of one dense pass, inf if a singular zero
+    is on the grid.
 
     Returns (estimate, covering_radius_bound) so the caller can judge how
     coarse the lower bound is.
     """
-    return _scan(F.normalized(), mesh)[-1], mesh.covering_radius_bound
+    return _grid_kappa(F.normalized(), mesh), mesh.covering_radius_bound
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,24 @@ def _compile(coefficients):
                  for expo, c in _graded_lex(coefficients))
 
 
+def _split(program, j, degree):
+    """The programs of g_0, ..., g_degree with f = sum_e x_j**e g_e, f the
+    polynomial of the term ``program``: each term goes, without its factor
+    of x_j, to the program of its exponent e of x_j.  These are the
+    ``_compile`` programs of the g_e, in one pass: the terms that share e
+    keep their graded-lex order when that factor is dropped."""
+    split = [[] for _ in range(degree + 1)]
+    for c, factors in program:
+        e, rest = 0, []
+        for f in factors:
+            if f[0] == j:
+                e = f[1]
+            else:
+                rest.append(f)
+        split[e].append((c, tuple(rest)))
+    return tuple(map(tuple, split))
+
+
 def _clean_terms(n_vars, coefficients, degree=None):
     """The one term validator of both polynomial classes: each multi-index
     has ``n_vars`` non-negative exponents (summing to ``degree`` if given)
@@ -204,10 +222,7 @@ class HomogeneousPolynomial:
         lambda self: tuple(_compile(g) for g in self.gradient_polys()))
     # per variable j, the programs of g_0, ..., g_d with f = sum_e x_j**e g_e
     _split_programs = cached_property(lambda self: tuple(
-        tuple(_compile({a[:j] + (0,) + a[j + 1:]: c
-                        for a, c in self.coefficients.items() if a[j] == e})
-              for e in range(self.degree + 1))
-        for j in range(self.n_vars)))
+        _split(self._program, j, self.degree) for j in range(self.n_vars)))
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,18 @@ class TestDispatch:
         assert captured.err == ("error: --degrees lists 3 degrees, but --n 2 needs 2, "
                                 "one per equation\n")
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_mc_kappa_rejects_n_below_one(self, n, capsys, monkeypatch):
+        """An invalid --n is named before --degrees is compared with it."""
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran before --n was checked")
+
+        monkeypatch.setattr("spherecount.cli.monte_carlo_ln_kappa", no_trials)
+        assert dispatch(["mc-kappa", "--n", n]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --n must be at least 1\n"
+
     @pytest.mark.parametrize("degrees, entry", [
         ("0,2,2", "'0'"), ("2,,2", "''"), ("2,-1,2", "'-1'"), ("2,x,2", "'x'"),
         ("2,2.5,2", "'2.5'")])

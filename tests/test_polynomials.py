@@ -181,6 +181,26 @@ class TestEvaluationKernel:
             jacobian_many(F, X)
         assert len(calls) == F.n
 
+    @pytest.mark.parametrize("degrees", [
+        (1,), (2,), (3,), (4,), (5,), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (3, 1), (2, 5),
+        (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5), (2, 3, 2), (1, 5, 3)])
+    def test_split_programs_match_per_map_compile(self, degrees):
+        """The split programs, built in one pass over the term program, are
+        the programs that ``_compile`` gives for the coefficient map of each
+        g_e of f = sum_e x_j**e g_e, for every variable j, dense and sparse."""
+        n = len(degrees)
+        F = sample_gaussian_system(n, degrees, 10 * n + sum(degrees))
+        keep = np.random.default_rng(sum(degrees))
+        sparse = [poly(p.n_vars, p.degree, {a: c for a, c in p.coefficients.items()
+                                            if keep.random() < 0.4})
+                  for p in F.polynomials]
+        for p in [*F.polynomials, *sparse, poly(n + 1, degrees[0], {})]:
+            assert p._split_programs == tuple(
+                tuple(pl._compile({a[:j] + (0,) + a[j + 1:]: c
+                                   for a, c in p.coefficients.items() if a[j] == e})
+                      for e in range(p.degree + 1))
+                for j in range(p.n_vars))
+
     @pytest.mark.parametrize("size", [0, 1, 5])
     def test_zero_polynomial(self, size):
         zero = poly(3, 2, {})

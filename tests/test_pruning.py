@@ -301,6 +301,88 @@ def test_coarsest_grids_take_no_tile_geometry(n, t):
     assert _level(F.normalized(), mesh, seed=1.0).kappa == max(1.0, full)
 
 
+def x1_squared():
+    """x1^2 on S^1: a double zero at (1, 0), a point of every grid, so kappa is inf."""
+    return PolynomialSystem((HomogeneousPolynomial(2, 2, {(0, 2): 1.0}),))
+
+
+@pytest.mark.parametrize("n, systems, t, passes", [
+    # under the gate: one dense pass
+    (1, [gaussian(1, (3,), 1)], 8, 1),
+    (2, [gaussian(2, (2, 2), 4000)], 5, 1),
+    (3, [gaussian(3, (2, 2, 2), 0)], 2, 1),
+    # over it: seeded from t - 3, itself seeded while over the gate
+    (1, [gaussian(1, (3,), 1), gaussian(1, (5,), 2), x1_squared], 13, 2),
+    (1, [gaussian(1, (3,), 3), x1_squared], 16, 3),
+    (2, [gaussian(2, (2, 2), s) for s in (4000, 4001, 4002, 4003)], 9, 3),
+    (2, [gaussian(2, (4, 4), 7)], 9, 3),
+    (3, [gaussian(3, (2, 2, 2), s) for s in (0, 1)] + [gaussian(3, (3, 3, 3), 2)], 4, 2),
+    (3, [gaussian(3, (2, 2, 2), 3), gaussian(3, (3, 3, 3), 4)], 5, 2)])
+def test_seeded_kappa_grid_is_the_dense_maximum(n, systems, t, passes, monkeypatch):
+    """kappa_grid seeds a grid of more than ``_BLOCK`` pair rows with the
+    maximum over the grid three levels coarser, and still returns one
+    dense pass's maximum bit for bit, inf included."""
+    mesh, scan, seeds = build_mesh(n, t), condition._scan, []
+
+    def recorded_scan(F, mesh, best=-math.inf):
+        seeds.append(best)
+        return scan(F, mesh, best=best)
+
+    for system in systems:
+        F = system()
+        dense = scan(F.normalized(), mesh)[-1]
+        seeds.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(condition, "_scan", recorded_scan)
+            assert kappa_grid(F, mesh)[0] == dense
+        assert len(seeds) == passes and seeds[0] == -math.inf
+        assert all(seed > 0.0 for seed in seeds[1:])
+        if system is x1_squared:
+            assert dense == math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_run_geometry_is_a_fresh_lattice_build(n):
+    """Each slab's cached run geometry equals its columns built afresh by
+    ``lattice_at``, bit for bit, read-only, and is built once."""
+    try:
+        for t in range(6):
+            mesh = SphereMesh(n, t)
+            for slab in mesh.slabs():
+                k, radius2, first = condition._run_geometry(n, t, slab)
+                assert condition._run_geometry(n, t, slab)[0] is k
+                fresh = mesh.lattice_at(np.arange(slab.lo, slab.hi, slab.row)).T[:, :, None] / 2.0**t
+                v = n - (slab.axis == n)
+                for c in range(n + 1):
+                    if c == slab.axis:
+                        assert k[c] == 1.0 and np.all(fresh[c] == 1.0)
+                    else:
+                        assert k[c].tobytes() == fresh[c].tobytes() and not k[c].flags.writeable
+                expected = sum(fresh[c] * fresh[c] for c in range(n + 1) if c != v)
+                assert radius2.shape == fresh[v].shape
+                assert np.broadcast_to(expected, radius2.shape).tobytes() == radius2.tobytes()
+                assert first.tobytes() == fresh[v][:1].tobytes()
+    finally:
+        condition._run_geometry.cache_clear()
+
+
+def test_two_systems_on_one_grid_take_their_own_run_coefficients():
+    """Systems on one grid share its run geometry but not their coefficients:
+    each gets those of its own split programs, whatever ran before it."""
+    mesh = build_mesh(2, 4)
+    systems = [sample_gaussian_system(2, (2, 3), 1), sample_gaussian_system(2, (3, 2), 2)]
+    for slab in mesh.slabs():
+        k, radius2, first = condition._run_geometry.__wrapped__(2, 4, slab)
+        v = 2 - (slab.axis == 2)
+        runs = [condition._runs(F, mesh, slab) for F in systems + systems]
+        assert runs[0][1] is runs[1][1] and runs[0][2] is runs[1][2]
+        for F, (coeffs, r2, f0) in zip(systems + systems, runs):
+            assert r2.tobytes() == radius2.tobytes() and f0.tobytes() == first.tobytes()
+            for p, cs in zip(F.polynomials, coeffs):
+                alone = [pl._run(g, k, {}) for g in p._split_programs[v]]
+                assert [np.asarray(c).tobytes() for c in cs] == [np.asarray(c).tobytes() for c in alone]
+
+
 @pytest.mark.parametrize("n, degrees, t", [
     (1, (3,), 4), (1, (5,), 2), (2, (2, 2), 4), (2, (3, 2), 3), (3, (2, 2, 2), 3), (3, (2, 3, 2), 2)])
 def test_unscreened_walk_yields_the_rows_under_the_floor_cut(n, degrees, t, monkeypatch):
@@ -334,8 +416,9 @@ def test_unscreened_walk_yields_the_rows_under_the_floor_cut(n, degrees, t, monk
 
 
 def keep_all():
-    """The screen of a pass with no kappa seed and no low rows, as
-    ``kappa_grid``'s: its cut is inf, so the walk yields every row."""
+    """The screen of a pass with no kappa seed and no low rows, as the
+    dense pass of ``kappa_grid`` on a grid under its seed gate: its cut is
+    inf, so the walk yields every row."""
     return condition._Screen(0.0, 0.0, lambda: math.inf, mu_many)
 
 
